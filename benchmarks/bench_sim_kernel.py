@@ -14,10 +14,7 @@ The fast/slow equivalence itself (identical delivery order and metrics
 with ``fast_path=False``) is asserted in ``tests/test_sim_determinism``;
 here we only check the fast path does strictly less scheduling work.
 
-A third angle rides on :mod:`repro.shard`: the multi-flow two-site
-workload runs unsharded and at 1/2/4 shards, must agree bit-for-bit,
-and reports the conservative-parallel wall-clock speedup.  Every
-measured rate is also appended to ``results/kernel_trend.jsonl`` so
+Every measured rate is also appended to ``results/kernel_trend.jsonl`` so
 successive runs accumulate a machine-local throughput trend.
 
 REPRO_BENCH_QUICK=1 selects the quick grid (8 MByte transfer only) and
@@ -33,7 +30,6 @@ import pytest
 from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
 from repro.netsim import BulkTransfer, ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
-from repro.shard import run_workload
 from repro.sim import Environment
 from repro.util import git_short_sha
 
@@ -45,17 +41,6 @@ TREND_PATH = os.path.join(
 )
 N_EVENTS = 100_000
 BULK_MBYTES = 8
-
-#: The speedup workload: the heavy bidirectional mix keeps both
-#: partitions' per-window compute balanced (see shard.workloads).
-SHARD_PARAMS = {
-    "mbytes": 8 if QUICK else 16,
-    "n_frames": 10 if QUICK else 20,
-    "heavy": True,
-    # The slow path is the reference-fidelity kernel; it is also the
-    # denser one per window, which is what a parallel run overlaps.
-    "fast_path": False,
-}
 
 
 def _append_trend(row: dict) -> None:
@@ -176,64 +161,3 @@ def test_sweep_regression_gate(report, sweep):
     report.add("E-kernel-b: kernel_bench regression gate", gate.format())
     assert gate.passed, gate.format()
 
-
-def test_shard_speedup_report(report):
-    """1/2/4-shard runs of the heavy two-site mix: identical results,
-    reported wall-clock speedup — the conservative-parallel payoff."""
-    runs = {
-        n: run_workload(
-            "wan_multiflow", SHARD_PARAMS, shards=n, mode="auto", record=True
-        )
-        for n in (1, 2, 4)
-    }
-    ref = runs[1]
-    rows = [
-        f"{'shards':>6} {'mode':>9} {'rounds':>7} {'jumps':>6} "
-        f"{'msgs':>6} {'wall':>9} {'speedup':>8} {'balance':>8}",
-    ]
-    for n, run in runs.items():
-        msgs = sum(s.msgs_sent for s in run.shard_stats)
-        walls = [s.window_wall_s for s in run.shard_stats]
-        balance = max(walls) / sum(walls) if sum(walls) else 0.0
-        speedup = ref.wall_s / run.wall_s if run.wall_s else 0.0
-        rows.append(
-            f"{run.n_shards:>3}/{n:<2} {run.mode:>9} {run.rounds:>7} "
-            f"{run.horizon_jumps:>6} {msgs:>6} {run.wall_s:>8.3f}s "
-            f"{speedup:>7.2f}x {balance:>8.2f}"
-        )
-        _append_trend(
-            {
-                "bench": "shard_speedup",
-                "shards_requested": n,
-                "shards": run.n_shards,
-                "mode": run.mode,
-                "rounds": run.rounds,
-                "wall_s": round(run.wall_s, 4),
-                "speedup": round(speedup, 3),
-            }
-        )
-    rows.append(
-        f"lookahead {runs[2].lookahead * 1e6:.0f} us, "
-        f"workload mbytes={SHARD_PARAMS['mbytes']} heavy bidirectional"
-    )
-    report.add(
-        "E-kernel-c: sharded speedup, multi-flow two-site mix", "\n".join(rows)
-    )
-
-    # Bit-identity across every shard count is unconditional: the
-    # partitioned runs must be indistinguishable from the reference.
-    for n, run in runs.items():
-        assert run.metrics == ref.metrics, f"{n}-shard metrics diverge"
-        assert run.deliveries == ref.deliveries, f"{n}-shard deliveries diverge"
-    # Requesting more shards than WAN islands must cap, not fail.
-    assert runs[4].n_shards == runs[2].n_shards
-
-    # The speedup claim needs real parallel hardware: only gate it when
-    # worker processes actually ran on a multi-core machine (1-CPU
-    # runners resolve to the serial scheduler, which proves identity
-    # but cannot prove speedup).
-    two = runs[2]
-    if two.mode == "process" and (os.cpu_count() or 1) >= 2:
-        assert ref.wall_s / two.wall_s >= 1.5, (
-            f"2-shard process speedup {ref.wall_s / two.wall_s:.2f}x < 1.5x"
-        )

@@ -92,88 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the regression-gate verdicts as JUnit XML "
         "(one testsuite per sweep, one testcase per baseline metric)",
     )
-    shard = parser.add_argument_group(
-        "sharded execution",
-        "run one repro.shard workload sharded and verify it against the "
-        "unsharded reference (exit 2 on any difference)",
-    )
-    shard.add_argument(
-        "--workload",
-        metavar="NAME",
-        default=None,
-        help="shard workload to run (e.g. wan_bulk, wan_multiflow); "
-        "skips the sweep machinery",
-    )
-    shard.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="partition count for --workload (capped at the topology's "
-        "WAN islands; default 2)",
-    )
-    shard.add_argument(
-        "--shard-mode",
-        choices=("auto", "serial", "process"),
-        default="auto",
-        help="worker scheduling for --workload: forked processes or the "
-        "in-process serial scheduler (auto falls back to serial on "
-        "1-CPU machines; results are identical either way)",
-    )
-    shard.add_argument(
-        "--mbytes",
-        type=int,
-        default=8,
-        help="transfer size for --workload (per bulk flow)",
-    )
     return parser
-
-
-def run_sharded(args) -> int:
-    """The ``--workload`` path: reference vs. sharded, bit-for-bit."""
-    from repro.shard import run_workload
-
-    params = {"mbytes": args.mbytes}
-    ref = run_workload(args.workload, params, shards=1, record=True)
-    sh = run_workload(
-        args.workload,
-        params,
-        shards=args.shards,
-        mode=args.shard_mode,
-        record=True,
-    )
-    identical = ref.metrics == sh.metrics and ref.deliveries == sh.deliveries
-    speedup = ref.wall_s / sh.wall_s if sh.wall_s > 0 else 0.0
-    print(
-        f"workload {args.workload}: {sh.n_shards} shard(s) "
-        f"[{sh.mode}], lookahead {sh.lookahead * 1e6:.0f} us, "
-        f"{sh.rounds} rounds, {sh.horizon_jumps} horizon jumps"
-    )
-    for stats in sh.shard_stats:
-        print(
-            f"  shard {stats.shard}: {stats.windows} windows, "
-            f"{stats.stalls} stalls, {stats.null_syncs} null syncs, "
-            f"{stats.msgs_sent} msgs out, depth<={stats.max_queue_depth}"
-        )
-    for key in sorted(ref.metrics):
-        print(f"  {key}: {ref.metrics[key]}")
-    print(
-        f"reference {ref.wall_s:.3f} s, sharded {sh.wall_s:.3f} s "
-        f"(speedup {speedup:.2f}x); deliveries "
-        f"{len(sh.deliveries or [])}"
-    )
-    if identical:
-        print("IDENTICAL: sharded run matches the unsharded reference")
-        return 0
-    print("MISMATCH: sharded run differs from the unsharded reference")
-    for key in sorted(set(ref.metrics) | set(sh.metrics)):
-        a, b = ref.metrics.get(key), sh.metrics.get(key)
-        if a != b:
-            print(f"  metric {key}: reference {a!r} != sharded {b!r}")
-    if ref.deliveries != sh.deliveries:
-        diff = set(ref.deliveries or []) ^ set(sh.deliveries or [])
-        print(f"  delivery tuples differing: {len(diff)}")
-    return 2
 
 
 def run_profile(args) -> int:
@@ -304,9 +223,6 @@ def format_summary(results, reports) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.workload:
-        return run_sharded(args)
 
     if args.profile:
         return run_profile(args)

@@ -377,64 +377,6 @@ def collectives_ablation(spec: ScenarioSpec) -> dict[str, Any]:
     return out
 
 
-@scenario("sharded_wan")
-def sharded_wan(spec: ScenarioSpec) -> dict[str, Any]:
-    """A sharded run gated bit-for-bit against its unsharded reference.
-
-    Runs one registered shard workload (:mod:`repro.shard.workloads`)
-    twice — ``shards=1`` and ``shards=N`` — with delivery recording on,
-    and reports ``identical`` (metrics AND every ``(t, host, flow,
-    kind, seq)`` delivery tuple agree exactly) plus the sharded run's
-    synchronization profile.  Everything except ``speedup_wall`` is a
-    pure function of the spec, so the baseline pins it exactly: any
-    change that breaks sharded determinism fails CI.
-
-    The sharded leg defaults to the in-process ``serial`` scheduler:
-    sweep scenarios execute inside daemonic pool workers, which cannot
-    fork (and serial/process modes are result-identical anyway — the
-    CLI ``--workload`` path exercises process mode where the machine
-    allows it).
-    """
-    from repro.shard import run_workload
-
-    workload = str(spec.get("workload", "wan_bulk"))
-    shards = int(spec.get("shards", 2))
-    mode = str(spec.get("mode", "serial"))
-    params: dict[str, Any] = {
-        "mbytes": int(spec.get("mbytes", 4)),
-        "seed": spec.seed,
-    }
-    loss_rate = float(spec.get("loss_rate", 0.0))
-    if loss_rate > 0.0:
-        params["loss_rate"] = loss_rate
-    if spec.get("outage_at") is not None:
-        params["outage_at"] = float(spec.get("outage_at"))
-        params["outage_len"] = float(spec.get("outage_len", 0.5))
-    if workload == "wan_multiflow":
-        params["n_frames"] = int(spec.get("n_frames", 10))
-
-    ref = run_workload(workload, params, shards=1, record=True)
-    sh = run_workload(workload, params, shards=shards, mode=mode, record=True)
-
-    out: dict[str, Any] = {
-        "identical": int(
-            ref.metrics == sh.metrics and ref.deliveries == sh.deliveries
-        ),
-        "n_shards": sh.n_shards,
-        "rounds": sh.rounds,
-        "horizon_jumps": sh.horizon_jumps,
-        "msgs": sum(s.msgs_sent for s in sh.shard_stats),
-        "null_syncs": sum(s.null_syncs for s in sh.shard_stats),
-        "deliveries": len(ref.deliveries or []),
-        # Wall-clock ratio: informational (gated with infinite tolerance).
-        "speedup_wall": ref.wall_s / sh.wall_s if sh.wall_s > 0 else 0.0,
-    }
-    for key, value in sorted(ref.metrics.items()):
-        if key.endswith("goodput_mbps") or key.endswith("segments_delivered"):
-            out[key] = value
-    return out
-
-
 def _workload(spec: ScenarioSpec):
     """The shared heavy-tailed workload of the fluid scenarios: Poisson
     sessions over the testbed's cross-site pairs, bounded-Pareto sizes,

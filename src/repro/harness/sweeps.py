@@ -20,10 +20,6 @@ the tolerances its baseline file is written with:
   strategy on the coupled-model exchange patterns; WAN message counts
   are pinned exactly, results must be identical across strategies, and
   the hierarchical/naive completion-time ratio is hard-gated;
-* ``sharded`` — the :mod:`repro.shard` determinism gate: sharded runs
-  (2 and over-requested 4 shards, with loss and outage faults) must be
-  bit-identical to their unsharded references, with the barrier/sync
-  counters pinned exactly;
 * ``hybrid`` — the fluid/packet hybrid engine gate: fluid-vs-packet
   agreement within 5% on the overlap grid (pinned exactly via
   ``within_5pct``), the workload generator's schedule digest pinned
@@ -175,38 +171,6 @@ def _hybrid(quick: bool) -> list[ScenarioSpec]:
     ]
 
 
-def _sharded(quick: bool) -> list[ScenarioSpec]:
-    mbytes = 4 if quick else 16
-    return [
-        make_spec("sharded_wan", workload="wan_bulk", shards=2, mbytes=mbytes),
-        # More shards than the topology has WAN islands: must cap at 2
-        # and still be identical.
-        make_spec("sharded_wan", workload="wan_bulk", shards=4, mbytes=mbytes),
-        make_spec(
-            "sharded_wan",
-            workload="wan_bulk",
-            shards=2,
-            mbytes=mbytes,
-            loss_rate=0.02,
-        ),
-        make_spec(
-            "sharded_wan",
-            workload="wan_bulk",
-            shards=2,
-            mbytes=mbytes,
-            outage_at=0.05,
-            outage_len=0.4,
-        ),
-        make_spec(
-            "sharded_wan",
-            workload="wan_multiflow",
-            shards=2,
-            mbytes=max(2, mbytes // 2),
-            n_frames=10 if quick else 25,
-        ),
-    ]
-
-
 def _availability(quick: bool) -> list[ScenarioSpec]:
     frames = 40 if quick else 120
     horizon = 1.2 if quick else 4.0
@@ -327,21 +291,6 @@ SWEEPS: dict[str, Sweep] = {
                     # (or an accidental WAN-path change) fails CI.
                     "*/hier_over_naive": {"abs": 0.2},
                     "*/elapsed_ms_*": {"rel": 0.10},
-                },
-            },
-        ),
-        Sweep(
-            name="sharded",
-            description="Sharded-vs-reference bit-identity and sync profile",
-            build=_sharded,
-            tolerances={
-                # Identity flags, sync counters and simulated results are
-                # pure functions of the spec: pinned exactly.  Any run
-                # where ``identical`` drops from 1 fails the gate.
-                "default": {},
-                "metrics": {
-                    # Wall-clock ratio is machine-dependent noise.
-                    "*/speedup_wall": {"rel": 1e9, "abs": 1e9},
                 },
             },
         ),

@@ -52,8 +52,8 @@ def route_cost(link: "Link") -> float:
     under the link's framing.
 
     A pure function of the link's static parameters (memoized on the
-    link), so every shard of a partitioned run — and every permutation
-    of construction order — prices an edge identically.
+    link), so every permutation of construction order prices an edge
+    identically.
     """
     cost = link._route_cost
     if cost is None:
@@ -371,12 +371,6 @@ class Link:
     None`` branch per event and nothing else.
     """
 
-    #: Class-level opt-out of the lazy pre-scheduled-arrival transmitter.
-    #: Subclasses that override :meth:`_emit` as a capture seam (the
-    #: sharded runner's cut links) set this False so every packet still
-    #: funnels through ``_emit`` at serialization end.
-    _lazy_ok = True
-
     def __init__(
         self,
         env: Environment,
@@ -414,9 +408,8 @@ class Link:
         self.drop_reasons: dict[str, int] = {}
         self.loss_rate = {a.name: 0.0, b.name: 0.0}
         # One RNG per direction: each direction's loss pattern is a
-        # function of its own packet sequence only, so a partition that
-        # owns one direction of a cut link (repro.shard) draws exactly
-        # the stream the unsharded run would.
+        # function of its own packet sequence only, never of the
+        # reverse direction's traffic volume.
         self._loss_rngs: dict[str, Optional[random.Random]] = {
             a.name: None,
             b.name: None,
@@ -500,7 +493,7 @@ class Link:
     def set_flow_weight(self, flow: str, weight: float) -> None:
         """Scale ``flow``'s DRR share on both directions (default 1.0)."""
         rearm = []
-        if self._fast and self._lazy_ok:
+        if self._fast:
             # A batch pre-committed DRR decisions under the old weight;
             # unwind the unserved tail so it re-queues and is re-decided
             # under the new weight, exactly as the unbatched fold would.
@@ -534,12 +527,7 @@ class Link:
         if st is None:
             raise KeyError(f"{direction} is not an endpoint of {self.name}")
         needs_rearm = False
-        if (
-            self._fast
-            and self._lazy_ok
-            and not st.classic
-            and st.batch is not None
-        ):
+        if self._fast and not st.classic and st.batch is not None:
             # Batched members not yet serializing were pre-timed at the
             # old effective rate; unwind them so they restart under the
             # new rate.  A single in-service packet keeps its scheduled
@@ -582,7 +570,7 @@ class Link:
             self._drop(direction, "link_down", flow=packet.flow)
             return
         st = self._dir[direction]
-        if self._fast and self._lazy_ok and not st.classic:
+        if self._fast and not st.classic:
             env = self.env
             now = env._now
             q = st.q
@@ -665,7 +653,7 @@ class Link:
                     self._lazy_service(direction, st)
             return
         if self._fast and not st.busy:
-            # Classic fast form (wire loss armed, or a shard cut link).
+            # Classic fast form (wire loss armed on this direction).
             self._start_tx(direction, packet)
             return
         # The queue bound counts waiting packets only; the in-service
@@ -682,7 +670,7 @@ class Link:
             return
         self.up = up
         if not up:
-            if self._fast and self._lazy_ok:
+            if self._fast:
                 # Convert each direction's lazy in-flight packet (if any)
                 # to a completion-time judgement — it will be lost as
                 # ``tx_link_down`` at its t_done, like the classic form —
@@ -719,11 +707,10 @@ class Link:
         reproducible loss patterns; one is created otherwise.
 
         Each direction keeps its own RNG stream, so one direction's
-        traffic volume never perturbs the other's loss pattern (and a
-        sharded run, where the two directions live in different worker
-        processes, draws bit-identical streams).  When ``rng`` is given
-        for both directions at once, each direction gets an independent
-        child seeded from it rather than sharing the object.
+        traffic volume never perturbs the other's loss pattern.  When
+        ``rng`` is given for both directions at once, each direction gets
+        an independent child seeded from it rather than sharing the
+        object.
         """
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"loss rate must be in [0, 1), got {rate}")
@@ -741,7 +728,7 @@ class Link:
             elif self._loss_rngs[d] is None and rate > 0.0:
                 self._loss_rngs[d] = random.Random(0)
             self.loss_rate[d] = rate
-            if self._fast and self._lazy_ok:
+            if self._fast:
                 # Random wire loss must draw its RNG at serialization
                 # *end*, so a lossy direction runs the classic
                 # completion-event form.  Turning loss on mid-flight
@@ -799,7 +786,7 @@ class Link:
         st = self._dir[direction]
         waiting = st.q
         if waiting._total:
-            if st.classic or not self._lazy_ok:
+            if st.classic:
                 self._start_tx(direction, waiting.dequeue())
                 return
             st.busy = False
@@ -1112,9 +1099,10 @@ class Link:
 
         Propagation does not occupy the transmitter: a bare delivery
         callback (inline when zero) lets back-to-back packets pipeline
-        with no process spawn.  This is the boundary seam the sharded
-        runner (:mod:`repro.shard.boundary`) overrides to capture
-        packets whose destination lives in another worker process.
+        with no process spawn.  Called at serialization end by the
+        classic completion-event form and by the completion judgement of
+        an interrupted lazy packet; the lazy form otherwise schedules
+        the arrival itself at serialization start.
         """
         if self.propagation:
             self.env.call_later(self.propagation, self._deliver_now, dst, packet)
@@ -1594,10 +1582,6 @@ class Network:
         self.links: dict[str, Link] = {}
         self.no_route_drops = 0
         self.probe: Optional[Any] = None
-        #: When the network is one partition of a sharded run
-        #: (:mod:`repro.shard`), the set of node names this process owns;
-        #: ``None`` means the whole network is local (the normal case).
-        self.local_nodes: Optional[frozenset[str]] = None
         #: Failure-detection latency (seconds) between a link state
         #: change and the route-cache flush that lets traffic re-resolve.
         #: Zero (the default) flushes synchronously — bit-identical to
@@ -1613,18 +1597,6 @@ class Network:
         #: re-resolution recognizable as a reroute.
         self._last_link: dict[tuple[str, str], Link] = {}
         self._invalidation_listeners: list[Callable[[], None]] = []
-
-    def drives(self, name: str) -> bool:
-        """Whether this process owns (drives traffic for) node ``name``.
-
-        Flow constructors consult this before starting their active
-        sender processes: in a sharded run every shard builds the full
-        topology and flow set — keeping construction bit-identical to
-        the unsharded reference — but only the shard owning a flow's
-        source host injects its traffic.  Receiver halves are passive
-        (they only react to arriving packets) and stay armed everywhere.
-        """
-        return self.local_nodes is None or name in self.local_nodes
 
     def add(self, node: Node) -> Node:
         """Register a node (idempotent by name)."""

@@ -17,10 +17,7 @@ Three fault classes:
   gets its own child RNG whose seed is derived from the injector's seed
   plus the fault's identity (kind, link name, direction, parameters) —
   never from the order faults happen to be scheduled in — so adding,
-  removing or reordering other faults leaves a loss pattern untouched,
-  and a sharded run (:mod:`repro.shard`), where each direction of a cut
-  link lives in a different worker process, draws streams bit-identical
-  to the unsharded reference.
+  removing or reordering other faults leaves a loss pattern untouched.
 * **gateway crash/restart** — :meth:`FaultInjector.gateway_crash` crashes
   a :class:`~repro.netsim.core.Gateway` workstation: its forwarding queue
   is flushed, arriving packets are black-holed, and its attached links go
@@ -48,9 +45,8 @@ class FaultInjector:
     ``seed`` plus each fault's identity (kind, element, direction,
     parameters) determines that fault's child seed — scheduling order
     plays no part, so adding one fault never perturbs another's
-    pattern, and the same fault built in two different processes (the
-    sharded runner builds the injector once per shard) draws the same
-    stream.
+    pattern, and the same fault built in two different processes draws
+    the same stream.
     """
 
     def __init__(self, net: Network, seed: int = 0):

@@ -150,15 +150,8 @@ class BulkTransfer:
         self._dst_host = net.host(dst)
         self._src_host.register_sink(self.name, self._on_ack)
         self._dst_host.register_sink(self.name, self._on_data)
-        #: True when this process owns the sender half.  In a sharded
-        #: run (repro.shard) only the shard owning ``src`` injects
-        #: traffic and completes ``done``; other shards keep the passive
-        #: receiver half armed (``_on_data`` acknowledges wherever the
-        #: data actually arrives).
-        self.driven = net.drives(src)
-        if self.driven:
-            self.env.process(self._sender())
-            self.env.process(self._retransmit_timer())
+        self.env.process(self._sender())
+        self.env.process(self._retransmit_timer())
 
     # -- sender --------------------------------------------------------------
     def _sender(self):
@@ -459,24 +452,20 @@ class CbrFlow:
         self._last_segment_time: Optional[float] = None
         self._segments_per_frame = len(self.ip.segments(frame_bytes))
         net.host(dst).register_sink(self.name, self._on_segment)
-        self.driven = net.drives(src)
-        if self.driven:
-            if self.env.fast_path and n_frames > 0:
-                # Burst form: departure instants are precomputed as one
-                # vectorized prefix sum, and each frame is emitted by a
-                # bare callback — no generator resumes, no per-frame
-                # Timeout allocation.  Packets come from the arena.
-                self._host = net.host(src)
-                self._payloads = [
-                    (p, self.ip.datagram_bytes(p))
-                    for p in self.ip.segments(frame_bytes)
-                ]
-                self._dep = _burst_departures(
-                    self.env.now, self.interval, n_frames
-                )
-                self.env.call_later(0.0, self._emit_frame, 0)
-            else:
-                self.env.process(self._sender())
+        if self.env.fast_path and n_frames > 0:
+            # Burst form: departure instants are precomputed as one
+            # vectorized prefix sum, and each frame is emitted by a bare
+            # callback — no generator resumes, no per-frame Timeout
+            # allocation.  Packets come from the arena.
+            self._host = net.host(src)
+            self._payloads = [
+                (p, self.ip.datagram_bytes(p))
+                for p in self.ip.segments(frame_bytes)
+            ]
+            self._dep = _burst_departures(self.env.now, self.interval, n_frames)
+            self.env.call_later(0.0, self._emit_frame, 0)
+        else:
+            self.env.process(self._sender())
 
     def _path_rtt_estimate(self) -> float:
         """Zero-load round trip of one full segment, for the drain window."""
@@ -591,10 +580,7 @@ class CbrFlow:
         self._rx_segments[frame] = got
         if got == self._segments_per_frame:
             # All of a frame's segments are injected in the same instant,
-            # so any segment's origin stamp is the frame send time.  Using
-            # the packet (not sender-side state) keeps the receiver half
-            # self-contained — in a sharded run it lives in another
-            # process than the sender.
+            # so any segment's origin stamp is the frame send time.
             transit = now - packet.created
             if (
                 self.playout_deadline is not None
@@ -666,15 +652,13 @@ class PingFlow:
         self._dst_host = net.host(dst)
         self._dst_host.register_sink(self.name, self._echo)
         self._src_host.register_sink(self.name + ".reply", self._pong)
-        self.driven = net.drives(src)
-        if self.driven:
-            if self.env.fast_path and count > 0:
-                # Burst form (see CbrFlow): precomputed departures, one
-                # callback per ping, arena packets.
-                self._dep = _burst_departures(self.env.now, interval, count)
-                self.env.call_later(0.0, self._send_ping, 0)
-            else:
-                self.env.process(self._sender())
+        if self.env.fast_path and count > 0:
+            # Burst form (see CbrFlow): precomputed departures, one
+            # callback per ping, arena packets.
+            self._dep = _burst_departures(self.env.now, interval, count)
+            self.env.call_later(0.0, self._send_ping, 0)
+        else:
+            self.env.process(self._sender())
 
     def _sender(self):
         host = self._src_host

@@ -198,7 +198,10 @@ def max_min_rates(
     """
     n_of = counts or {}
     rates = {name: 0.0 for name in costs}
-    live = set(costs)
+    # A list in ``costs`` order, not a set: the float sums below must
+    # run in a fixed order, or string-hash randomization changes the
+    # rates from one interpreter to the next.
+    live = list(costs)
     while live:
         # Tightest constraint over live flows: resource slack shared by
         # everyone using it, or a live flow's distance to its own cap.
@@ -244,7 +247,7 @@ def max_min_rates(
         }
         if not frozen:  # numerical stall guard: never loop forever
             break
-        live -= frozen
+        live = [n for n in live if n not in frozen]
     return rates
 
 

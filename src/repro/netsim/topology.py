@@ -17,16 +17,13 @@ written in:
   alternatives (cheapest up member wins, deterministic tie-breaks);
 * **generators** — :func:`build_ring` / :func:`build_dual_ring`
   (SPring-8-style single and redundant rings) and :func:`build_grid`
-  (a KEK-style R×C site mesh, the first topology with enough WAN cuts
-  for 4+ :mod:`repro.shard` islands).
+  (a KEK-style R×C site mesh with several disjoint paths per pair).
 
 Every generated name is a pure function of the declared topology —
-never of construction order — so two permuted constructions route, and
-shard-partition, identically.
+never of construction order — so two permuted constructions route
+identically.
 
-All trunks default to WAN-scale propagation (100 km at 5 µs/km), which
-is what makes the inter-site links eligible partition cuts for
-:mod:`repro.shard` (lookahead ≥ its 100 µs threshold).
+All trunks default to WAN-scale propagation (100 km at 5 µs/km).
 """
 
 from __future__ import annotations
@@ -311,8 +308,7 @@ def build_grid(
 ) -> MultiSiteTestbed:
     """An R×C mesh of sites (site ``s<r><c>`` trunked to its right and
     down neighbours) — the KEK-style multi-site data grid.  Every
-    interior pair has at least two disjoint WAN paths, and the mesh's
-    many WAN cuts are what let :mod:`repro.shard` carve 4+ islands."""
+    interior pair has at least two disjoint WAN paths."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least 2 sites")
     builder = TopologyBuilder(

@@ -288,37 +288,6 @@ class Environment:
         self._now = horizon
         return None
 
-    def advance(self, horizon: float) -> int:
-        """Run to ``horizon`` (inclusive), returning entries dispatched.
-
-        The window primitive of the conservative sharded runner
-        (:mod:`repro.shard`): a partition advances its clock one safe
-        window at a time, and the dispatch count feeds the per-shard
-        stall telemetry (a window that dispatched nothing is a horizon
-        stall).  Semantically identical to ``run(until=horizon)``.
-        """
-        if horizon < self._now:
-            raise SimulationError("cannot advance() backwards in time")
-        queue = self._queue
-        pool = self._pool
-        pop = _heappop
-        dispatched = 0
-        while queue and queue[0][0] <= horizon:
-            entry = pop(queue)
-            self._now = entry[0]
-            obj = entry[2]
-            args = entry[3]
-            entry[2] = entry[3] = None
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
-            if args is None:
-                obj._fire()
-            else:
-                obj(*args)
-            dispatched += 1
-        self._now = horizon
-        return dispatched
-
     @property
     def queue_depth(self) -> int:
         """Entries currently pending in the event queue (telemetry)."""

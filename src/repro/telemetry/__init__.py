@@ -49,7 +49,6 @@ from repro.telemetry.probes import (
     instrument_pipeline,
     instrument_rt_client,
     instrument_runtime,
-    instrument_shard_run,
 )
 from repro.telemetry.timeseries import RingBuffer, Sampler
 
@@ -78,7 +77,6 @@ __all__ = [
     "instrument_pipeline",
     "instrument_rt_client",
     "instrument_runtime",
-    "instrument_shard_run",
     "RingBuffer",
     "Sampler",
 ]

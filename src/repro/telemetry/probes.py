@@ -509,46 +509,3 @@ def instrument_fluid(engine, registry: MetricsRegistry):
     engine.probe = FluidProbe(registry)
     return engine.probe
 
-
-# -- repro.shard -------------------------------------------------------------
-
-def instrument_shard_run(result, registry: MetricsRegistry):
-    """Publish a finished sharded run's synchronization profile.
-
-    Shard workers live in their own processes (or a serial scheduler the
-    coordinator drives to completion), so unlike the live netsim probes
-    this installer records *post-hoc*: it translates a
-    :class:`~repro.shard.runner.ShardRunResult` into ``shard.*`` series —
-    per-shard barrier windows, horizon stalls, null syncs (barrier
-    rounds that granted time but moved no messages), message/byte
-    volume, peak event-queue depth and wall-clock inside windows, plus
-    run-level rounds and horizon jumps.  Returns the registry for
-    chaining (or ``None`` when disabled).
-    """
-    if not registry.enabled:
-        return None
-    run_labels = {"workload": result.workload, "mode": result.mode}
-    registry.counter("shard.rounds", **run_labels).inc(result.rounds)
-    registry.counter("shard.horizon_jumps", **run_labels).inc(
-        result.horizon_jumps
-    )
-    registry.gauge("shard.lookahead_s", **run_labels).set(result.lookahead)
-    registry.gauge("shard.wall_s", **run_labels).set(result.wall_s)
-    for stats in result.shard_stats:
-        labels = {**run_labels, "shard": str(stats.shard)}
-        registry.counter("shard.windows", **labels).inc(stats.windows)
-        registry.counter("shard.horizon_stalls", **labels).inc(stats.stalls)
-        registry.counter("shard.null_syncs", **labels).inc(stats.null_syncs)
-        registry.counter("shard.msgs_sent", **labels).inc(stats.msgs_sent)
-        registry.counter("shard.msgs_recv", **labels).inc(stats.msgs_recv)
-        registry.counter("shard.bytes_sent", **labels).inc(stats.bytes_sent)
-        registry.counter("shard.events_dispatched", **labels).inc(
-            stats.events_dispatched
-        )
-        registry.gauge("shard.max_queue_depth", **labels).set(
-            stats.max_queue_depth
-        )
-        registry.gauge("shard.window_wall_s", **labels).set(
-            stats.window_wall_s
-        )
-    return registry

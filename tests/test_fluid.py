@@ -10,6 +10,9 @@ digest, and these tests pin the mechanism behind it.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -443,3 +446,38 @@ class TestMaxMinRates:
         )
         assert rates["a"] == pytest.approx(10e6)
         assert rates["b"] == pytest.approx(1e8 - 10e6, rel=1e-6)
+
+    def test_result_independent_of_hash_seed(self):
+        """The water-fill sums float demands over the live set; that sum
+        must run in a fixed order, or string-hash randomization changes
+        the rates from one interpreter to the next."""
+        script = (
+            "import random\n"
+            "from repro.netsim.tcp import max_min_rates\n"
+            "rng = random.Random(7)\n"
+            "res = [f'link{i}' for i in range(12)]\n"
+            "costs, caps = {}, {}\n"
+            "for i in range(40):\n"
+            "    name = f'demand{i}'\n"
+            "    costs[name] = {r: 10 ** rng.uniform(-12, -6)\n"
+            "                   for r in rng.sample(res, rng.randint(1, 5))}\n"
+            "    caps[name] = rng.choice([float('inf'), 10 ** rng.uniform(5, 9)])\n"
+            "print(repr(max_min_rates(costs, caps)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1

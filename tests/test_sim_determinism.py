@@ -12,7 +12,7 @@ import pytest
 
 from repro.harness.runner import SweepRunner
 from repro.harness.sweeps import demo_specs
-from repro.netsim import BulkTransfer, CbrFlow, ClassicalIP, build_testbed
+from repro.netsim import BulkTransfer, CbrFlow, ClassicalIP, Host, build_testbed
 from repro.netsim.core import Packet
 from repro.netsim.ip import TESTBED_MTU
 from repro.sim import Environment, Event, Store
@@ -129,6 +129,94 @@ def test_contended_fast_path_is_run_to_run_deterministic():
     a = _run_contended(fast_path=True)
     b = _run_contended(fast_path=True)
     assert a == b
+
+
+def _run_heavy_mix(fast_path: bool):
+    """The heavy two-site mix: six 1 MB WAN bulks both ways at the
+    64 KByte MTU, four intra-site bulks at the 9180-byte ATM MTU, and
+    20 frames of D1 video both ways, every delivery at every host
+    recorded in dispatch order."""
+    nbytes = MB
+    tb = build_testbed(env=Environment(fast_path=fast_path))
+    net = tb.net
+    wan_ip = ClassicalIP(TESTBED_MTU)
+    atm_ip = ClassicalIP(9180)
+    flows: list = [
+        BulkTransfer(net, src, dst, nbytes, ip=wan_ip, name=name)
+        for name, src, dst in (
+            ("bulk-fwd-0", tb.T3E_600, tb.E500_GMD),
+            ("bulk-fwd-1", tb.T3E_1200, tb.ONYX2_GMD),
+            ("bulk-fwd-2", tb.T90, tb.SP2),
+            ("bulk-rev-0", tb.SP2, tb.T3E_600),
+            ("bulk-rev-1", tb.E500_GMD, tb.T3E_1200),
+            ("bulk-rev-2", tb.ONYX2_GMD, tb.T90),
+        )
+    ]
+    flows += [
+        BulkTransfer(net, src, dst, size, ip=atm_ip, name=name)
+        for name, src, dst, size in (
+            ("bulk-loc-gmd-0", tb.SP2, tb.E500_GMD, nbytes // 2),
+            ("bulk-loc-gmd-1", tb.E500_GMD, tb.ONYX2_GMD, 3 * nbytes // 8),
+            ("bulk-loc-jue-0", tb.FRONTEND, tb.ONYX2_JUELICH, nbytes // 2),
+            ("bulk-loc-jue-1", tb.ONYX2_JUELICH, tb.FRONTEND, 3 * nbytes // 8),
+        )
+    ]
+    flows += [
+        CbrFlow(
+            net,
+            src,
+            dst,
+            frame_bytes=829_440,
+            interval=1.0 / 25.0,
+            n_frames=20,
+            ip=atm_ip,
+            name=name,
+        )
+        for name, src, dst in (
+            ("video-d1", tb.ONYX2_JUELICH, tb.ONYX2_GMD),
+            ("video-d1-rev", tb.ONYX2_GMD, tb.ONYX2_JUELICH),
+        )
+    ]
+    deliveries: list[tuple] = []
+    for hname, node in sorted(net.nodes.items()):
+        if not isinstance(node, Host):
+            continue
+        for flow, sink in list(node._sinks.items()):
+            def wrapped(packet, t, _sink=sink, _h=hname):
+                deliveries.append((_h, packet.flow, packet.kind, packet.seq, t))
+                _sink(packet, t)
+
+            node._sinks[flow] = wrapped
+    tb.env.run()
+    return {
+        "deliveries": deliveries,
+        "done": {flow.name: flow.done.triggered for flow in flows},
+    }
+
+
+@pytest.fixture(scope="module")
+def heavy_mix():
+    return _run_heavy_mix(fast_path=True), _run_heavy_mix(fast_path=False)
+
+
+def test_heavy_mix_fast_and_slow_paths_agree_on_volume(heavy_mix):
+    """Both kernels deliver the same number of packets on the heavy mix
+    and run every flow to completion."""
+    fast, slow = heavy_mix
+    assert len(fast["deliveries"]) == len(slow["deliveries"])
+    assert all(fast["done"].values()), fast["done"]
+    assert all(slow["done"].values()), slow["done"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lazy pre-scheduled-arrival links order same-instant events "
+    "differently from the classic completion-event form (lazy-link tie "
+    "order); the first delivery to differ is at t~9.37 ms",
+)
+def test_heavy_mix_fast_and_slow_paths_deliver_identically(heavy_mix):
+    fast, slow = heavy_mix
+    assert fast["deliveries"] == slow["deliveries"]
 
 
 def test_demo_sweep_metrics_stable_across_runs():
