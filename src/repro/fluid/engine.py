@@ -45,6 +45,12 @@ INF = float("inf")
 _DRAIN_EPS = 1e-6
 
 
+def _per_bit_costs(char) -> dict[str, float]:
+    """A path's resource costs in seconds per payload bit."""
+    bits = char.mss * 8.0
+    return {r: t / bits for r, t in char.resources.items()}
+
+
 @dataclass(frozen=True)
 class CompletedFlow:
     """One finished fluid transfer."""
@@ -201,15 +207,13 @@ class FluidEngine:
             if cls is None:
                 cls = self._classes[key] = _PathClass(key, {}, 0.0)
             return cls
-        bits = char.mss * 8.0
         cap = INF
         if self.window_bytes != INF and char.rtt > 0:
             cap = self.window_bytes * 8.0 / char.rtt
         key = (src, dst, cap)
         cls = self._classes.get(key)
         if cls is None:
-            costs = {r: t / bits for r, t in char.resources.items()}
-            cls = self._classes[key] = _PathClass(key, costs, cap)
+            cls = self._classes[key] = _PathClass(key, _per_bit_costs(char), cap)
         return cls
 
     def invalidate_paths(self) -> None:
@@ -244,8 +248,7 @@ class FluidEngine:
             char = self._characterize(src, dst)
             if char is None:
                 continue  # no route right now: the demand is silent
-            bits = char.mss * 8.0
-            costs[name] = {r: t / bits for r, t in char.resources.items()}
+            costs[name] = _per_bit_costs(char)
             caps[name] = cap
             counts[name] = 1
         rates = max_min_rates(costs, caps, counts) if costs else {}

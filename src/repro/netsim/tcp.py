@@ -195,60 +195,91 @@ def max_min_rates(
     This is the solver core of :func:`fair_share_throughputs`, exposed
     separately so event-driven callers can cache the expensive
     path-characterization step and re-solve on every flow event.
+
+    Raises :class:`ValueError` naming the demand for a negative or NaN
+    cost or cap, a count below 1, a demand without a cap, or a count
+    for a name not in ``costs``.  A zero cap with no costs is valid: it
+    parks the demand at rate 0.
     """
     n_of = counts or {}
-    rates = {name: 0.0 for name in costs}
-    # A list in ``costs`` order, not a set: the float sums below must
-    # run in a fixed order, or string-hash randomization changes the
-    # rates from one interpreter to the next.
-    live = list(costs)
+    # Demands are indexed by position: names may be tuples (the fluid
+    # engine's path-class keys), which would be re-hashed at every
+    # lookup.  ``limit`` is the rate at which a capped demand freezes.
+    cap_of: list[float] = []
+    limit: list[float] = []
+    # Per resource, its users (index, count, cost) in ``costs`` order.
+    # Every sum below runs over the same terms, in the same order and
+    # through the same builtin ``sum()`` as a scan of ``costs`` would, so
+    # the rates equal that scan's bit for bit and do not depend on the
+    # string hash seed.
+    users: dict[str, list[tuple[int, int, float]]] = {}
+    counted = 0
+    for i, (n, c) in enumerate(costs.items()):
+        m = n_of.get(n, 1)
+        if n in n_of:
+            counted += 1
+        if not m >= 1:
+            raise ValueError(f"demand {n!r}: count {m!r} is below 1")
+        try:
+            cap = caps[n]
+        except KeyError:
+            raise ValueError(f"demand {n!r} has no cap") from None
+        if not cap >= 0.0:
+            raise ValueError(f"demand {n!r}: cap {cap!r} is negative or NaN")
+        cap_of.append(cap)
+        limit.append(cap - 1e-9 * max(1.0, cap) if cap != float("inf") else cap)
+        for r, x in c.items():
+            if not x >= 0.0:
+                raise ValueError(
+                    f"demand {n!r}: cost {x!r} on {r!r} is negative or NaN"
+                )
+            users.setdefault(r, []).append((i, m, x))
+    if counted != len(n_of):
+        extra = next(n for n in n_of if n not in costs)
+        raise ValueError(f"count given for {extra!r}, which has no costs")
+    rates = [0.0] * len(costs)
+    # Each resource's load at the current rates.  Rates only change
+    # between a delta pass and the saturation pass after it, so the loads
+    # that pass computes serve the next delta pass.
+    load = {r: sum([m * rates[i] * x for i, m, x in us]) for r, us in users.items()}
+    live = set(range(len(costs)))
     while live:
+        # Each live resource's demand: the load that one bit/s more on
+        # every live flow adds.  A resource with no live user is dropped.
+        demand = {}
+        for r, us in users.items():
+            terms = [m * x for i, m, x in us if i in live]
+            if terms:
+                demand[r] = sum(terms)
         # Tightest constraint over live flows: resource slack shared by
         # everyone using it, or a live flow's distance to its own cap.
         delta = float("inf")
-        live_resources = {r for n in live for r in costs[n]}
-        for r in live_resources:
-            load = sum(
-                n_of.get(n, 1) * rates[n] * c[r]
-                for n, c in costs.items()
-                if r in c
-            )
-            demand = sum(
-                n_of.get(n, 1) * costs[n][r] for n in live if r in costs[n]
-            )
-            if demand > 0:  # zero-cost resources constrain nothing
-                delta = min(delta, max(0.0, 1.0 - load) / demand)
-        for n in live:
-            delta = min(delta, caps[n] - rates[n])
+        for r, d in demand.items():
+            if d > 0:  # zero-cost resources constrain nothing
+                slack = 1.0 - load[r]
+                step = (slack if slack > 0.0 else 0.0) / d
+                if step < delta:
+                    delta = step
+        for i in live:
+            step = cap_of[i] - rates[i]
+            if step < delta:
+                delta = step
         if delta == float("inf"):
             # No finite constraint left (free paths, uncapped flows).
-            for n in live:
-                rates[n] = float("inf")
+            for i in live:
+                rates[i] = float("inf")
             break
-        for n in live:
-            rates[n] += delta
-        saturated = set()
-        for r in live_resources:
-            load = sum(
-                n_of.get(n, 1) * rates[n] * c[r]
-                for n, c in costs.items()
-                if r in c
-            )
-            if load >= 1.0 - 1e-9:
-                saturated.add(r)
-        frozen = {
-            n
-            for n in live
-            if (
-                caps[n] != float("inf")
-                and rates[n] >= caps[n] - 1e-9 * max(1.0, caps[n])
-            )
-            or any(r in saturated for r in costs[n])
-        }
+        for i in live:
+            rates[i] += delta
+        frozen = {i for i in live if rates[i] >= limit[i]}
+        for r in demand:
+            ld = load[r] = sum([m * rates[i] * x for i, m, x in users[r]])
+            if ld >= 1.0 - 1e-9:  # saturated: freeze every user
+                frozen.update([i for i, _, _ in users[r]])
         if not frozen:  # numerical stall guard: never loop forever
             break
-        live = [n for n in live if n not in frozen]
-    return rates
+        live -= frozen
+    return dict(zip(costs, rates))
 
 
 def demand_cap(flow: Any, char: PathCharacterization) -> float:

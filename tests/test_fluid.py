@@ -9,8 +9,10 @@ harness execution — the ``hybrid`` sweep baseline pins the schedule
 digest, and these tests pin the mechanism behind it.
 """
 
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -265,6 +267,28 @@ class TestFluidEngine:
         assert set(stats) == {"mean", "p50", "p95", "p99", "max"}
         assert stats["p50"] <= stats["p95"] <= stats["p99"] <= stats["max"]
 
+    def test_day_independent_of_hash_seed(self):
+        """A heavy-tailed day over many path classes completes with the
+        same times, statistics and re-solve count under every string
+        hash seed: nothing on the engine's path may iterate a set or
+        dict of names into a float sum."""
+        script = (
+            "from repro.fluid import BoundedPareto, FluidEngine, WorkloadGenerator\n"
+            "from repro.netsim import build_testbed\n"
+            "tb = build_testbed()\n"
+            "pairs = [(a, b) for a in tb.juelich_hosts[:3] for b in tb.gmd_hosts]\n"
+            "pairs += [(b, a) for a, b in pairs]\n"
+            "eng = FluidEngine(tb.net, window_bytes=8 * 2**20)\n"
+            "eng.offer(WorkloadGenerator(\n"
+            "    pairs, n_sessions=100, session_rate=50.0, seed=5,\n"
+            "    sizes=BoundedPareto(shape=1.3, lo=256 * 1024, hi=16 * 2**20),\n"
+            ").schedule())\n"
+            "eng.run()\n"
+            "print(repr((eng.completed, eng.fct_stats(), eng.resolves,\n"
+            "            eng.mean_active(), eng.peak_active)))\n"
+        )
+        assert len(_outputs_under_hash_seeds(script)) == 1
+
 
 # -- fluid vs packet cross-validation ----------------------------------------
 
@@ -350,6 +374,26 @@ class TestHybridCoupling:
         (done,) = eng.completed
         assert done.mean_rate == pytest.approx(solo / 2, rel=1e-6)
 
+    def test_static_demand_follows_invalidation(self):
+        """After ``invalidate_paths`` a static demand falls silent while
+        its path is cut and reserves its share again once the path
+        returns."""
+        tb = build_testbed()
+        ip = ClassicalIP(TESTBED_MTU)
+        solo = tcp_steady_throughput(tb.net, "t3e-600", "sp2", ip)
+        eng = FluidEngine(tb.net, ip=ip)
+        eng.add_static_demand("packet", "t3e-600", "sp2", solo / 2)
+        eng.schedule_flow(0.0, "fluid", "t3e-600", "sp2", 8 * MB)
+        eng.advance_to(0.0)
+        shared = eng.next_event_time()
+        assert shared == pytest.approx(8 * MB * 8 / (solo / 2), rel=1e-6)
+        tb.wan_link.set_up(False)
+        eng.invalidate_paths()  # both silent: no route for either
+        assert eng.next_event_time() == math.inf
+        tb.wan_link.set_up(True)
+        eng.invalidate_paths()
+        assert eng.next_event_time() == shared
+
     def test_static_demand_requires_route(self):
         tb = build_testbed()
         eng = FluidEngine(tb.net)
@@ -424,6 +468,54 @@ class TestHybridCoupling:
 
 # -- solver core -------------------------------------------------------------
 
+def _solver_corpus(n_cases=300, seed=14):
+    """Seeded random ``max_min_rates`` inputs: 1-25 demands over 1-30
+    resources, counts 1-5 (or none), caps ``inf``/finite/0, zero-cost
+    entries and empty cost dicts.  Only ``random()`` products, no
+    ``**`` or libm calls, so the inputs are bit-identical everywhere."""
+    rng = random.Random(seed)
+    cost_scales = (1e-12, 1e-10, 1e-9, 1e-8, 1e-7)
+    cap_scales = (1e6, 1e7, 1e8, 1e9)
+    for _ in range(n_cases):
+        res = [f"r{i}" for i in range(rng.randint(1, 30))]
+        costs, caps, counts = {}, {}, {}
+        for i in range(rng.randint(1, 25)):
+            name = f"d{i}"
+            costs[name] = {
+                r: 0.0 if rng.random() < 0.1 else rng.random() * rng.choice(cost_scales)
+                for r in rng.sample(res, rng.randint(0, min(6, len(res))))
+            }
+            roll = rng.random()
+            if roll < 0.5:
+                caps[name] = math.inf
+            elif roll < 0.6:
+                caps[name] = 0.0
+            else:
+                caps[name] = rng.random() * rng.choice(cap_scales)
+            counts[name] = rng.randint(1, 5)
+        yield costs, caps, (counts if rng.random() < 0.8 else None)
+
+
+#: SHA-256 of the corpus rates, computed with the solver as it stood
+#: before its resource index.  Python 3.12 made ``sum()`` of floats
+#: compensated (Neumaier), which moves last-ulp rounding, so the pin is
+#: per interpreter line; the solver keeps ``sum()`` to match either.
+_SOLVER_CORPUS_SHA = (
+    "7900a7fb8a2578742ee072738c05e12e5c3e2a7b2d065d792349c2a61704686c"
+    if sys.version_info >= (3, 12)
+    else "0bf0c0fc85fc7266373a74f134691a15400579ad2383b18217a620ad9d1030dc"
+)
+
+
+def _solver_corpus_digest():
+    from repro.netsim.tcp import max_min_rates
+
+    h = hashlib.sha256()
+    for costs, caps, counts in _solver_corpus():
+        h.update(repr(sorted(max_min_rates(costs, caps, counts).items())).encode())
+    return h.hexdigest()
+
+
 class TestMaxMinRates:
     def test_class_aggregation_matches_individuals(self):
         """Counts are exact: m identical demands solved as one class get
@@ -436,6 +528,12 @@ class TestMaxMinRates:
         caps = {f"f{i}": math.inf for i in range(4)}
         indiv = max_min_rates(costs_many, caps)
         assert agg["c"] == pytest.approx(indiv["f0"], rel=1e-9)
+
+    def test_golden_corpus_digest(self):
+        """The rates of 300 seeded random cases are pinned bit for bit:
+        any change to the solver's arithmetic or summation order moves
+        this digest."""
+        assert _solver_corpus_digest() == _SOLVER_CORPUS_SHA
 
     def test_caps_respected(self):
         from repro.netsim.tcp import max_min_rates
@@ -464,20 +562,64 @@ class TestMaxMinRates:
             "    caps[name] = rng.choice([float('inf'), 10 ** rng.uniform(5, 9)])\n"
             "print(repr(max_min_rates(costs, caps)))\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        outputs = set()
-        for seed in ("0", "1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=120,
-            )
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1
+        assert len(_outputs_under_hash_seeds(script)) == 1
+
+    @pytest.mark.parametrize(
+        "costs, caps, counts, match",
+        [
+            ({"a": {"r": -1e-9}}, {"a": math.inf}, None, "'a'.*negative"),
+            ({"a": {"r": math.nan}}, {"a": math.inf}, None, "'a'.*NaN"),
+            ({"a": {"r": 1e-9}}, {"a": -1.0}, None, "'a'.*negative"),
+            ({"a": {"r": 1e-9}}, {"a": math.nan}, None, "'a'.*NaN"),
+            ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": 0}, "'a'.*below 1"),
+            ({"a": {}, "b": {"r": 1e-9}}, {"a": 0.0}, None, "'b' has no cap"),
+            ({"a": {"r": 1e-9}}, {"a": math.inf}, {"ghost": 2}, "'ghost'"),
+        ],
+        ids=[
+            "negative-cost",
+            "nan-cost",
+            "negative-cap",
+            "nan-cap",
+            "count-below-1",
+            "missing-cap",
+            "count-without-costs",
+        ],
+    )
+    def test_rejects_bad_input(self, costs, caps, counts, match):
+        from repro.netsim.tcp import max_min_rates
+
+        with pytest.raises(ValueError, match=match):
+            max_min_rates(costs, caps, counts)
+
+    def test_parked_demand_is_valid(self):
+        """The engine's unroutable class: zero cap, no costs, rate 0."""
+        from repro.netsim.tcp import max_min_rates
+
+        rates = max_min_rates(
+            {"parked": {}, "bulk": {"r": 1e-8}},
+            {"parked": 0.0, "bulk": math.inf},
+            {"parked": 3, "bulk": 2},
+        )
+        assert rates == {"parked": 0.0, "bulk": 5e7}
+
+
+def _outputs_under_hash_seeds(script):
+    """The distinct standard outputs of ``script`` run in fresh
+    interpreters under string hash seeds 0-3."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        outputs.add(proc.stdout)
+    return outputs
