@@ -28,13 +28,14 @@ hierarchical   Topology-aware (paper Section 3): island-aware trees, and
 ============== ==============================================================
 
 Strategies are stateless singletons shared between communicators and
-rank threads; all per-collective state lives on the stack of the calling
-rank.  Every strategy preserves MPI reduction semantics: ``reduce`` /
-``allreduce`` / ``scan`` fold in rank order, and strategies whose
-natural message order would reorder the fold (ring, hierarchical) fall
-back to an order-preserving path whenever ``op.commutative`` is false
-(and, for hierarchical, whenever the islands do not form contiguous
-rank blocks).
+rank threads.  The topology they need (islands, trees, hierarchical site
+parts) is built once per communicator and kept on it (``Intracomm._tree``);
+the rest lives on the calling rank's stack.  Every strategy preserves MPI
+reduction semantics: ``reduce`` / ``allreduce`` / ``scan`` fold in rank
+order, and strategies whose natural message order would reorder the fold
+(ring, hierarchical) fall back to an order-preserving path whenever
+``op.commutative`` is false (and, for hierarchical, whenever the islands
+do not form contiguous rank blocks).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class CollectiveStrategy:
     # -- object collectives -------------------------------------------------
     def bcast(self, comm: "Intracomm", obj: Any, root: int) -> Any:
         tag = comm._coll_tag()
-        parent, children = self.tree(comm, root)
+        parent, children = comm._tree(root)
         me = comm.rank
         if me != root:
             obj = comm._recv_i(parent[me], tag)
@@ -117,7 +118,7 @@ class CollectiveStrategy:
 
     def gather(self, comm: "Intracomm", obj: Any, root: int) -> Optional[list]:
         tag = comm._coll_tag()
-        parent, children = self.tree(comm, root)
+        parent, children = comm._tree(root)
         me = comm.rank
         bundle: dict[int, Any] = {me: obj}
         for child in children[me]:
@@ -131,7 +132,7 @@ class CollectiveStrategy:
         self, comm: "Intracomm", values: Optional[Sequence], root: int
     ) -> Any:
         tag = comm._coll_tag()
-        parent, children = self.tree(comm, root)
+        parent, children = comm._tree(root)
         me = comm.rank
         if me == root:
             if values is None or len(values) != comm.size:
@@ -205,11 +206,11 @@ class CollectiveStrategy:
     # -- buffer collectives -------------------------------------------------
     def Bcast(self, comm: "Intracomm", buf: np.ndarray, root: int) -> None:
         tag = comm._coll_tag()
-        parent, children = self.tree(comm, root)
+        parent, children = comm._tree(root)
         me = comm.rank
         if me != root:
             msg = comm._collect_internal(parent[me], tag)
-            comm._copy_into(buf, msg)
+            comm._copy_into(buf, msg.data)
         for child in children[me]:
             comm._send_i("buf", buf, child, tag)
 
@@ -234,7 +235,7 @@ class CollectiveStrategy:
                 recvbuf.reshape(-1)[:] = np.asarray(acc).reshape(-1)
             return
         tag = comm._coll_tag()
-        parent, children = self.tree(comm, root)
+        parent, children = comm._tree(root)
         me = comm.rank
         acc = np.array(sendbuf, copy=True)
         for child in children[me]:
@@ -433,9 +434,8 @@ class HierarchicalStrategy(CollectiveStrategy):
 
     def tree(self, comm, root):
         n = comm.size
-        islands = comm.islands()
         # Root's island first; the root leads its island.
-        islands.sort(key=lambda isl: (root not in isl, isl[0]))
+        islands = sorted(comm.islands(), key=lambda isl: (root not in isl, isl[0]))
         leaders = []
         for isl in islands:
             leader = root if root in isl else isl[0]
@@ -463,14 +463,18 @@ class HierarchicalStrategy(CollectiveStrategy):
         """Island structure plus cached site/leader subcommunicators.
 
         Returns ``(islands, my_island_index, site_comm, leader_comm)``;
-        ``leader_comm`` is None on non-leader ranks.  Subcommunicator
-        ids come from the runtime's deterministic derived-id table, so
-        every rank builds identical communicators without messaging.
+        ``leader_comm`` is None on non-leader ranks.  Computed once per
+        rank and kept in ``comm._subcomm_cache``.  Subcommunicator ids
+        come from the runtime's deterministic derived-id table, so every
+        rank builds identical communicators without messaging.
         """
+        me = comm.rank
+        parts = comm._subcomm_cache.get(("parts", me))
+        if parts is not None:
+            return parts
         from repro.metampi.comm import Intracomm  # local import: cycle
 
         islands = comm.islands()
-        me = comm.rank
         my_idx = next(i for i, isl in enumerate(islands) if me in isl)
         members = islands[my_idx]
         leaders = [isl[0] for isl in islands]
@@ -495,7 +499,10 @@ class HierarchicalStrategy(CollectiveStrategy):
                         strategy="flat",
                     )
                     comm._subcomm_cache["leaders"] = leader_comm
-        return islands, my_idx, site, leader_comm
+            parts = comm._subcomm_cache[("parts", me)] = (
+                islands, my_idx, site, leader_comm
+            )
+        return parts
 
     @staticmethod
     def _contiguous(islands: list[list[int]], n: int) -> bool:

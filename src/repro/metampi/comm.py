@@ -18,7 +18,6 @@ ablation benchmark.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Any, Callable, Optional, Sequence
 
@@ -179,7 +178,7 @@ class Comm:
     ) -> None:
         """Receive into ``buf`` (shape/size must match the message)."""
         msg = self._collect(source, tag, status)
-        self._copy_into(buf, msg)
+        self._copy_into(buf, msg.data)
 
     def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> Request:
         """Nonblocking buffer send."""
@@ -195,7 +194,7 @@ class Comm:
 
         def waiter(status: Optional[Status]) -> np.ndarray:
             msg = self._collect(source, tag, status)
-            self._copy_into(buf, msg)
+            self._copy_into(buf, msg.data)
             return buf
 
         def prober() -> bool:
@@ -218,18 +217,17 @@ class Comm:
 
     # -- internals -----------------------------------------------------------
     @staticmethod
-    def _copy_into(buf: np.ndarray, msg: Message) -> None:
-        data = np.asarray(msg.data)
+    def _copy_into(buf: np.ndarray, data: Any) -> None:
+        """Copy received data into ``buf`` in place (sizes must match)."""
+        data = np.asarray(data)
         if buf.size != data.size:
-            raise MetaMpiError(
-                f"receive buffer size {buf.size} != message size {data.size}"
-            )
+            raise MetaMpiError(f"buffer size {buf.size} != data size {data.size}")
         # Reject lossy dtype conversion: receiving a float64 message into
         # an int32 buffer used to truncate values silently.
         if not np.can_cast(data.dtype, buf.dtype, casting="safe"):
             raise MetaMpiError(
-                f"cannot safely cast message dtype {data.dtype} into "
-                f"receive buffer dtype {buf.dtype}"
+                f"cannot safely cast dtype {data.dtype} into buffer dtype "
+                f"{buf.dtype}"
             )
         buf.reshape(-1)[:] = data.reshape(-1)
 
@@ -283,8 +281,12 @@ class Intracomm(Comm):
         #: (``"naive"``/``"flat"``/``"ring"``/``"hierarchical"``), an
         #: instance, or — legacy — the old ``hierarchical`` boolean.
         self.strategy: CollectiveStrategy = resolve_strategy(strategy)
-        #: Per-communicator cache of derived site/leader subcommunicators
-        #: (shared by all rank threads, hence the lock).
+        #: The collective plan, built once because group and placement
+        #: never change: islands, trees by (strategy, root), and the
+        #: hierarchical per-rank parts and subcommunicators (all rank
+        #: threads share them; fills of shared entries take the lock).
+        self._islands = self._scan_islands()
+        self._trees: dict = {}
         self._subcomm_cache: dict = {}
         self._subcomm_lock = threading.Lock()
 
@@ -295,7 +297,12 @@ class Intracomm(Comm):
 
     # -- island structure -----------------------------------------------------
     def islands(self) -> list[list[int]]:
-        """Comm-local ranks grouped by machine (WAN-island structure)."""
+        """Comm-local ranks grouped by machine (WAN-island structure).
+
+        Fresh lists on every call: callers may sort or edit them."""
+        return [list(isl) for isl in self._islands]
+
+    def _scan_islands(self) -> list[list[int]]:
         by_loc: dict[tuple[str, str], list[int]] = {}
         for local, world in enumerate(self.group):
             ctx = self.runtime.ranks[world]
@@ -303,22 +310,19 @@ class Intracomm(Comm):
         return list(by_loc.values())
 
     def _tree(self, root: int) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """Parent/children maps (comm-local) for the collective tree."""
-        return self.strategy.tree(self, root)
+        """Parent/children maps (comm-local) for the collective tree,
+        built once per (strategy, root).  Callers must not mutate them."""
+        key = (self.strategy, root)
+        tree = self._trees.get(key)
+        if tree is None:
+            with self._subcomm_lock:
+                tree = self._trees.get(key)
+                if tree is None:
+                    tree = self._trees[key] = self.strategy.tree(self, root)
+        return tree
 
-    @contextlib.contextmanager
-    def _collective(self, label: str):
-        """Attribute runtime traffic to the *outermost* collective: nested
-        subcommunicator collectives inherit the enclosing label."""
-        ctx = self._me()
-        if ctx.coll_label is not None:
-            yield
-            return
-        ctx.coll_label = f"{self.strategy.name}.{label}"
-        try:
-            yield
-        finally:
-            ctx.coll_label = None
+    def _collective(self, label: str) -> "_Collective":
+        return _Collective(self._me(), f"{self.strategy.name}.{label}")
 
     def _coll_tag(self) -> int:
         return self._me().next_collective_tag(self.comm_id, INTERNAL_TAG_BASE)
@@ -442,7 +446,7 @@ class Intracomm(Comm):
             if recvbuf is None:
                 raise MetaMpiError("root must supply recvbuf")
             stacked = np.stack(parts)
-            self._copy_into_array(recvbuf, stacked)
+            self._copy_into(recvbuf, stacked)
 
     def Scatter(
         self,
@@ -463,28 +467,14 @@ class Intracomm(Comm):
             values = [arr[i] for i in range(self.size)]
         with self._collective("Scatter"):
             part = self.scatter(values, root=root)
-        self._copy_into_array(recvbuf, part)
+        self._copy_into(recvbuf, part)
 
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """All ranks end with the stacked buffers in ``recvbuf``."""
         with self._collective("Allgather"):
             parts = self.allgather(np.asarray(sendbuf))
         stacked = np.stack(parts)
-        self._copy_into_array(recvbuf, stacked)
-
-    @staticmethod
-    def _copy_into_array(buf: np.ndarray, data: np.ndarray) -> None:
-        data = np.asarray(data)
-        if buf.size != data.size:
-            raise MetaMpiError(
-                f"buffer size {buf.size} != incoming size {data.size}"
-            )
-        if not np.can_cast(data.dtype, buf.dtype, casting="safe"):
-            raise MetaMpiError(
-                f"cannot safely cast incoming dtype {data.dtype} into "
-                f"buffer dtype {buf.dtype}"
-            )
-        buf.reshape(-1)[:] = data.reshape(-1)
+        self._copy_into(recvbuf, stacked)
 
     def _collect_internal(self, source: int, tag: int) -> Message:
         return self._collect(source, tag, None)
@@ -618,6 +608,24 @@ class Intracomm(Comm):
             info = None
         inter_comm_id, remote_group = self.bcast(info, root=root)
         return Intercomm(self.runtime, inter_comm_id, self.group, remote_group)
+
+
+class _Collective:
+    """``with`` block of one collective: attributes runtime traffic to the
+    *outermost* collective (nested subcommunicator phases inherit it)."""
+
+    __slots__ = ("ctx", "label")
+
+    def __init__(self, ctx: RankContext, label: str):
+        self.ctx, self.label = ctx, label if ctx.coll_label is None else None
+
+    def __enter__(self) -> None:
+        if self.label:
+            self.ctx.coll_label = self.label
+
+    def __exit__(self, *exc) -> None:
+        if self.label:
+            self.ctx.coll_label = None
 
 
 class Intercomm(Comm):

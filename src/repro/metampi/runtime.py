@@ -25,20 +25,6 @@ from repro.metampi.message import Mailbox, Message
 from repro.metampi.transport import TransportModel
 
 
-def payload_nbytes(kind: str, data: Any) -> int:
-    """Size accounting: buffers by nbytes, objects by pickled size."""
-    if kind == "buf":
-        return int(data.nbytes)
-    return len(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def snapshot(kind: str, data: Any) -> Any:
-    """Copy-on-send semantics: the receiver must not see later mutation."""
-    if kind == "buf":
-        return np.array(data, copy=True)
-    return pickle.loads(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 @dataclass
 class RankContext:
     """Per-rank state: location, clock, mailbox, thread bookkeeping."""
@@ -214,7 +200,15 @@ class Runtime:
         instead of deadlocking the peers.
         """
         dst = self.ranks[dst_world]
-        nbytes = payload_nbytes(kind, data)
+        # Copy-on-send (the receiver must not see later mutation); objects
+        # are sized by the pickle their copy is loaded from.
+        if kind == "buf":
+            nbytes = int(data.nbytes)
+            data = np.array(data, copy=True)
+        else:
+            blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+            nbytes = len(blob)
+            data = pickle.loads(blob)
         try:
             cost = self.transport.cost(src.machine, src.host, dst.machine, dst.host)
         except TransportError as exc:
@@ -224,25 +218,24 @@ class Runtime:
         key = self.transport.channel_key(
             src.machine, src.host, dst.machine, dst.host
         )
-        if key is None:
-            seconds = cost.transit(nbytes)
-            arrival = src.clock + seconds
-        else:
-            # The external attachment serializes concurrent transfers.
-            occupancy = nbytes / cost.bandwidth
-            with self._lock:
+        label = src.coll_label or "p2p"
+        scope = "intra" if key is None else "wan"
+        with self._lock:
+            if key is None:
+                seconds = cost.transit(nbytes)
+                arrival = src.clock + seconds
+            else:
+                # The external attachment serializes concurrent transfers.
+                occupancy = nbytes / cost.bandwidth
                 start = max(src.clock, self._channel_free.get(key, 0.0))
                 self._channel_free[key] = start + occupancy
-            arrival = start + occupancy + cost.latency
-            seconds = occupancy + cost.latency
-        src.clock += cost.sender_overhead
-        scope = "intra" if key is None else "wan"
-        label = src.coll_label or "p2p"
-        with self._lock:
+                arrival = start + occupancy + cost.latency
+                seconds = occupancy + cost.latency
             tally = self.traffic.setdefault((label, scope), [0, 0, 0.0])
             tally[0] += 1
             tally[1] += nbytes
             tally[2] += seconds
+        src.clock += cost.sender_overhead
         if self.probe is not None:
             self.probe.on_message(
                 src.world_rank, dst_world, nbytes, scope, label
@@ -253,7 +246,7 @@ class Runtime:
             comm_id=comm_id,
             tag=tag,
             kind=kind,
-            data=snapshot(kind, data),
+            data=data,
             nbytes=nbytes,
             arrival=arrival,
             seq=next(self._seq),

@@ -1,7 +1,12 @@
 """Tests for the selectable collective strategies: cross-strategy result
 agreement (including non-commutative ops), the barrier clock contract,
-tree edge cases, dtype-safe buffer receives, and the per-strategy WAN
-traffic accounting that the hierarchical algorithms are judged on."""
+tree edge cases, dtype-safe buffer receives, the per-strategy WAN
+traffic accounting that the hierarchical algorithms are judged on, and
+the communicator's once-built collective plan."""
+
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -412,3 +417,162 @@ class TestWanAccounting:
             "hierarchical.allreduce"
         ]["wan"]
         assert hier_wan["messages"] < naive_wan["messages"]
+
+
+#: 2x T3E-600 + 2x SP2: two islands of two ranks each.
+FOUR_RANKS = ((CRAY_T3E_600, 2), (IBM_SP2, 2))
+PLAN_ROUNDS = 50
+
+#: What the coupler loop below produced before trees, islands and site
+#: parts were cached: (virtual elapsed s, {label: {scope: messages}}).
+#: Flat and naive send concurrently from several ranks over the shared
+#: WAN channel, which serves them in wall-clock post order, so their
+#: elapsed time moves by up to ~4e-5 s between runs; hierarchical and
+#: ring have one WAN sender at a time and are exact.
+PLAN_LITERALS = {
+    "flat": (0.20368446666666468, {
+        "flat.Allreduce": {"intra": 100, "wan": 200},
+        "flat.Bcast": {"intra": 50, "wan": 100},
+        "flat.barrier": {"intra": 200, "wan": 400},
+    }),
+    "hierarchical": (0.20932445238095201, {
+        "hierarchical.Allreduce": {"intra": 200, "wan": 100},
+        "hierarchical.Bcast": {"intra": 100, "wan": 50},
+        "hierarchical.barrier": {"intra": 400, "wan": 200},
+    }),
+    "naive": (0.21072526666666444, {
+        "naive.Allreduce": {"intra": 100, "wan": 200},
+        "naive.Bcast": {"intra": 50, "wan": 100},
+        "naive.barrier": {"intra": 200, "wan": 400},
+    }),
+    "ring": (0.3101226190476184, {
+        "ring.Allreduce": {"intra": 600, "wan": 600},
+        "ring.Bcast": {"intra": 100, "wan": 50},
+        "ring.barrier": {"intra": 600, "wan": 600},
+    }),
+}
+PLAN_ELAPSED_ABS = {"flat": 2e-4, "naive": 2e-4, "hierarchical": 0, "ring": 0}
+
+
+def coupler_loop(comm, rounds=PLAN_ROUNDS):
+    """The flux-coupler round: Allreduce, Bcast from root 0, barrier."""
+    flux = np.arange(8, dtype=np.int64) * (comm.rank + 1)
+    coupled = np.zeros(8, dtype=np.int64)
+    checksum = 0
+    for _ in range(rounds):
+        comm.Allreduce(flux, coupled, op=SUM)
+        corr = (
+            coupled // comm.size if comm.rank == 0
+            else np.zeros(8, dtype=np.int64)
+        )
+        comm.Bcast(corr, root=0)
+        comm.barrier()
+        checksum += int(corr[-1])
+    return checksum
+
+
+def message_counts(mc):
+    return {
+        label: {scope: v["messages"] for scope, v in scopes.items()}
+        for label, scopes in mc.runtime.traffic_summary().items()
+    }
+
+
+def spy_plan(monkeypatch):
+    """Count tree builds per (comm, strategy, root) and island scans per
+    comm, across every strategy class and every communicator."""
+    trees: Counter = Counter()
+    scans: Counter = Counter()
+    lock = threading.Lock()
+    for cls in STRATEGIES.values():
+        tree = cls.__dict__.get("tree")
+        if tree is None:
+            continue
+
+        def spy_tree(self, comm, root, _tree=tree):
+            with lock:
+                trees[(comm, self, root)] += 1
+            return _tree(self, comm, root)
+
+        monkeypatch.setattr(cls, "tree", spy_tree)
+    scan = Intracomm._scan_islands
+
+    def spy_scan(comm):
+        with lock:
+            scans[comm] += 1
+        return scan(comm)
+
+    monkeypatch.setattr(Intracomm, "_scan_islands", spy_scan)
+    return trees, scans
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_plan_built_once_and_results_unchanged(self, strategy, monkeypatch):
+        trees, scans = spy_plan(monkeypatch)
+        mc, vals = run(coupler_loop, layout=FOUR_RANKS, strategy=strategy)
+
+        assert trees and max(trees.values()) == 1
+        assert scans and max(scans.values()) == 1
+        elapsed, counts = PLAN_LITERALS[strategy]
+        assert vals == [850] * 4
+        assert mc.elapsed == pytest.approx(
+            elapsed, rel=0, abs=PLAN_ELAPSED_ABS[strategy]
+        )
+        assert message_counts(mc) == counts
+
+    @pytest.mark.parametrize("strategy", ["flat", "hierarchical"])
+    def test_plan_fills_race_free(self, strategy, monkeypatch):
+        """Eight rank threads on a 1 us switch interval all miss the
+        empty plan together; each entry is still built exactly once."""
+        trees, scans = spy_plan(monkeypatch)
+        layout = ((CRAY_T3E_600, 4), (IBM_SP2, 4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, vals = run(lambda comm: coupler_loop(comm, rounds=5), layout, strategy)
+        finally:
+            sys.setswitchinterval(interval)
+        # 8 ranks: column 7 sums to 7 * 36, so each round adds 252 // 8.
+        assert vals == [5 * 31] * 8
+        assert max(trees.values()) == 1 and max(scans.values()) == 1
+
+    def test_mutating_islands_leaves_plan_intact(self):
+        fresh = make_world(TWO_MACHINES, "hierarchical")
+        comm = make_world(TWO_MACHINES, "hierarchical")
+        islands = comm.islands()
+        islands.reverse()
+        islands[0].append(99)
+        assert comm.islands() == fresh.islands() == [[0, 1, 2], [3, 4]]
+        for root in range(5):
+            assert comm._tree(root) == fresh._tree(root)
+
+        def main(comm):
+            comm.islands().clear()
+            comm.islands()[0].reverse()
+            return comm.allreduce(comm.rank, op=SUM)
+
+        mc, vals = run(main, strategy="hierarchical")
+        assert vals == [10] * 5
+        assert message_counts(mc)["hierarchical.allreduce"]["wan"] == 2
+
+    def test_strategy_swap_rebuilds_tree(self):
+        swapped = threading.Barrier(4)
+
+        def main(comm):
+            first = comm.bcast("flat" if comm.rank == 0 else None, root=0)
+            swapped.wait()
+            if comm.rank == 0:
+                comm.strategy = create_strategy("naive")
+            swapped.wait()
+            return first, comm.bcast("naive" if comm.rank == 0 else None, root=0)
+
+        # Rank 0 alone on the T3E, ranks 1-3 on the SP2.
+        layout = ((CRAY_T3E_600, 1), (IBM_SP2, 3))
+        mc, vals = run(main, layout=layout, strategy="flat")
+        assert vals == [("flat", "naive")] * 4
+        counts = message_counts(mc)
+        # Flat binomial from rank 0: 0->1, 0->2 cross the WAN, 1->3 not.
+        assert counts["flat.bcast"] == {"intra": 1, "wan": 2}
+        # Naive star: rank 0 sends to each of the others across the WAN.
+        assert counts["naive.bcast"] == {"wan": 3}
