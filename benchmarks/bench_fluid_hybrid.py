@@ -5,9 +5,8 @@ Three angles:
 * the committed ``hybrid`` sweep (fluid-vs-packet cross-validation,
   heavy-tailed scale runs, coupled hybrid) gated against its baseline;
 * the headline scale figure: a 10,000-session heavy-tailed day solved
-  by the pure fluid engine, reported as flows/s and appended to
-  ``results/kernel_trend.jsonl`` next to the packet-kernel rates — the
-  scale gap between the two engines IS the reason the hybrid exists;
+  by the pure fluid engine, reported as flows/s (perfbench's
+  ``fluid_day`` is the fluid figure of record);
 * the wall-clock acceptance gate: the 10k-session scenario must finish
   in well under 30 s of wall clock with a deterministic seeded schedule.
 
@@ -15,7 +14,6 @@ REPRO_BENCH_QUICK=1 selects the quick grid (1,000 sessions) and the
 matching baseline mode.
 """
 
-import json
 import os
 import time
 
@@ -26,14 +24,10 @@ from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
 from repro.netsim import CbrFlow, ClassicalIP, PingFlow, build_testbed
 from repro.netsim.core import packet_pool
 from repro.netsim.ip import TESTBED_MTU
-from repro.util import git_short_sha
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 MODE = "quick" if QUICK else "full"
 BASELINES = os.path.join(os.path.dirname(__file__), "results", "baselines")
-TREND_PATH = os.path.join(
-    os.path.dirname(__file__), "results", "kernel_trend.jsonl"
-)
 
 N_SESSIONS = 1_000 if QUICK else 10_000
 SESSION_RATE = 40.0 if QUICK else 90.0
@@ -45,19 +39,6 @@ PAIRS = [
     ("t90", "onyx2-gmd"),
     ("sp2", "t3e-600"),
 ]
-
-
-def _append_trend(row: dict) -> None:
-    """Append one measurement to the shared throughput-trend JSONL."""
-    os.makedirs(os.path.dirname(TREND_PATH), exist_ok=True)
-    row = {
-        "ts": round(time.time(), 3),
-        "sha": git_short_sha(),
-        "bench_mode": MODE,
-        **row,
-    }
-    with open(TREND_PATH, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +70,7 @@ def _heavy_tailed_run(seed: int = 0):
 
 
 def test_fluid_flows_per_sec_report(report):
-    """The scale figure: sessions solved per wall-second, trended."""
+    """The scale figure: sessions solved per wall-second."""
     wg, eng, wall = _heavy_tailed_run()
     flows_per_sec = len(eng.completed) / wall if wall > 0 else 0.0
     stats = eng.fct_stats()
@@ -106,18 +87,6 @@ def test_fluid_flows_per_sec_report(report):
     report.add(
         f"E-fluid: heavy-tailed day, {N_SESSIONS:,} sessions (fluid engine)",
         "\n".join(rows),
-    )
-    _append_trend(
-        {
-            "bench": "fluid_hybrid",
-            "sessions": N_SESSIONS,
-            "completed": len(eng.completed),
-            "resolves": eng.resolves,
-            "peak_active": eng.peak_active,
-            "sim_span_s": round(eng.now, 3),
-            "wall_s": round(wall, 4),
-            "flows_per_sec": round(flows_per_sec, 1),
-        }
     )
 
     # Every offered session must complete (open-loop workload, finite
@@ -181,17 +150,6 @@ def test_arena_reuse_report(report):
     ]
     report.add(
         "E-fluid-c: arena reuse, packet-side flow mix", "\n".join(rows)
-    )
-    _append_trend(
-        {
-            "bench": "arena_reuse",
-            "packet_acquires": pkt_total,
-            "packet_allocs": pkt_allocs,
-            "packet_reuses": pkt_reuses,
-            "entry_scheduled": entry_total,
-            "entry_allocs": env.pool_allocs,
-            "wall_s": round(wall, 4),
-        }
     )
 
     # The arenas must actually absorb the steady-state churn: most

@@ -9,7 +9,7 @@ advances time analytically in between.  A 10,000-session heavy-tailed
 day on the testbed is ~20,000 events instead of tens of millions of
 packets.
 
-Two tricks keep the event loop cheap at scale:
+Three tricks keep the event loop cheap at scale:
 
 * **Path classes** — concurrent flows between the same endpoints (and
   rate cap) face identical constraints, so they always share one rate.
@@ -20,6 +20,10 @@ Two tricks keep the event loop cheap at scale:
   rate, so each flow's completion is a fixed *drain key* (cumulative
   bits the class will have served): a min-heap per class finds the next
   departure in O(log n) with no per-flow updates on re-solve.
+* **Dominated resources** — a resource whose every user also crosses
+  another resource at a per-bit cost at least as large can never be the
+  first to bind, so the solver never sees it (see :func:`_dominated`).
+  The drop set is rebuilt only when a class or static demand appears.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -51,6 +55,35 @@ def _per_bit_costs(char) -> dict[str, float]:
     return {r: t / bits for r, t in char.resources.items()}
 
 
+def _dominated(demands: list[dict[str, float]]) -> set[str]:
+    """Resources no max-min solve over any subset of ``demands`` needs.
+
+    ``r2`` is dominated by ``r1`` when every demand using ``r2`` also
+    uses ``r1`` at a per-bit cost at least as large, both finite: its
+    load and live demand never exceed ``r1``'s, so it is never the first
+    to bind and dropping it changes no bit of the rates (DESIGN §2.13).
+    Of identical resources the first in ``demands`` order stays."""
+    users: dict[str, dict[int, float]] = {}
+    for i, costs in enumerate(demands):
+        for r, x in costs.items():
+            users.setdefault(r, {})[i] = x
+    rank = {r: k for k, r in enumerate(users)}
+    drop = set()
+    for r2, us2 in users.items():
+        for r1 in demands[next(iter(us2))]:  # a dominator serves r2's users
+            us1 = users[r1]
+            if (
+                r1 != r2
+                and us2.keys() <= us1.keys()
+                and INF not in us1.values()
+                and all(0.0 <= x <= us1[i] for i, x in us2.items())
+                and (rank[r1] < rank[r2] or us1 != us2)
+            ):
+                drop.add(r2)
+                break
+    return drop
+
+
 @dataclass(frozen=True)
 class CompletedFlow:
     """One finished fluid transfer."""
@@ -75,6 +108,15 @@ class CompletedFlow:
 
 
 @dataclass(slots=True)
+class _Static:
+    src: str
+    dst: str
+    cap: float
+    costs: Optional[dict[str, float]] = None  # None while unroutable
+    solve_costs: Optional[dict[str, float]] = None
+
+
+@dataclass(slots=True)
 class _Flow:
     name: str
     src: str
@@ -87,20 +129,17 @@ class _Flow:
 class _PathClass:
     """All active flows sharing one (src, dst, cap) constraint set."""
 
-    __slots__ = ("key", "costs", "cap", "rate", "drained", "heap", "seq")
+    __slots__ = ("key", "costs", "solve_costs", "cap", "rate", "drained", "heap", "seq")
 
     def __init__(self, key, costs: dict[str, float], cap: float):
         self.key = key
         self.costs = costs  # resource -> seconds per payload bit
+        self.solve_costs = costs  # costs minus the dominated resources
         self.cap = cap
         self.rate = 0.0  # current per-flow rate, bit/s
         self.drained = 0.0  # cumulative bits served per member
         self.heap: list[tuple[float, int, _Flow]] = []
         self.seq = 0  # FIFO tiebreak for equal finish keys
-
-    @property
-    def count(self) -> int:
-        return len(self.heap)
 
     def add(self, flow: _Flow, remaining_bits: Optional[float] = None) -> None:
         bits = flow.nbytes * 8.0 if remaining_bits is None else remaining_bits
@@ -142,7 +181,8 @@ class FluidEngine:
         self.on_rates_changed: Optional[Any] = None
         self._classes: dict[tuple, _PathClass] = {}
         self._char_cache: dict[tuple[str, str], Any] = {}
-        self._static: dict[str, tuple[str, str, float]] = {}
+        self._static: dict[str, _Static] = {}
+        self._prune_stale = False  # the drop set predates a new demand
         self._pending: list[Any] = []  # (at, seq, name, src, dst, nbytes)
         self._pending_seq = 0
         self._active = 0
@@ -163,10 +203,11 @@ class FluidEngine:
     def schedule_flow(
         self, at: float, name: str, src: str, dst: str, nbytes: int
     ) -> None:
-        """Queue one future arrival (``at`` must not be in the past)."""
-        if at < self.now:
-            raise ValueError(f"arrival at {at} is before now ({self.now})")
-        if nbytes <= 0:
+        """Queue one future arrival (``at`` must be finite and not in the
+        past, ``nbytes`` positive)."""
+        if not self.now <= at < INF:
+            raise ValueError(f"arrival at {at} is not finite or before {self.now}")
+        if not nbytes > 0:
             raise ValueError(f"flow size must be positive, got {nbytes}")
         heapq.heappush(
             self._pending, (at, self._pending_seq, name, src, dst, nbytes)
@@ -181,9 +222,19 @@ class FluidEngine:
         Endpoints are kept so the demand re-characterizes after a
         topology change; a demand with no current route simply drops out
         of the solve until a route returns."""
+        if name in self._static:
+            raise ValueError(f"static demand {name!r} is already registered")
+        if not cap >= 0.0:
+            raise ValueError(f"static demand {name!r}: cap {cap!r} is negative or NaN")
         if self._characterize(src, dst) is None:
             raise ValueError(f"no route from {src} to {dst}")
-        self._static[name] = (src, dst, cap)
+        self._static[name] = demand = _Static(src, dst, cap)
+        self._static_costs(demand)
+
+    def _static_costs(self, demand: _Static) -> None:
+        char = self._characterize(demand.src, demand.dst)
+        demand.costs = None if char is None else _per_bit_costs(char)
+        self._prune_stale = True
 
     # -- path characterization --------------------------------------------
     def _characterize(self, src: str, dst: str):
@@ -214,6 +265,7 @@ class FluidEngine:
         cls = self._classes.get(key)
         if cls is None:
             cls = self._classes[key] = _PathClass(key, _per_bit_costs(char), cap)
+            self._prune_stale = True
         return cls
 
     def invalidate_paths(self) -> None:
@@ -232,28 +284,41 @@ class FluidEngine:
                 self._finish(flow, None)
             else:
                 self._class_for(flow.src, flow.dst).add(flow, remaining_bits)
+        for demand in self._static.values():
+            self._static_costs(demand)
         self._resolve()
 
     # -- solving -----------------------------------------------------------
+    def _prune(self) -> None:
+        """Rebuild ``solve_costs`` from one drop set over every class (empty
+        ones too) and routable static demand: dominance over a superset of
+        demands holds for each subset, so the set serves every re-solve."""
+        demands: list[Any] = list(self._classes.values())
+        demands += [d for d in self._static.values() if d.costs is not None]
+        drop = _dominated([d.costs for d in demands])
+        for d in demands:
+            d.solve_costs = {r: c for r, c in d.costs.items() if r not in drop}
+        self._prune_stale = False
+
     def _resolve(self) -> None:
+        if self._prune_stale:
+            self._prune()
         costs: dict[Any, dict[str, float]] = {}
         caps: dict[Any, float] = {}
         counts: dict[Any, int] = {}
         for key, cls in self._classes.items():
-            if cls.count:
-                costs[key] = cls.costs
+            if cls.heap:
+                costs[key] = cls.solve_costs
                 caps[key] = cls.cap
-                counts[key] = cls.count
-        for name, (src, dst, cap) in self._static.items():
-            char = self._characterize(src, dst)
-            if char is None:
-                continue  # no route right now: the demand is silent
-            costs[name] = _per_bit_costs(char)
-            caps[name] = cap
-            counts[name] = 1
+                counts[key] = len(cls.heap)
+        for name, demand in self._static.items():
+            if demand.costs is not None:  # else no route now: silent
+                costs[name] = demand.solve_costs
+                caps[name] = demand.cap
+                counts[name] = 1
         rates = max_min_rates(costs, caps, counts) if costs else {}
         for key, cls in self._classes.items():
-            cls.rate = rates.get(key, 0.0) if cls.count else 0.0
+            cls.rate = rates.get(key, 0.0) if cls.heap else 0.0
         self.resolves += 1
         if self.probe is not None:
             self.probe.on_resolve(self)
@@ -267,9 +332,9 @@ class FluidEngine:
         their packets occupy the links physically already."""
         loads: dict[str, float] = {}
         for cls in self._classes.values():
-            if not cls.count or cls.rate <= 0:
+            if not cls.heap or cls.rate <= 0:
                 continue
-            total = cls.count * cls.rate
+            total = len(cls.heap) * cls.rate
             for r, c in cls.costs.items():
                 loads[r] = loads.get(r, 0.0) + total * c
         return loads
@@ -284,7 +349,7 @@ class FluidEngine:
         """Earliest pending arrival or completion (``inf`` when idle)."""
         t = self._pending[0][0] if self._pending else INF
         for cls in self._classes.values():
-            if not cls.count:
+            if not cls.heap:
                 continue
             if cls.rate == INF:
                 return self.now
@@ -302,10 +367,10 @@ class FluidEngine:
         dt = t - self.now
         if dt > 0:
             for cls in self._classes.values():
-                if not cls.count or cls.rate <= 0:
+                if not cls.heap or cls.rate <= 0:
                     continue
                 cls.drained += cls.rate * dt
-                total = cls.count * cls.rate * dt
+                total = len(cls.heap) * cls.rate * dt
                 for r, c in cls.costs.items():
                     self._util_integral[r] = (
                         self._util_integral.get(r, 0.0) + total * c

@@ -256,6 +256,19 @@ class TestFluidEngine:
         with pytest.raises(ValueError):
             eng.advance_to(eng.now - 1.0)
 
+    @pytest.mark.parametrize(
+        "at, nbytes",
+        [(math.nan, 1024), (math.inf, 1024), (1.0, math.nan), (1.0, -1)],
+        ids=["nan-arrival", "inf-arrival", "nan-size", "negative-size"],
+    )
+    def test_rejects_non_finite_arrival_and_bad_size(self, at, nbytes):
+        """A NaN arrival used to be queued and then hang ``run()``; bad
+        input is refused when it is scheduled, before anything runs."""
+        eng = FluidEngine(build_testbed().net)
+        with pytest.raises(ValueError):
+            eng.schedule_flow(at, "bad", "t3e-600", "sp2", nbytes)
+        assert eng.next_event_time() == math.inf
+
     def test_fct_stats_shape(self):
         tb = build_testbed()
         eng = FluidEngine(tb.net, window_bytes=8 * MB)
@@ -399,6 +412,22 @@ class TestHybridCoupling:
         eng = FluidEngine(tb.net)
         with pytest.raises(ValueError):
             eng.add_static_demand("bad", "t3e-600", "no-such-host", 1e6)
+
+    def test_static_demand_name_is_unique(self):
+        """A second demand under a taken name would silently replace the
+        first one's reservation."""
+        eng = FluidEngine(build_testbed().net)
+        eng.add_static_demand("packet", "t3e-600", "sp2", 1e6)
+        with pytest.raises(ValueError, match="'packet'"):
+            eng.add_static_demand("packet", "t90", "sp2", 2e6)
+        assert eng._static["packet"].src == "t3e-600"
+
+    @pytest.mark.parametrize("cap", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_static_demand_cap_checked_at_registration(self, cap):
+        eng = FluidEngine(build_testbed().net)
+        with pytest.raises(ValueError, match="'packet'"):
+            eng.add_static_demand("packet", "t3e-600", "sp2", cap)
+        assert not eng._static
 
     def test_background_seam_validation(self):
         tb = build_testbed()
@@ -601,6 +630,203 @@ class TestMaxMinRates:
             {"parked": 3, "bulk": 2},
         )
         assert rates == {"parked": 0.0, "bulk": 5e7}
+
+
+# -- dominated resources -----------------------------------------------------
+
+def _dominance_corpus(n_cases=1000, seed=16):
+    """Seeded ``max_min_rates`` inputs shaped like routed paths, so that
+    dominated resources are common: resources hang in a source-side and
+    a destination-side tree, and each demand crosses one leaf-to-root
+    branch of each, sharing prefixes with its neighbours.  A demand's
+    cost on a resource is the resource's base cost, one ulp either side
+    of it, zero, or (rarely) infinite; a base cost may tie its parent's.
+    Caps are ``inf``, finite or 0; counts 1-5 or none."""
+    rng = random.Random(seed)
+    cost_scales = (1e-10, 1e-9, 1e-8)
+    cap_scales = (1e6, 1e7, 1e8, 1e9)
+    for _ in range(n_cases):
+        parent, base, sides = {}, {}, []
+        for side in "sd":
+            nodes = []
+            for k in range(rng.randint(1, 8)):
+                r = f"{side}{k}"
+                parent[r] = rng.choice(nodes) if nodes else None
+                if parent[r] is not None and rng.random() < 0.3:
+                    base[r] = base[parent[r]]
+                else:
+                    base[r] = rng.random() * rng.choice(cost_scales)
+                nodes.append(r)
+            sides.append(nodes)
+        costs, caps, counts = {}, {}, {}
+        for i in range(rng.randint(1, 12)):
+            path = []
+            for nodes in sides:
+                r = rng.choice(nodes)
+                while r is not None:
+                    path.append(r)
+                    r = parent[r]
+            cost = {}
+            for r in path:
+                roll = rng.random()
+                if roll < 0.005:
+                    cost[r] = math.inf
+                elif roll < 0.08:
+                    cost[r] = 0.0
+                elif roll < 0.3:
+                    cost[r] = math.nextafter(base[r], 0.0)
+                elif roll < 0.5:
+                    cost[r] = math.nextafter(base[r], math.inf)
+                else:
+                    cost[r] = base[r]
+            name = f"d{i}"
+            costs[name] = cost
+            roll = rng.random()
+            if roll < 0.5:
+                caps[name] = math.inf
+            elif roll < 0.6:
+                caps[name] = 0.0
+            else:
+                caps[name] = rng.random() * rng.choice(cap_scales)
+            counts[name] = rng.randint(1, 5)
+        yield costs, caps, (counts if rng.random() < 0.8 else None)
+
+
+def _without(costs, drop):
+    return {n: {r: x for r, x in c.items() if r not in drop} for n, c in costs.items()}
+
+
+class TestDominatedResources:
+    def test_pruned_solve_is_bit_identical(self):
+        """Over every case, and over a random subset of its demands (the
+        engine solves only the busy classes of its universe), the rates
+        without the dominated resources equal the full solve's by
+        ``repr``.  Python 3.12 made ``sum()`` compensated, where the
+        monotone-rounding argument is unproven: this corpus pins it."""
+        from repro.fluid.engine import _dominated
+        from repro.netsim.tcp import max_min_rates
+
+        rng = random.Random(17)
+        dropped = 0
+        for costs, caps, counts in _dominance_corpus():
+            drop = _dominated(list(costs.values()))
+            dropped += len(drop)
+            names = list(costs)
+            subset = [n for n in names if rng.random() < 0.6] or names[:1]
+            for keep in (names, subset):
+                full = {n: costs[n] for n in keep}
+                n_of = None if counts is None else {n: counts[n] for n in keep}
+                want = max_min_rates(full, caps, n_of)
+                got = max_min_rates(_without(full, drop), caps, n_of)
+                assert repr(got) == repr(want), (costs, caps, counts, drop)
+        assert dropped > 3000  # the corpus exercises the rule
+
+    def test_identical_resources_keep_the_first(self):
+        from repro.fluid.engine import _dominated
+
+        demands = [{"a": 1e-9, "b": 1e-9}, {"b": 2e-9, "a": 2e-9}]
+        assert _dominated(demands) == {"b"}
+        assert _dominated([{"b": 1e-9, "a": 1e-9}]) == {"a"}
+
+    def test_cheaper_or_narrower_resource_is_dropped(self):
+        from repro.fluid.engine import _dominated
+
+        # "wan" serves every demand "lan" does, at a higher cost: "lan"
+        # goes.  "wan" also serves a demand "lan" does not, so it stays.
+        demands = [{"lan": 1e-9, "wan": 2e-9}, {"wan": 2e-9}]
+        assert _dominated(demands) == {"lan"}
+        # One demand costs more on "lan": both must stay.
+        demands = [{"lan": 1e-9, "wan": 2e-9}, {"lan": 3e-9, "wan": 2e-9}]
+        assert _dominated(demands) == set()
+
+    def test_infinite_cost_is_never_pruned_and_never_dominates(self):
+        from repro.fluid.engine import _dominated
+
+        assert _dominated([{"x": math.inf, "y": 1e-9}]) == set()
+        assert _dominated([{"x": math.inf, "y": math.inf}]) == set()
+        demands = [{"x": math.inf, "y": 1e-9}, {"x": 1e-8, "y": 1e-9}]
+        assert _dominated(demands) == set()
+
+    def test_bad_costs_reach_the_solver(self):
+        """A negative or NaN cost is never dropped, so the solve still
+        reports it."""
+        from repro.fluid.engine import _dominated
+
+        for bad in (-1e-9, math.nan):
+            assert _dominated([{"bad": bad, "wan": 1e-9}]) == set()
+
+    def test_drop_set_independent_of_hash_seed(self):
+        """Many identical resources under string names: the kept one of
+        each group is fixed by universe order, never by set order."""
+        script = (
+            "import random\n"
+            "from repro.fluid.engine import _dominated\n"
+            "rng = random.Random(3)\n"
+            "groups = [[f'res{g}-{k}' for k in range(4)] for g in range(6)]\n"
+            "demands = []\n"
+            "for i in range(30):\n"
+            "    cost = {}\n"
+            "    for g in rng.sample(groups, 3):\n"
+            "        for r in rng.sample(g, 4):\n"
+            "            cost[r] = (1 + groups.index(g)) * 1e-9\n"
+            "    demands.append(cost)\n"
+            "print(sorted(_dominated(demands)))\n"
+        )
+        outputs = _outputs_under_hash_seeds(script)
+        assert len(outputs) == 1
+        assert outputs.pop().count("res") == 18  # three of four per group
+
+    def test_engine_rates_equal_the_full_solve(self):
+        """A 300-session day over the 30 cross-site pairs with a static
+        demand, a cut access link and its repair: at every re-solve the
+        engine's rates (solved without dominated resources) equal a solve
+        over every class's and demand's full costs."""
+        from repro.netsim.tcp import max_min_rates
+
+        tb = build_testbed()
+        pairs = [(a, b) for a in tb.juelich_hosts for b in tb.gmd_hosts]
+        pairs += [(b, a) for a, b in pairs]
+        eng = FluidEngine(tb.net, window_bytes=8 * MB)
+        eng.add_static_demand("packet", "t3e-600", "sp2", 50e6)
+        seen = {"solves": 0, "pruned": 0}
+
+        def check(eng):
+            costs, caps, counts = {}, {}, {}
+            for key, cls in eng._classes.items():
+                if cls.heap:
+                    costs[key], caps[key] = cls.costs, cls.cap
+                    counts[key] = len(cls.heap)
+                    seen["pruned"] += len(cls.costs) - len(cls.solve_costs)
+            for name, demand in eng._static.items():
+                if demand.costs is not None:
+                    costs[name], caps[name], counts[name] = demand.costs, demand.cap, 1
+            full = max_min_rates(costs, caps, counts) if costs else {}
+            for key, cls in eng._classes.items():
+                if cls.heap:
+                    assert repr(cls.rate) == repr(full[key]), key
+            seen["solves"] += 1
+
+        eng.on_rates_changed = check
+        schedule = WorkloadGenerator(
+            pairs,
+            n_sessions=300,
+            session_rate=50.0,
+            seed=11,
+            sizes=BoundedPareto(shape=1.3, lo=256 * 1024, hi=16 * MB),
+        ).schedule()
+        eng.offer(schedule)
+        t_end = schedule[-1].at
+        access = tb.net.links["t90--hippi-sw-juelich"]
+        eng.run(until=t_end / 3)
+        access.set_up(False)
+        eng.invalidate_paths()
+        eng.run(until=2 * t_end / 3)
+        access.set_up(True)
+        eng.invalidate_paths()
+        eng.run()
+        assert len(eng.completed) == 300
+        assert seen["solves"] == eng.resolves
+        assert seen["pruned"] > 0
 
 
 def _outputs_under_hash_seeds(script):
