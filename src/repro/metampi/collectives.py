@@ -134,11 +134,7 @@ class CollectiveStrategy:
         tag = comm._coll_tag()
         parent, children = comm._tree(root)
         me = comm.rank
-        if me == root:
-            if values is None or len(values) != comm.size:
-                raise MetaMpiError(
-                    "scatter needs a sequence of exactly comm.size items at root"
-                )
+        if me == root:  # Intracomm.scatter has checked ``values``
             bundle = {r: values[r] for r in range(comm.size)}
         else:
             bundle = comm._recv_i(parent[me], tag)
@@ -478,30 +474,29 @@ class HierarchicalStrategy(CollectiveStrategy):
         my_idx = next(i for i, isl in enumerate(islands) if me in isl)
         members = islands[my_idx]
         leaders = [isl[0] for isl in islands]
-        with comm._subcomm_lock:
-            site = comm._subcomm_cache.get(("site", my_idx))
-            if site is None:
-                site = Intracomm(
+        site = comm._subcomm_cache.get(("site", my_idx))
+        if site is None:
+            site = Intracomm(
+                comm.runtime,
+                comm.runtime.derived_comm_id(comm.comm_id, f"site-{my_idx}"),
+                [comm.group[r] for r in members],
+                strategy="flat",
+            )
+            comm._subcomm_cache[("site", my_idx)] = site
+        leader_comm = None
+        if me == members[0] and len(islands) > 1:
+            leader_comm = comm._subcomm_cache.get("leaders")
+            if leader_comm is None:
+                leader_comm = Intracomm(
                     comm.runtime,
-                    comm.runtime.derived_comm_id(comm.comm_id, f"site-{my_idx}"),
-                    [comm.group[r] for r in members],
+                    comm.runtime.derived_comm_id(comm.comm_id, "leaders"),
+                    [comm.group[r] for r in leaders],
                     strategy="flat",
                 )
-                comm._subcomm_cache[("site", my_idx)] = site
-            leader_comm = None
-            if me == members[0] and len(islands) > 1:
-                leader_comm = comm._subcomm_cache.get("leaders")
-                if leader_comm is None:
-                    leader_comm = Intracomm(
-                        comm.runtime,
-                        comm.runtime.derived_comm_id(comm.comm_id, "leaders"),
-                        [comm.group[r] for r in leaders],
-                        strategy="flat",
-                    )
-                    comm._subcomm_cache["leaders"] = leader_comm
-            parts = comm._subcomm_cache[("parts", me)] = (
-                islands, my_idx, site, leader_comm
-            )
+                comm._subcomm_cache["leaders"] = leader_comm
+        parts = comm._subcomm_cache[("parts", me)] = (
+            islands, my_idx, site, leader_comm
+        )
         return parts
 
     @staticmethod

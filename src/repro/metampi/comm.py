@@ -18,7 +18,7 @@ ablation benchmark.
 
 from __future__ import annotations
 
-import threading
+import contextlib
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -95,6 +95,9 @@ class Comm:
             raise MetaMpiError(f"dest {dest} out of range for size {len(peers)}")
         return peers[dest]
 
+    def _world_src(self, source: int) -> int:
+        return source if source == ANY_SOURCE else self._dst_world(source)
+
     def _src_local(self, world: int) -> int:
         peers = self._peer_group()
         return peers.index(world)
@@ -134,16 +137,13 @@ class Comm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive returning a waitable Request."""
-        ctx = self._me()
-        world_src = source if source == ANY_SOURCE else self._dst_world(source)
+        self._me()  # a non-member or a bad source fails here, not at wait()
+        self._world_src(source)
 
         def waiter(status: Optional[Status]) -> Any:
             return self._collect(source, tag, status).data
 
-        def prober() -> bool:
-            return ctx.mailbox.probe(self.comm_id, world_src, tag) is not None
-
-        return Request(wait_fn=waiter, probe_fn=prober)
+        return Request(wait_fn=waiter, probe_fn=lambda: self.probe(source, tag))
 
     def sendrecv(
         self,
@@ -159,10 +159,14 @@ class Comm:
         return self.recv(source, recvtag, status)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already queued."""
+        """True if a matching message is already queued.  A miss lets the
+        other ready ranks run first (see :meth:`Runtime.poll`)."""
         ctx = self._me()
-        world_src = source if source == ANY_SOURCE else self._dst_world(source)
-        return ctx.mailbox.probe(self.comm_id, world_src, tag) is not None
+        world_src = self._world_src(source)
+        box = ctx.mailbox
+        return self.runtime.poll(
+            ctx, lambda: box.probe(self.comm_id, world_src, tag)
+        )
 
     # -- point-to-point: buffers ---------------------------------------------
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
@@ -189,18 +193,15 @@ class Comm:
         self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Request:
         """Nonblocking buffer receive; wait() fills ``buf``."""
-        ctx = self._me()
-        world_src = source if source == ANY_SOURCE else self._dst_world(source)
+        self._me()  # a non-member or a bad source fails here, not at wait()
+        self._world_src(source)
 
         def waiter(status: Optional[Status]) -> np.ndarray:
             msg = self._collect(source, tag, status)
             self._copy_into(buf, msg.data)
             return buf
 
-        def prober() -> bool:
-            return ctx.mailbox.probe(self.comm_id, world_src, tag) is not None
-
-        return Request(wait_fn=waiter, probe_fn=prober)
+        return Request(wait_fn=waiter, probe_fn=lambda: self.probe(source, tag))
 
     def Sendrecv(
         self,
@@ -241,8 +242,7 @@ class Comm:
         self, source: int, tag: int, status: Optional[Status]
     ) -> Message:
         ctx = self._me()
-        world_src = source if source == ANY_SOURCE else self._dst_world(source)
-        msg = self.runtime.collect(ctx, self.comm_id, world_src, tag)
+        msg = self.runtime.collect(ctx, self.comm_id, self._world_src(source), tag)
         if status is not None:
             status.source = self._src_local(msg.src)
             status.tag = msg.tag
@@ -284,11 +284,12 @@ class Intracomm(Comm):
         #: The collective plan, built once because group and placement
         #: never change: islands, trees by (strategy, root), and the
         #: hierarchical per-rank parts and subcommunicators (all rank
-        #: threads share them; fills of shared entries take the lock).
+        #: threads share them; the runtime's baton serializes the fills).
         self._islands = self._scan_islands()
         self._trees: dict = {}
         self._subcomm_cache: dict = {}
-        self._subcomm_lock = threading.Lock()
+        #: one rank: every collective returns its local result directly
+        self._single = len(self.group) == 1
 
     @property
     def hierarchical(self) -> bool:
@@ -315,14 +316,20 @@ class Intracomm(Comm):
         key = (self.strategy, root)
         tree = self._trees.get(key)
         if tree is None:
-            with self._subcomm_lock:
-                tree = self._trees.get(key)
-                if tree is None:
-                    tree = self._trees[key] = self.strategy.tree(self, root)
+            tree = self._trees[key] = self.strategy.tree(self, root)
         return tree
 
-    def _collective(self, label: str) -> "_Collective":
+    def _collective(self, label: str) -> Any:
+        if self._single:
+            return _NO_LABEL
         return _Collective(self._me(), f"{self.strategy.name}.{label}")
+
+    def _solo(self, root: int = 0) -> bool:
+        """Check ``root``; True when this rank is the whole communicator,
+        so a collective sends nothing and returns its local result."""
+        if not 0 <= root < len(self.group):
+            raise MetaMpiError(f"root {root} out of range for size {self.size}")
+        return self._single and bool(self._me())  # a non-member fails
 
     def _coll_tag(self) -> int:
         return self._me().next_collective_tag(self.comm_id, INTERNAL_TAG_BASE)
@@ -336,31 +343,48 @@ class Intracomm(Comm):
     # -- object collectives ----------------------------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns it."""
+        if self._solo(root):
+            return obj
         with self._collective("bcast"):
             return self.strategy.bcast(self, obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         """Gather objects to ``root`` (list in rank order) — None elsewhere."""
+        if self._solo(root):
+            return [obj]
         with self._collective("gather"):
             return self.strategy.gather(self, obj, root)
 
     def scatter(self, values: Optional[Sequence], root: int = 0) -> Any:
         """Scatter a size-length sequence from ``root``; returns own item."""
+        solo = self._solo(root)
+        if self.rank == root and (values is None or len(values) != self.size):
+            raise MetaMpiError(
+                "scatter needs a sequence of exactly comm.size items at root"
+            )
+        if solo:
+            return values[0]
         with self._collective("scatter"):
             return self.strategy.scatter(self, values, root)
 
     def allgather(self, obj: Any) -> list:
         """Every rank ends with the rank-ordered list of all objects."""
+        if self._solo():
+            return [obj]
         with self._collective("allgather"):
             return self.strategy.allgather(self, obj)
 
     def reduce(self, value: Any, op: Op = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (rank-ordered fold); None elsewhere."""
+        if self._solo(root):
+            return value
         with self._collective("reduce"):
             return self.strategy.reduce(self, value, op, root)
 
     def allreduce(self, value: Any, op: Op = SUM) -> Any:
         """Reduce across all ranks; every rank returns the result."""
+        if self._solo():
+            return value
         with self._collective("allreduce"):
             return self.strategy.allreduce(self, value, op)
 
@@ -368,18 +392,24 @@ class Intracomm(Comm):
         """Personalized all-to-all exchange."""
         if len(values) != self.size:
             raise MetaMpiError("alltoall needs exactly comm.size items")
+        if self._solo():
+            return [values[0]]
         with self._collective("alltoall"):
             return self.strategy.alltoall(self, values)
 
     def barrier(self) -> None:
         """All ranks synchronize; afterwards all clocks agree and every
         rank's exit clock is >= the slowest rank's entry clock."""
+        if self._solo():
+            return
         with self._collective("barrier"):
             self.strategy.barrier(self)
 
     def scan(self, value: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction along rank order (chain algorithm:
         inherently rank-ordered, identical under every strategy)."""
+        if self._solo():
+            return value
         with self._collective("scan"):
             tag = self._coll_tag()
             me = self.rank
@@ -392,6 +422,8 @@ class Intracomm(Comm):
 
     def exscan(self, value: Any, op: Op = SUM) -> Any:
         """Exclusive prefix reduction: rank 0 gets None."""
+        if self._solo():
+            return None
         with self._collective("exscan"):
             tag = self._coll_tag()
             me = self.rank
@@ -406,12 +438,16 @@ class Intracomm(Comm):
         delivered to rank ``i`` (MPI_Reduce_scatter_block semantics)."""
         if len(values) != self.size:
             raise MetaMpiError("reduce_scatter needs exactly comm.size items")
+        if self._solo():
+            return values[0]
         with self._collective("reduce_scatter"):
             return self.strategy.reduce_scatter(self, values, op)
 
     # -- buffer collectives --------------------------------------------------
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
         """Broadcast ``buf`` from root into every rank's ``buf`` in place."""
+        if self._solo(root):
+            return
         with self._collective("Bcast"):
             self.strategy.Bcast(self, buf, root)
 
@@ -423,6 +459,11 @@ class Intracomm(Comm):
         root: int = 0,
     ) -> None:
         """Elementwise reduction into ``recvbuf`` at root."""
+        if self._solo(root):
+            if recvbuf is None:
+                raise MetaMpiError("root must supply recvbuf")
+            recvbuf.reshape(-1)[:] = np.asarray(sendbuf).reshape(-1)
+            return
         with self._collective("Reduce"):
             self.strategy.Reduce(self, sendbuf, recvbuf, op, root)
 
@@ -430,6 +471,8 @@ class Intracomm(Comm):
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM
     ) -> None:
         """Reduce across all ranks, filling ``recvbuf`` everywhere."""
+        if self._solo():
+            return self.Reduce(sendbuf, recvbuf, op)
         with self._collective("Allreduce"):
             self.strategy.Allreduce(self, sendbuf, recvbuf, op)
 
@@ -574,7 +617,7 @@ class Intracomm(Comm):
             offer["reply"].append(
                 {"group": self.group, "clock": self._me().clock}
             )
-            offer["event"].set()
+            self.runtime.notify()
             info = (inter_comm_id, remote_group)
         else:
             info = None
@@ -587,7 +630,6 @@ class Intracomm(Comm):
         if me == root:
             ctx = self._me()
             inter_comm_id = self.runtime.next_comm_id()
-            event = threading.Event()
             reply: list = []
             self.runtime.port_offer(
                 port,
@@ -596,11 +638,9 @@ class Intracomm(Comm):
                     "group": self.group,
                     "clock": ctx.clock,
                     "reply": reply,
-                    "event": event,
                 },
             )
-            if not event.wait(timeout=self.runtime.wallclock_timeout):
-                raise MetaMpiError(f"Connect({port!r}) timed out")
+            self.runtime.block(ctx, lambda: reply, "Connect({!r})", port)
             remote = reply[0]
             ctx.clock = max(ctx.clock, remote["clock"])
             info = (inter_comm_id, remote["group"])
@@ -608,6 +648,9 @@ class Intracomm(Comm):
             info = None
         inter_comm_id, remote_group = self.bcast(info, root=root)
         return Intercomm(self.runtime, inter_comm_id, self.group, remote_group)
+
+
+_NO_LABEL = contextlib.nullcontext()
 
 
 class _Collective:

@@ -15,7 +15,7 @@ class RankFailed(MetaMpiError):
 
 
 class DeadlockSuspected(MetaMpiError):
-    """The wall-clock watchdog fired while ranks were still blocked."""
+    """Every live rank is parked, or the wall-clock watchdog fired."""
 
 
 class TransportError(MetaMpiError):

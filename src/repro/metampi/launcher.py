@@ -102,7 +102,8 @@ class MetaMPI:
         """Run ``fn(world_comm, *args)`` on every rank; wait for all ranks.
 
         ``per_rank_args`` overrides ``args`` individually.  Ranks spawned
-        dynamically during the run are joined too.
+        dynamically during the run are joined too.  The ranks take turns
+        under the runtime's baton (see :mod:`repro.metampi.runtime`).
         """
         if not self._layout:
             raise RuntimeError("add_machine() before run()")
@@ -127,41 +128,7 @@ class MetaMPI:
             rank_args = per_rank_args[i] if per_rank_args is not None else args
             self.runtime.start_rank(ctx, fn, tuple(rank_args), world)
 
-        # Join everything, including ranks spawned while running.  A rank
-        # can exist momentarily before its thread starts (inside Spawn), so
-        # keep polling until every registered rank has been joined.
-        import time
-
-        deadline = (
-            time.monotonic() + self.runtime.wallclock_timeout
-            if self.runtime.wallclock_timeout is not None
-            else None
-        )
-        joined: set[int] = set()
-        while True:
-            pending = [
-                c for c in list(self.runtime.ranks) if c.world_rank not in joined
-            ]
-            if not pending:
-                break
-            started = [c for c in pending if c.thread is not None]
-            if started:
-                self.runtime.join(started)
-                joined.update(c.world_rank for c in started)
-            else:
-                if deadline is not None and time.monotonic() > deadline:
-                    from repro.metampi.errors import DeadlockSuspected
-
-                    log.error(
-                        "ranks %s registered but never started",
-                        [c.world_rank for c in pending],
-                    )
-                    raise DeadlockSuspected(
-                        f"ranks {[c.world_rank for c in pending]} registered "
-                        "but never started"
-                    )
-                time.sleep(0.002)
-
+        self.runtime.join()
         log.info(
             "run complete: %d rank(s), %.6f virtual seconds",
             len(self.runtime.ranks), self.elapsed,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -30,25 +29,23 @@ class Message:
 
 
 class Mailbox:
-    """Thread-safe mailbox with MPI matching semantics.
+    """Mailbox with MPI matching semantics.
 
     Matching respects non-overtaking order per (source, comm, tag) by
     scanning in global send order; ANY_SOURCE picks the earliest-arriving
-    match for determinism of the virtual timeline.
+    match for determinism of the virtual timeline.  Only the rank holding
+    the runtime's baton touches a mailbox, so it needs no lock.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._messages: list[Message] = []
 
     def deliver(self, msg: Message) -> None:
-        """Called by senders (any thread)."""
-        with self._cond:
-            self._messages.append(msg)
-            self._cond.notify_all()
+        """Queue ``msg`` (called by the sending rank)."""
+        self._messages.append(msg)
 
-    def _find(self, comm_id: int, source: int, tag: int) -> Optional[Message]:
+    def probe(self, comm_id: int, source: int, tag: int) -> Optional[Message]:
+        """The message a receive would match now, left queued (or None)."""
         # Non-overtaking: for each source only its *first* matching message
         # (in send order; list order == seq order) is eligible.  Among the
         # eligible heads, ANY_SOURCE picks the earliest virtual arrival.
@@ -60,41 +57,13 @@ class Mailbox:
                 continue
             if tag != ANY_TAG and msg.tag != tag:
                 continue
-            if msg.src not in heads:
-                heads[msg.src] = msg
-                if source != ANY_SOURCE:
-                    break
+            if source != ANY_SOURCE:
+                return msg
+            heads.setdefault(msg.src, msg)
         if not heads:
             return None
         return min(heads.values(), key=lambda m: (m.arrival, m.seq))
 
-    def probe(self, comm_id: int, source: int, tag: int) -> Optional[Message]:
-        """Non-destructive match test (iprobe/Request.test)."""
-        with self._lock:
-            return self._find(comm_id, source, tag)
-
-    def collect(
-        self, comm_id: int, source: int, tag: int, timeout: Optional[float]
-    ) -> Message:
-        """Blocking matched receive; removes and returns the message.
-
-        ``timeout`` is wall-clock seconds for the deadlock watchdog.
-        """
-        with self._cond:
-            while True:
-                msg = self._find(comm_id, source, tag)
-                if msg is not None:
-                    self._messages.remove(msg)
-                    return msg
-                if not self._cond.wait(timeout=timeout):
-                    from repro.metampi.errors import DeadlockSuspected
-
-                    raise DeadlockSuspected(
-                        f"recv(comm={comm_id}, src={source}, tag={tag}) "
-                        f"timed out after {timeout}s of wall-clock time"
-                    )
-
-    def pending(self) -> int:
-        """Number of undelivered messages (diagnostics)."""
-        with self._lock:
-            return len(self._messages)
+    def remove(self, msg: Message) -> None:
+        """Dequeue a message :meth:`probe` returned."""
+        self._messages.remove(msg)

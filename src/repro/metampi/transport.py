@@ -13,7 +13,6 @@ a message depends on where its endpoints live:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +94,6 @@ class TransportModel:
         #: telemetry hook (repro.telemetry.probes.instrument_runtime)
         self.probe: Optional[object] = None
         self._wan_cache: dict[tuple[str, str], LinkCost] = {}
-        self._retry_lock = threading.Lock()
         if net is not None:
             # Stale WAN costs after a failure would route metacomputer
             # runs over paths that no longer exist (or miss recovered
@@ -154,11 +152,9 @@ class TransportModel:
                     break
                 if self.probe is not None:
                     self.probe.on_retry(src_host, dst_host)
-                # Serialize: rank threads must not step the DES engine
-                # concurrently.
-                with self._retry_lock:
-                    env = self.net.env
-                    env.run(until=env.now + delay)
+                # Safe unlocked: only the runtime's baton holder runs.
+                env = self.net.env
+                env.run(until=env.now + delay)
                 delay *= self.retry.factor
         if self.probe is not None:
             self.probe.on_transport_error(src_host, dst_host)

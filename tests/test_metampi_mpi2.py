@@ -132,6 +132,35 @@ class TestPorts:
         assert vals[0] == (2, 0, 2)
         assert vals[1] == (2, 1, 2)
 
+    def test_spawned_server_accepts_parent_connect(self):
+        """Spawn and Connect/Accept end to end: the parents spawn a
+        steering server, which publishes a port and accepts the parents'
+        connection; the run repeats exactly."""
+
+        def server(comm):
+            port = comm.Open_port()
+            comm.Publish_name("steer", port)
+            inter = comm.Accept(port)
+            value = inter.recv(source=0, tag=1)
+            inter.send(value + 1, 0, tag=2)
+            return value
+
+        def main(comm):
+            comm.Spawn(server, maxprocs=1, machine=SGI_ONYX2_GMD)
+            comm.advance(0.5 * comm.rank)
+            inter = comm.Connect(comm.Lookup_name("steer"))
+            if comm.rank == 0:
+                inter.send(41, 0, tag=1)
+                return inter.recv(source=0, tag=2)
+            return None
+
+        runs = []
+        for _ in range(3):
+            mc, results = run(main)
+            runs.append(([r.value for r in results], repr(mc.elapsed)))
+        assert runs[0][0] == [42, None, 41]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_lookup_unpublished_times_out(self):
         from repro.metampi import MetaMpiError, RankFailed
 

@@ -202,6 +202,42 @@ class TestRequests:
         assert vals[0][0] is False
         assert vals[0][1] == "answer"
 
+    def test_spin_on_test_while_peer_computes(self):
+        """A rank spinning on ``req.test()`` keeps yielding to its peer,
+        which sends only after its own compute, so the run completes."""
+
+        def main(comm):
+            if comm.rank == 1:
+                comm.advance(5.0)
+                comm.send("late", 0, tag=4)
+                return None
+            req = comm.irecv(source=1, tag=4)
+            spins = 0
+            while True:
+                flag, val = req.test()
+                if flag:
+                    return val, spins, comm.wtime()
+                spins += 1
+                comm.advance(1e-3)
+
+        _, vals = run(main)
+        val, spins, clock = vals[0]
+        # The first miss hands the baton to rank 1; no long spin needed.
+        assert val == "late" and spins < 10 and clock >= 5.0
+
+    def test_spin_on_probe_while_peer_computes(self):
+        def main(comm):
+            if comm.rank == 1:
+                comm.advance(2.0)
+                comm.send("ready", 0, tag=6)
+                return None
+            while not comm.probe(source=1, tag=6):
+                pass
+            return comm.recv(source=1, tag=6)
+
+        _, vals = run(main)
+        assert vals[0] == "ready"
+
     def test_waitall(self):
         from repro.metampi.request import Request
 
@@ -324,6 +360,21 @@ class TestFailures:
 
         with pytest.raises((RankFailed, DeadlockSuspected)):
             run(main, timeout=0.3)
+
+    def test_deadlock_detected_at_once(self):
+        """Mutual receives: once both ranks are parked no message can
+        ever arrive, so the run fails at once, not at the watchdog."""
+        import time
+
+        def main(comm):
+            comm.recv(source=1 - comm.rank, tag=7)
+
+        t0 = time.monotonic()
+        with pytest.raises((RankFailed, DeadlockSuspected)) as exc:
+            run(main, timeout=60)
+        assert time.monotonic() - t0 < 1.0
+        msg = str(exc.value)
+        assert "rank 0 in recv(" in msg and "rank 1 in recv(" in msg
 
     def test_outside_rank_thread_rejected(self):
         mc = MetaMPI()

@@ -13,12 +13,14 @@ import pytest
 
 from repro.machines import CRAY_T3E_600, CRAY_T90, IBM_SP2, SGI_ONYX2_GMD
 from repro.metampi import (
+    ANY_SOURCE,
     STRATEGIES,
     MetaMPI,
     MetaMpiError,
     Op,
     RankFailed,
     SUM,
+    Status,
     create_strategy,
 )
 from repro.metampi.comm import Intracomm
@@ -423,12 +425,11 @@ class TestWanAccounting:
 FOUR_RANKS = ((CRAY_T3E_600, 2), (IBM_SP2, 2))
 PLAN_ROUNDS = 50
 
-#: What the coupler loop below produced before trees, islands and site
-#: parts were cached: (virtual elapsed s, {label: {scope: messages}}).
-#: Flat and naive send concurrently from several ranks over the shared
-#: WAN channel, which serves them in wall-clock post order, so their
-#: elapsed time moves by up to ~4e-5 s between runs; hierarchical and
-#: ring have one WAN sender at a time and are exact.
+#: What the coupler loop below produces: (virtual elapsed s,
+#: {label: {scope: messages}}).  The ranks run under the runtime's baton,
+#: so even flat and naive, which send from several ranks at once over
+#: the shared WAN channel, reserve it in virtual-time order and repeat
+#: exactly.
 PLAN_LITERALS = {
     "flat": (0.20368446666666468, {
         "flat.Allreduce": {"intra": 100, "wan": 200},
@@ -440,7 +441,7 @@ PLAN_LITERALS = {
         "hierarchical.Bcast": {"intra": 100, "wan": 50},
         "hierarchical.barrier": {"intra": 400, "wan": 200},
     }),
-    "naive": (0.21072526666666444, {
+    "naive": (0.2107174666666645, {
         "naive.Allreduce": {"intra": 100, "wan": 200},
         "naive.Bcast": {"intra": 50, "wan": 100},
         "naive.barrier": {"intra": 200, "wan": 400},
@@ -451,7 +452,7 @@ PLAN_LITERALS = {
         "ring.barrier": {"intra": 600, "wan": 600},
     }),
 }
-PLAN_ELAPSED_ABS = {"flat": 2e-4, "naive": 2e-4, "hierarchical": 0, "ring": 0}
+PLAN_ELAPSED_ABS = {"flat": 0, "naive": 0, "hierarchical": 0, "ring": 0}
 
 
 def coupler_loop(comm, rounds=PLAN_ROUNDS):
@@ -523,8 +524,8 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("strategy", ["flat", "hierarchical"])
     def test_plan_fills_race_free(self, strategy, monkeypatch):
-        """Eight rank threads on a 1 us switch interval all miss the
-        empty plan together; each entry is still built exactly once."""
+        """Eight rank threads on a 1 us switch interval, all starting
+        from the empty plan: each entry is still built exactly once."""
         trees, scans = spy_plan(monkeypatch)
         layout = ((CRAY_T3E_600, 4), (IBM_SP2, 4))
         interval = sys.getswitchinterval()
@@ -557,14 +558,20 @@ class TestPlanCache:
         assert message_counts(mc)["hierarchical.allreduce"]["wan"] == 2
 
     def test_strategy_swap_rebuilds_tree(self):
-        swapped = threading.Barrier(4)
-
         def main(comm):
             first = comm.bcast("flat" if comm.rank == 0 else None, root=0)
-            swapped.wait()
+            # Every rank checks in before rank 0 swaps the strategy and
+            # waits for the swap before the second bcast (plain p2p, so
+            # neither handshake is a collective).
             if comm.rank == 0:
+                for r in range(1, 4):
+                    comm.recv(source=r, tag=1)
                 comm.strategy = create_strategy("naive")
-            swapped.wait()
+                for r in range(1, 4):
+                    comm.send("swapped", r, tag=2)
+            else:
+                comm.send("ready", 0, tag=1)
+                comm.recv(source=0, tag=2)
             return first, comm.bcast("naive" if comm.rank == 0 else None, root=0)
 
         # Rank 0 alone on the T3E, ranks 1-3 on the SP2.
@@ -576,3 +583,211 @@ class TestPlanCache:
         assert counts["flat.bcast"] == {"intra": 1, "wan": 2}
         # Naive star: rank 0 sends to each of the others across the WAN.
         assert counts["naive.bcast"] == {"wan": 3}
+
+
+def coupler_any_source(comm):
+    """Ten coupler rounds, then every other rank reports to rank 0, which
+    takes the reports with ANY_SOURCE receives and records their order."""
+    checksum = coupler_loop(comm, rounds=10)
+    if comm.rank != 0:
+        comm.advance((comm.size - comm.rank) * 1e-4)
+        comm.send(comm.rank, 0, tag=5)
+        return checksum, None
+    order = []
+    for _ in range(comm.size - 1):
+        status = Status()
+        comm.recv(source=ANY_SOURCE, tag=5, status=status)
+        order.append(status.source)
+    return checksum, order
+
+
+class TestBatonDeterminism:
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_coupler_repeats_exactly_under_thread_churn(self, strategy):
+        """A 1 us switch interval makes the interpreter swap threads all
+        the time; under the baton the run is still the same every time."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for _ in range(10):
+                mc, vals = run(coupler_any_source, FOUR_RANKS, strategy)
+                runs.append((repr(mc.elapsed), message_counts(mc), vals[0][1]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs[0][2]) == [1, 2, 3]
+        assert all(r == runs[0] for r in runs)
+
+
+ARR = np.arange(6, dtype=np.int64)
+
+
+def filled(call, buf):
+    """Run a buffer collective that fills ``buf``; return ``buf``."""
+    call(buf)
+    return buf
+
+
+#: Every object and buffer collective on a one-rank communicator, with
+#: good arguments and bad ones (root out of range, missing buffers,
+#: wrong lengths).
+SOLO_CASES = {
+    "bcast": lambda c: c.bcast({"k": 1}),
+    "bcast_bad_root": lambda c: c.bcast(1, root=1),
+    "gather": lambda c: c.gather("x"),
+    "gather_bad_root": lambda c: c.gather("x", root=-1),
+    "scatter": lambda c: c.scatter(["only"]),
+    "scatter_short": lambda c: c.scatter([]),
+    "scatter_none": lambda c: c.scatter(None),
+    "allgather": lambda c: c.allgather(3.5),
+    "reduce": lambda c: c.reduce(7, op=SUM),
+    "reduce_concat": lambda c: c.reduce("ab", op=CONCAT),
+    "reduce_bad_root": lambda c: c.reduce(7, root=2),
+    "allreduce": lambda c: c.allreduce(ARR, op=SUM),
+    "allreduce_concat": lambda c: c.allreduce("ab", op=CONCAT),
+    "alltoall": lambda c: c.alltoall(["self"]),
+    "alltoall_long": lambda c: c.alltoall([1, 2]),
+    "barrier": lambda c: c.barrier(),
+    "scan": lambda c: c.scan(4),
+    "exscan": lambda c: c.exscan(4),
+    "reduce_scatter": lambda c: c.reduce_scatter([9]),
+    "reduce_scatter_long": lambda c: c.reduce_scatter([9, 9]),
+    "Bcast": lambda c: filled(c.Bcast, ARR.copy()),
+    "Bcast_bad_root": lambda c: c.Bcast(ARR.copy(), root=3),
+    "Reduce": lambda c: filled(lambda b: c.Reduce(ARR, b), np.zeros(6, np.int64)),
+    "Reduce_matmul": lambda c: filled(
+        lambda b: c.Reduce(np.eye(2) * 3, b, op=MATMUL), np.zeros((2, 2))
+    ),
+    "Reduce_no_recvbuf": lambda c: c.Reduce(ARR, None),
+    "Reduce_short_recvbuf": lambda c: c.Reduce(ARR, np.zeros(3, np.int64)),
+    "Reduce_bad_root": lambda c: c.Reduce(ARR, np.zeros(6, np.int64), root=1),
+    "Allreduce": lambda c: filled(
+        lambda b: c.Allreduce(ARR, b), np.zeros(6, np.int64)
+    ),
+    "Allreduce_no_recvbuf": lambda c: c.Allreduce(ARR, None),
+    "Gather": lambda c: filled(lambda b: c.Gather(ARR, b), np.zeros((1, 6))),
+    "Gather_no_recvbuf": lambda c: c.Gather(ARR, None),
+    "Scatter": lambda c: filled(
+        lambda b: c.Scatter(ARR.reshape(1, 6), b), np.zeros(6)
+    ),
+    "Scatter_no_sendbuf": lambda c: c.Scatter(None, np.zeros(6)),
+    "Scatter_wrong_rows": lambda c: c.Scatter(ARR.reshape(2, 3), np.zeros(3)),
+    "Allgather": lambda c: filled(lambda b: c.Allgather(ARR, b), np.zeros((1, 6))),
+}
+
+
+def outcome(call, comm):
+    """What a collective call did: its result or the error it raised."""
+    try:
+        value = call(comm)
+    except Exception as exc:  # noqa: BLE001 - compared across paths
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(value, np.ndarray):
+        value = (value.dtype.str, value.tolist())
+    return ("returned", repr(value))
+
+
+def force_generic(monkeypatch):
+    """Make every communicator take the generic collective path, even
+    when it has one rank."""
+    init = Intracomm.__init__
+
+    def generic_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._single = False
+
+    monkeypatch.setattr(Intracomm, "__init__", generic_init)
+
+
+def every_collective(comm):
+    """Each collective once, with valid arguments, on any world size."""
+    n, me = comm.size, comm.rank
+    arr = ARR * (me + 1)
+    out = [
+        comm.bcast(("b", me), root=n - 1),
+        comm.gather(me, root=0),
+        comm.scatter(list(range(n)) if me == 0 else None, root=0),
+        comm.allgather(me),
+        comm.reduce(me, op=SUM, root=0),
+        comm.allreduce(arr, op=SUM).tolist(),
+        comm.allreduce(str(me), op=CONCAT),
+        comm.alltoall([(me, r) for r in range(n)]),
+        comm.scan(me),
+        comm.exscan(me),
+        comm.reduce_scatter([me] * n),
+    ]
+    comm.barrier()
+    buf = arr.copy()
+    comm.Bcast(buf, root=0)
+    recv = np.zeros(6, np.int64)
+    comm.Reduce(arr, recv if me == 0 else None, root=0)
+    out += [buf.tolist(), recv.tolist()]
+    comm.Allreduce(arr, recv)
+    rows = np.zeros((n, 6), np.int64)
+    comm.Gather(arr, rows if me == 0 else None)
+    out += [recv.tolist(), rows.tolist()]
+    part = np.zeros(6, np.int64)
+    comm.Scatter(np.tile(arr, (n, 1)) if me == 0 else None, part)
+    comm.Allgather(arr, rows)
+    return out + [part.tolist(), rows.tolist()]
+
+
+class TestOneRankCommunicators:
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_one_rank_world_matches_generic_path(self, strategy, monkeypatch):
+        """Same results, recvbuf contents and errors as the generic path;
+        no message, no clock movement, no tag and no tree."""
+
+        def main(comm):
+            comm.advance(0.25)
+            got = [outcome(call, comm) for call in SOLO_CASES.values()]
+            return got, repr(comm.wtime()), dict(comm._me().coll_seq)
+
+        one = ((CRAY_T3E_600, 1),)
+        with monkeypatch.context() as m:
+            force_generic(m)
+            generic_mc, [(generic, generic_clock, generic_tags)] = run(
+                main, one, strategy
+            )
+        trees, _ = spy_plan(monkeypatch)
+        solo_mc, [(solo, solo_clock, solo_tags)] = run(main, one, strategy)
+
+        assert dict(zip(SOLO_CASES, solo)) == dict(zip(SOLO_CASES, generic))
+        assert solo_clock == generic_clock == repr(0.25)
+        assert message_counts(solo_mc) == message_counts(generic_mc) == {}
+        assert generic_tags and solo_tags == {} and not trees
+        by_case = dict(zip(SOLO_CASES, solo))
+        assert by_case["Reduce_no_recvbuf"] == (
+            "raised", "MetaMpiError", "root must supply recvbuf"
+        )
+        assert by_case["bcast_bad_root"][:2] == ("raised", "MetaMpiError")
+        assert by_case["Allreduce"] == ("returned", repr(("<i8", ARR.tolist())))
+
+    @pytest.mark.parametrize(
+        "layout", [((CRAY_T3E_600, 1), (IBM_SP2, 1)), ((CRAY_T3E_600, 1), (IBM_SP2, 2))]
+    )
+    def test_hierarchical_one_rank_sites_match_generic_path(self, layout, monkeypatch):
+        """Hierarchical phases on one-rank site communicators take the
+        short cut: every result, clock and message count is unchanged."""
+        with monkeypatch.context() as m:
+            force_generic(m)
+            generic_mc, generic = run(every_collective, layout, "hierarchical")
+        trees, _ = spy_plan(monkeypatch)
+        solo_mc, solo = run(every_collective, layout, "hierarchical")
+
+        assert solo == generic
+        assert [r.clock for r in solo_mc.runtime.ranks] == [
+            r.clock for r in generic_mc.runtime.ranks
+        ]
+        assert message_counts(solo_mc) == message_counts(generic_mc)
+        assert trees and all(comm.size > 1 for comm, _, _ in trees)
+
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_bad_root_is_a_typed_error_at_every_size(self, strategy):
+        def main(comm):
+            with pytest.raises(MetaMpiError, match="root 5 out of range"):
+                comm.bcast("x", root=5)
+            return comm.allreduce(1)
+
+        _, vals = run(main, ((CRAY_T3E_600, 2), (IBM_SP2, 1)), strategy)
+        assert vals == [3, 3, 3]
