@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -27,16 +26,10 @@ from typing import Any, Callable, Optional
 from repro.netsim.atm import aal5_wire_bytes
 from repro.netsim.hippi import hippi_wire_bytes
 from repro.netsim.ip import LLC_SNAP_HEADER
-from repro.netsim.sched import DrrScheduler, replay_deficit
+from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment, Store
 
 _packet_ids = itertools.count()
-
-#: Upper bound on packets a lazy transmitter pre-commits per heap pop
-#: when one flow holds a link direction's whole backlog (see
-#: :meth:`Link._lazy_batch`).  Bounded so a mid-burst fault or a
-#: competing flow only ever has to unwind a handful of decisions.
-LINK_BATCH = 8
 
 #: Reference datagram size (bytes) for the serialization term of the
 #: routing cost metric (:func:`route_cost`) — a typical full Ethernet
@@ -240,43 +233,6 @@ class PlainFraming(Framing):
         return ip_bytes + self.overhead
 
 
-class _LinkBatch:
-    """Bookkeeping for one pre-committed burst of serializations.
-
-    Everything the unwind paths need to reconstruct the exact unbatched
-    state at any instant: the DRR snapshot (``d0``/``quantum``/
-    ``weight``), per-member service ``starts``/``tdones``/``sers``
-    (serialization seconds, for busy-time refolds) and the pre-batch
-    busy-time ``b0``.
-    """
-
-    __slots__ = (
-        "flow", "d0", "quantum", "weight",
-        "starts", "tdones", "packets", "costs", "sers", "b0", "entries",
-    )
-
-    def __init__(self, flow, d0, quantum, weight, starts, tdones,
-                 packets, costs, sers, b0, entries):
-        self.flow = flow
-        self.d0 = d0
-        self.quantum = quantum
-        self.weight = weight
-        self.starts = starts
-        self.tdones = tdones
-        self.packets = packets
-        self.costs = costs
-        self.sers = sers
-        self.b0 = b0
-        #: live heap entries of the members' pre-scheduled arrivals, in
-        #: member order — unwinding cancels the unserved tail in place
-        self.entries = entries
-
-    def unstarted(self, now: float) -> int:
-        """Members whose service has not begun by ``now`` — still
-        'waiting' for the purposes of the transmit-queue bound."""
-        return len(self.starts) - bisect_right(self.starts, now)
-
-
 class _DirState:
     """Hot per-direction transmitter state: one dict lookup, then slots.
 
@@ -300,7 +256,6 @@ class _DirState:
         "busy",       # classic-form busy flag
         "tx_begin",   # classic-form serialization start (or None)
         "inflight",   # (t_done, packet, heap entry) | None  (lazy form)
-        "batch",      # active _LinkBatch | None
         "armed",      # resume entry armed at bu
         "resume",     # the armed resume heap entry (for cancellation)
         "classic",    # direction forced onto the completion-event form
@@ -321,7 +276,6 @@ class _DirState:
         self.busy = False
         self.tx_begin: Optional[float] = None
         self.inflight: Optional[tuple] = None
-        self.batch: Optional[_LinkBatch] = None
         self.armed = False
         self.resume: Optional[list] = None
         self.classic = False
@@ -382,8 +336,16 @@ class Link:
         name: str = "",
         queue_packets: int | float = float("inf"),
     ):
-        if rate <= 0:
-            raise ValueError("link rate must be positive")
+        if not rate > 0:
+            raise ValueError(f"link rate must be positive, got {rate!r}")
+        if not propagation >= 0:
+            raise ValueError(
+                f"link propagation must be non-negative, got {propagation!r}"
+            )
+        if not queue_packets >= 0:
+            raise ValueError(
+                f"link queue_packets must be non-negative, got {queue_packets!r}"
+            )
         self.env = env
         self.a = a
         self.b = b
@@ -492,19 +454,8 @@ class Link:
 
     def set_flow_weight(self, flow: str, weight: float) -> None:
         """Scale ``flow``'s DRR share on both directions (default 1.0)."""
-        rearm = []
-        if self._fast:
-            # A batch pre-committed DRR decisions under the old weight;
-            # unwind the unserved tail so it re-queues and is re-decided
-            # under the new weight, exactly as the unbatched fold would.
-            for d, st in self._dir.items():
-                if not st.classic and st.batch is not None:
-                    self._lazy_interrupt(d, st)
-                    rearm.append((d, st))
         for q in self._queues.values():
             q.set_weight(flow, weight)
-        for d, st in rearm:
-            self._lazy_rearm(d, st, service=True)
 
     def set_background_load(self, direction: str, share: float) -> None:
         """Reserve ``share`` of one direction's capacity for fluid flows.
@@ -526,20 +477,9 @@ class Link:
         st = self._dir.get(direction)
         if st is None:
             raise KeyError(f"{direction} is not an endpoint of {self.name}")
-        needs_rearm = False
-        if self._fast and not st.classic and st.batch is not None:
-            # Batched members not yet serializing were pre-timed at the
-            # old effective rate; unwind them so they restart under the
-            # new rate.  A single in-service packet keeps its scheduled
-            # completion — already-started serializations are unaffected
-            # by the piecewise-constant coupling, exactly as classic.
-            self._lazy_interrupt(direction, st)
-            needs_rearm = True
         self.background_share[direction] = share
         st.eff = self.rate * (1.0 - share)
         st.ws.clear()  # serialization memo was computed at the old rate
-        if needs_rearm:
-            self._lazy_rearm(direction, st, service=True)
 
     def _drop(
         self, direction: str, reason: str, count: int = 1,
@@ -580,16 +520,6 @@ class Link:
                 # slow path's direct hand-off to a blocked getter).
                 # The whole of _lazy_start is inlined here because this
                 # lane carries nearly every packet of an unsaturated run.
-                b = st.batch
-                if b is not None:
-                    # Fully-served batch whose commit entry has not fired
-                    # yet (same-instant tie): settle its books first.
-                    st.batch = None
-                    if st.armed:
-                        env.cancel(st.resume)
-                        st.armed = False
-                        st.resume = None
-                    q.commit_claim(b.flow)
                 ip = packet.ip_bytes
                 ws = st.ws.get(ip)
                 if ws is None:
@@ -621,22 +551,9 @@ class Link:
                     )
                 st.inflight = (t_done, packet, entry)
                 return
-            b = st.batch
-            if b is not None and (
-                packet.flow != b.flow
-                or self.framing.wire(packet.ip_bytes) > b.quantum
-                or (b.starts[-1] <= now and not q.depth(b.flow))
-            ):
-                # The arrival invalidates the burst's pre-committed DRR
-                # decisions (competing flow, quantum growth, or a refill
-                # after the flow logically left the round): unwind the
-                # unserved tail before letting the packet in.
-                self._lazy_unwind(direction, st)
-                b = None
-            # The queue bound counts waiting packets only — including
-            # claimed batch members whose service has not begun.
-            waiting = q._total if b is None else q._total + b.unstarted(now)
-            if waiting >= self.queue_packets:
+            # The queue bound counts waiting packets only; the in-service
+            # packet left the queue when its serialization began.
+            if q._total >= self.queue_packets:
                 self._drop(direction, "queue_full", flow=packet.flow)
                 return
             q.put_nowait(packet)
@@ -665,21 +582,24 @@ class Link:
         q.put_nowait(packet)
 
     def set_up(self, up: bool) -> None:
-        """Change link state; going down flushes both transmit queues."""
+        """Change link state; going down flushes both transmit queues.
+
+        A lazy direction's in-service packet keeps its serialization: its
+        pre-scheduled arrival is cancelled and the packet is re-judged at
+        its completion instant, so it is lost as ``tx_link_down`` there,
+        exactly as in the classic form.
+        """
         if up == self.up:
             return
         self.up = up
         if not up:
             if self._fast:
                 # Convert each direction's lazy in-flight packet (if any)
-                # to a completion-time judgement — it will be lost as
-                # ``tx_link_down`` at its t_done, like the classic form —
-                # and unwind batches so their unserved tail is back in
-                # the queue before the flush below counts it.
+                # to a completion-time judgement before the flush below.
                 for d, st in self._dir.items():
                     if st.classic:
                         continue
-                    rec = self._lazy_interrupt(d, st)
+                    rec = self._lazy_interrupt(st)
                     if rec is not None:
                         t_done, packet, entry = rec
                         self.env.cancel(entry)
@@ -795,8 +715,7 @@ class Link:
             st.busy = False
 
     # -- fast path, lazy form: one pre-scheduled arrival per packet --------
-    def _lazy_start(self, direction: str, st: "_DirState",
-                    packet: Packet, now: float) -> None:
+    def _lazy_start(self, st: "_DirState", packet: Packet, now: float) -> None:
         """Serialize ``packet`` starting at ``now``, pre-scheduling its
         arrival at the far node — the only heap entry the packet needs.
 
@@ -841,8 +760,8 @@ class Link:
 
     def _arrive(self, dst: "Node", packet: Packet) -> None:
         # Lazy pre-scheduled arrival.  No staleness check: an arrival
-        # invalidated by a fault or unwind had its heap entry cancelled
-        # in place (Environment.cancel), so only live entries reach here.
+        # invalidated by a fault had its heap entry cancelled in place
+        # (Environment.cancel), so only live entries reach here.
         packet.hops += 1
         dst.receive(packet, self)
 
@@ -860,149 +779,36 @@ class Link:
     def _lazy_service(self, direction: str, st: "_DirState") -> None:
         """Make a dequeue decision now (the transmitter just went idle)."""
         q = st.q
-        n = q._total
-        if not n:
+        if not q._total:
             return
-        now = self.env._now
-        if n > 1 and self.probe is None and q.single_backlog():
-            self._lazy_batch(direction, st, q, now)
-            return
-        self._lazy_start(direction, st, q.dequeue(), now)
+        self._lazy_start(st, q.dequeue(), self.env._now)
         if q._total:
             st.armed = True
             st.resume = self.env.call_at(
                 st.bu, self._lazy_resume_cb, direction, st
             )
 
-    def _lazy_batch(self, direction: str, st: "_DirState",
-                    q: DrrScheduler, now: float) -> None:
-        """Pre-commit a bounded burst of back-to-back serializations.
-
-        Only reachable when a single flow owns the backlog (DRR order is
-        FIFO, so the service decisions are forced) and no probe is
-        sampling mid-burst counters.  One arrival entry per packet plus
-        one commit entry per burst replaces two entries per packet; the
-        live arrival entries are retained so a mid-burst unwind can
-        cancel the unserved tail in place.
-        """
-        flow, packets, costs, d0, quantum, weight = q.claim(LINK_BATCH)
-        env = self.env
-        eff = st.eff
-        prop = self.propagation
-        dst = st.dst
-        fold = st.fold
-        b0 = st.bt
-        call_at = env.call_at
-        starts: list[float] = []
-        tdones: list[float] = []
-        sers: list[float] = []
-        entries: list[list] = []
-        t = now
-        bt = b0
-        total_wire = 0
-        for p, wire in zip(packets, costs):
-            starts.append(t)
-            total_wire += wire
-            s = wire * 8 / eff
-            bt += s
-            sers.append(s)
-            t = t + s
-            tdones.append(t)
-            if fold is None:
-                entries.append(call_at(t + prop, self._arrive, dst, p))
-            else:
-                entries.append(call_at(t + prop + fold, self._sw_arrive, dst, p))
-        n = len(packets)
-        st.txb += total_wire
-        st.txp += n
-        per = st.fb
-        per[flow] = per.get(flow, 0) + total_wire
-        per = st.fp
-        per[flow] = per.get(flow, 0) + n
-        st.bt = bt
-        st.bu = t
-        st.inflight = None
-        st.batch = _LinkBatch(
-            flow, d0, quantum, weight, starts, tdones, packets, costs, sers,
-            b0, entries,
-        )
-        st.armed = True
-        st.resume = call_at(t, self._lazy_resume_cb, direction, st)
-
     def _lazy_resume_cb(self, direction: str, st: "_DirState") -> None:
         # An interrupt cancels this entry in place, so reaching here
         # means the wake-up is current — no epoch guard needed.
         st.armed = False
         st.resume = None
-        b = st.batch
-        if b is not None:
-            st.batch = None
-            st.q.commit_claim(b.flow)
         self._lazy_service(direction, st)
 
-    def _lazy_interrupt(self, direction: str, st: "_DirState"):
-        """Normalize lazy state at an interruption instant.
-
-        Cancels any armed resume, unwinds an active batch back to 'one
-        in-service packet, everything else queued' — cancelling the
-        unserved tail's pre-scheduled arrivals in place, restoring the
-        DRR deficit the unbatched fold would hold and refolding busy
-        time over the served prefix — and returns the in-service
+    def _lazy_interrupt(self, st: "_DirState"):
+        """Cancel any armed resume and return the in-service
         ``(t_done, packet, entry)`` record, or ``None`` when idle.  The
         caller decides the in-service packet's fate (keep its lazy
-        arrival, or cancel it and re-judge at ``t_done``).
-        """
-        now = self.env._now
-        env = self.env
+        arrival, or cancel it and re-judge at ``t_done``) and the next
+        service decision."""
         if st.armed:
-            env.cancel(st.resume)
+            self.env.cancel(st.resume)
             st.armed = False
             st.resume = None
-        b = st.batch
-        if b is not None:
-            st.batch = None
-            i = bisect_right(b.starts, now)
-            for e in b.entries[i:]:
-                env.cancel(e)
-            busy = b.b0
-            for s in b.sers[:i]:
-                busy += s
-            st.bt = busy
-            st.q.restore_front(
-                b.flow,
-                b.packets[i:],
-                replay_deficit(b.d0, b.costs[:i], b.quantum, b.weight),
-            )
-            t_done = b.tdones[i - 1]
-            st.bu = t_done
-            st.inflight = (t_done, b.packets[i - 1], b.entries[i - 1])
         rec = st.inflight
-        if rec is not None and rec[0] > now:
+        if rec is not None and rec[0] > self.env._now:
             return rec
         return None
-
-    def _lazy_unwind(self, direction: str, st: "_DirState") -> None:
-        """Contention-triggered unwind (from :meth:`send`): the
-        in-service packet keeps its pre-scheduled arrival; queued work
-        resumes with a fresh dequeue decision at its completion."""
-        self._lazy_interrupt(direction, st)
-        self._lazy_rearm(direction, st, service=False)
-        # At a service boundary (busy_until <= now): send() falls
-        # through to the enqueue path and services inline.
-
-    def _lazy_rearm(self, direction: str, st: "_DirState", service: bool) -> None:
-        """Re-establish the wake-up after an interrupt cancelled it:
-        a fresh resume entry at ``busy_until`` if the transmitter is
-        still (logically) serializing, else — when ``service`` — an
-        immediate dequeue decision for any restored backlog."""
-        bu = st.bu
-        if bu > self.env._now:
-            st.armed = True
-            st.resume = self.env.call_at(
-                bu, self._lazy_resume_cb, direction, st
-            )
-        elif service and not st.busy and st.q._total:
-            self._lazy_service(direction, st)
 
     def _convert_inflight(self, direction: str) -> None:
         """Fault-triggered conversion: cancel the in-service packet's
@@ -1011,7 +817,7 @@ class Link:
         form).  ``busy`` is held True so arrivals enqueue classically
         until :meth:`_finish_interrupted` runs."""
         st = self._dir[direction]
-        rec = self._lazy_interrupt(direction, st)
+        rec = self._lazy_interrupt(st)
         if rec is not None:
             t_done, packet, entry = rec
             self.env.cancel(entry)

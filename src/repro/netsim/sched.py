@@ -22,6 +22,10 @@ Design constraints, in order:
 * **Store-compatible surface.**  ``put_nowait`` / ``get`` / ``clear`` /
   ``__len__`` mirror :class:`repro.sim.Store`, so the slow-path
   transmitter keeps its ``packet = yield q.get()`` shape.
+* **One decision per service start.**  Every transmitter dequeues one
+  packet when it goes idle; no caller pre-commits a run of decisions,
+  so a weight change or a competing arrival simply takes effect at the
+  next dequeue and nothing ever has to be unwound.
 
 ``quantum`` grows to the largest service cost seen, which guarantees a
 backlogged flow is served at least one packet per round (the standard
@@ -35,25 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-__all__ = ["DrrScheduler", "replay_deficit"]
-
-
-def replay_deficit(d0: float, costs, quantum: float, weight: float) -> float:
-    """Deficit left after serving ``costs`` in order, starting from ``d0``.
-
-    The DRR update rule is a pure fold over the served costs — no term
-    depends on *when* a packet was served — so a batch claim that ran
-    the whole fold up front can recover the deficit the unbatched
-    scheduler would hold after any prefix by replaying just that prefix.
-    Link/gateway batch unwinding (mid-burst fault or contention) uses
-    this to restore bit-identical scheduler state.
-    """
-    d = d0
-    for c in costs:
-        while d < c:
-            d += quantum * weight
-        d -= c
-    return d
+__all__ = ["DrrScheduler"]
 
 
 class DrrScheduler:
@@ -75,7 +61,6 @@ class DrrScheduler:
         "_weights",
         "_total",
         "_getters",
-        "_claimed",
     )
 
     def __init__(
@@ -93,9 +78,6 @@ class DrrScheduler:
         self._weights: dict[str, float] = {}
         self._total = 0
         self._getters: deque = deque()  # blocked slow-path getters (Events)
-        #: flow whose round membership is held open by a batch claim
-        #: (see :meth:`claim`); ``None`` outside a claim window
-        self._claimed: Optional[str] = None
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
@@ -112,8 +94,10 @@ class DrrScheduler:
 
     def set_weight(self, flow: str, weight: float) -> None:
         """Scale ``flow``'s per-round quantum (default 1.0)."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        if not 0 < weight < float("inf"):
+            raise ValueError(
+                f"weight must be positive and finite, got {weight!r}"
+            )
         self._weights[flow] = float(weight)
 
     # -- enqueue -------------------------------------------------------------
@@ -128,9 +112,10 @@ class DrrScheduler:
         q = self._queues.get(flow)
         if q is None:
             q = self._queues[flow] = deque()
-        # Activation is keyed on round membership (the deficit dict), not
-        # deque emptiness: a batch claim (``claim``) may drain the deque
-        # while deliberately keeping the flow in the round.
+        # Activation is keyed on round membership (the deficit dict).
+        # Every caller dequeues one packet at a time, so membership and a
+        # non-empty deque coincide; only :meth:`claim` could drain a deque
+        # while keeping its flow in the round.
         if flow not in self._deficit:
             self._active.append(flow)
             self._deficit[flow] = 0.0
@@ -170,27 +155,16 @@ class DrrScheduler:
                 del deficit[flow]
             return packet
 
-    # -- batch claim (the lazy transmitters' inline burst service) -----------
-    def single_backlog(self) -> bool:
-        """True when exactly one flow holds the whole backlog — the only
-        shape a transmitter may claim as a batch (DRR order is then FIFO,
-        so pre-committing service decisions cannot reorder anything)."""
-        return len(self._active) == 1 and self._total > 0
-
+    # -- batch claim (no caller) --------------------------------------------
+    # Leftovers of the deleted same-flow link batching.  Nothing in the
+    # package calls these three; perfbench/tracing.py binds them by name
+    # for its ``drr.claimed*`` metrics, so they stay until the benchmark
+    # drops those metrics.
     def claim(self, limit: int):
-        """Dequeue up to ``limit`` packets of the single backlogged flow
-        in one call, recording everything needed to unwind exactly.
-
-        Runs the normal DRR fold for every packet (the arithmetic is
-        time-independent, so doing it up front matches doing it at each
-        service start) but *suppresses* the end-of-round forfeiture if
-        the claim empties the deque: the flow stays in the round until
-        :meth:`commit_claim`, so same-flow packets arriving mid-batch
-        keep deficit continuity exactly as if the queue had never been
-        empty.  Returns ``(flow, packets, costs, d0, quantum, weight)``;
-        ``d0`` is the deficit before the claim, for
-        :func:`replay_deficit`-based unwinding.
-        """
+        """Dequeue up to ``limit`` packets of the front flow in one call,
+        running the DRR fold for each but keeping the flow in the round
+        if its deque empties.  Returns ``(flow, packets, costs, d0,
+        quantum, weight)``, ``d0`` being the deficit before the claim."""
         flow = self._active[0]
         q = self._queues[flow]
         cost = self.cost
@@ -209,37 +183,25 @@ class DrrScheduler:
             costs.append(c)
         self._total -= len(packets)
         self._deficit[flow] = d
-        if not q:
-            self._claimed = flow  # hold the round open until commit
         return flow, packets, costs, d0, quantum, weight
 
     def commit_claim(self, flow: str) -> None:
-        """Close out a finished claim: apply the deferred end-of-round
-        forfeiture if the flow's deque is (still) empty."""
-        self._claimed = None
+        """Close out a claim: the flow leaves the round if its deque is
+        (still) empty."""
         q = self._queues.get(flow)
         if q is not None and not q and flow in self._deficit:
             del self._deficit[flow]
             self._active.remove(flow)
 
     def restore_front(self, flow: str, packets, deficit: float) -> None:
-        """Unwind the unserved tail of a claim: put ``packets`` back at
-        the head of ``flow``'s deque and reset its deficit to the value
-        the unbatched fold would hold (from :func:`replay_deficit`)."""
+        """Put a claim's unserved ``packets`` back at the head of
+        ``flow``'s deque with the given ``deficit``."""
         q = self._queues[flow]
-        if packets:
+        if packets or q:
             q.extendleft(reversed(packets))
             self._total += len(packets)
             self._deficit[flow] = deficit
-            self._claimed = None
-        elif q:
-            # Fully-served claim, but same-flow arrivals kept the deque
-            # alive: the flow never logically emptied, keep continuity.
-            self._deficit[flow] = deficit
-            self._claimed = None
         else:
-            # Fully-served claim and nothing arrived: the unbatched
-            # scheduler would have forfeited at the last dequeue.
             self.commit_claim(flow)
 
     def get(self):
@@ -262,5 +224,4 @@ class DrrScheduler:
         self._active.clear()
         self._deficit.clear()
         self._total = 0
-        self._claimed = None
         return dropped

@@ -8,11 +8,14 @@ from repro.netsim.core import (
     Gateway,
     Host,
     HippiFraming,
+    Link,
     Network,
+    Node,
     Packet,
     PlainFraming,
     Switch,
 )
+from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment
 
 
@@ -202,3 +205,107 @@ def test_host_forwards_transit_packets():
     net.host("a").send(mkpkt())
     env.run()
     assert got == [2]
+
+
+# -- link transmit counters: fast path vs the generator reference ------------
+
+class _Recorder(Node):
+    """Bare endpoint: records (flow, seq, t) of every arriving packet."""
+
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.got = []
+
+    def receive(self, packet, link):
+        self.got.append((packet.flow, packet.seq, self.env.now))
+
+
+#: serialization time of one 1,000-byte packet at 1 Mbit/s, no framing
+SER = 1000 * 8 / 1e6
+
+
+def _counter_run(fast_path, script):
+    """Drive a bare two-node 1 Mbit/s, 1 ms link with ``script(env,
+    link, a)`` and return its transmit counters and deliveries."""
+    env = Environment(fast_path=fast_path)
+    a, b = _Recorder(env, "a"), _Recorder(env, "b")
+    link = Link(env, a, b, 1e6, 1e-3, framing=PlainFraming(0))
+    script(env, link, a)
+    env.run()
+    return {
+        "tx_packets": link.tx_packets,
+        "tx_bytes": link.tx_bytes,
+        "flow_tx_packets": link.flow_tx_packets,
+        "flow_tx_bytes": link.flow_tx_bytes,
+        "busy_seconds": link.busy_seconds("a"),
+        "deliveries": b.got,
+    }
+
+
+def _other_flow_mid_backlog(env, link, a):
+    for i in range(6):
+        link.send(a, mkpkt(flow="bulk", seq=i))
+    env.call_at(2.5 * SER, link.send, a, mkpkt(flow="ping", seq=0))
+
+
+def _background_load_mid_backlog(env, link, a):
+    for i in range(8):
+        link.send(a, mkpkt(flow="bulk", seq=i))
+    env.call_at(2.5 * SER, link.set_background_load, "a", 0.4)
+    env.call_at(5.5 * SER, link.set_background_load, "a", 0.0)
+
+
+@pytest.mark.parametrize(
+    "script, sent",
+    [(_other_flow_mid_backlog, 7), (_background_load_mid_backlog, 8)],
+    ids=["other_flow", "background_load"],
+)
+def test_fast_path_tx_counters_match_reference(script, sent):
+    """Every packet the link sends is counted once, on both forms."""
+    fast = _counter_run(True, script)
+    slow = _counter_run(False, script)
+    assert fast == slow
+    assert fast["tx_packets"] == {"a": sent, "b": 0}
+    assert len(fast["deliveries"]) == sent
+
+
+# -- typed input checks -------------------------------------------------------
+
+def _two_nodes():
+    env = Environment()
+    return env, _Recorder(env, "a"), _Recorder(env, "b")
+
+
+@pytest.mark.parametrize(
+    "kw, bad",
+    [
+        ({"rate": float("nan")}, "nan"),
+        ({"propagation": -1e-3}, "-0.001"),
+        ({"propagation": float("nan")}, "nan"),
+        ({"queue_packets": float("nan")}, "nan"),
+        ({"queue_packets": -1}, "-1"),
+    ],
+    ids=["rate_nan", "propagation_negative", "propagation_nan",
+         "queue_nan", "queue_negative"],
+)
+def test_link_rejects_bad_parameters(kw, bad):
+    env, a, b = _two_nodes()
+    args = {"rate": 1e6, **kw}
+    with pytest.raises(ValueError, match=bad):
+        Link(env, a, b, **args)
+    assert a.links == [] and b.links == []
+
+
+def test_link_accepts_infinite_rate():
+    env, a, b = _two_nodes()
+    Link(env, a, b, float("inf"))
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_flow_weight_must_be_positive_and_finite(weight):
+    env, a, b = _two_nodes()
+    link = Link(env, a, b, 1e6)
+    with pytest.raises(ValueError, match=repr(weight)):
+        link.set_flow_weight("f", weight)
+    with pytest.raises(ValueError, match=repr(weight)):
+        DrrScheduler(env).set_weight("f", weight)
