@@ -253,12 +253,11 @@ class _DirState:
         "eff",        # effective serialization rate (background load)
         "ws",         # ip_bytes -> (wire_bytes, serialization_s) memo
         "bu",         # busy_until: end of the last committed serialization
-        "busy",       # classic-form busy flag
-        "tx_begin",   # classic-form serialization start (or None)
-        "inflight",   # (t_done, packet, heap entry) | None  (lazy form)
-        "armed",      # resume entry armed at bu
+        "tx_begin",   # generator reference: serialization start (or None)
+        "inflight",   # (t_done, packet, heap entry) of the last start
+        "armed",      # a resume entry is armed at bu
         "resume",     # the armed resume heap entry (for cancellation)
-        "classic",    # direction forced onto the completion-event form
+        "lossy",      # wire loss on: packets get a completion judgement
         "txb",        # transmitted wire bytes (Link.tx_bytes view)
         "txp",        # transmitted packets (Link.tx_packets view)
         "fb",         # per-flow wire bytes (Link.flow_tx_bytes view)
@@ -273,12 +272,11 @@ class _DirState:
         self.eff = rate
         self.ws: dict[int, tuple] = {}
         self.bu = 0.0
-        self.busy = False
         self.tx_begin: Optional[float] = None
         self.inflight: Optional[tuple] = None
         self.armed = False
         self.resume: Optional[list] = None
-        self.classic = False
+        self.lossy = False
         self.txb = 0
         self.txp = 0
         self.fb: dict[str, int] = {}
@@ -386,12 +384,12 @@ class Link:
         self.background_share = {a.name: 0.0, b.name: 0.0}
         self._fast = env.fast_path
         # -- per-direction transmitter state -------------------------------
-        # One slotted record per direction holds everything private: the
-        # classic completion-event machine's flags, and the lazy form's
-        # pre-scheduled-arrival state.  The lazy form schedules ONE heap
-        # entry per packet — the arrival at the far node — directly at
-        # serialization start; faults invalidate a pre-scheduled arrival
-        # by cancelling its heap entry in place (Environment.cancel).
+        # One slotted record per direction holds everything private to
+        # the transmitter.  The fast path schedules ONE heap entry per
+        # packet at serialization start: the arrival at the far node, or
+        # on a lossy direction a completion-time judgement (_judge).
+        # Faults invalidate a pre-scheduled arrival by cancelling its
+        # heap entry in place (Environment.cancel).
         # ``fold``: when the far node is a plain Switch with nonzero
         # latency, the arrival entry targets its forward() directly at
         # arrival + latency — one heap entry fewer per hop.
@@ -510,14 +508,15 @@ class Link:
             self._drop(direction, "link_down", flow=packet.flow)
             return
         st = self._dir[direction]
-        if self._fast and not st.classic:
+        if self._fast:
             env = self.env
             now = env._now
-            q = st.q
-            if st.bu <= now and not st.busy and not q._total:
+            if st.bu <= now and not st.armed:
                 # Idle transmitter: start serializing right now — no
                 # queue residency, no DRR state touched (parity with the
-                # slow path's direct hand-off to a blocked getter).
+                # slow path's direct hand-off to a blocked getter).  An
+                # armed resume means queued work, or a flushed queue
+                # whose service decision is still due at this instant.
                 # The whole of _lazy_start is inlined here because this
                 # lane carries nearly every packet of an unsaturated run.
                 ip = packet.ip_bytes
@@ -540,7 +539,9 @@ class Link:
                 st.bt += s
                 st.bu = t_done
                 fold = st.fold
-                if fold is None:
+                if st.lossy:
+                    entry = env.call_at(t_done, self._judge, direction, packet)
+                elif fold is None:
                     entry = env.call_at(
                         t_done + self.propagation, self._arrive, st.dst, packet
                     )
@@ -553,28 +554,14 @@ class Link:
                 return
             # The queue bound counts waiting packets only; the in-service
             # packet left the queue when its serialization began.
+            q = st.q
             if q._total >= self.queue_packets:
                 self._drop(direction, "queue_full", flow=packet.flow)
                 return
             q.put_nowait(packet)
-            if not st.armed and not st.busy:
-                bu = st.bu
-                if bu > now:
-                    st.armed = True
-                    st.resume = env.call_at(
-                        bu, self._lazy_resume_cb, direction, st
-                    )
-                else:
-                    # Service-boundary tie with a cancelled resume:
-                    # make the dequeue decision right here.
-                    self._lazy_service(direction, st)
+            if not st.armed:
+                self._arm(direction, st)
             return
-        if self._fast and not st.busy:
-            # Classic fast form (wire loss armed on this direction).
-            self._start_tx(direction, packet)
-            return
-        # The queue bound counts waiting packets only; the in-service
-        # packet left the queue when its serialization began (both paths).
         q = st.q
         if len(q) >= self.queue_packets:
             self._drop(direction, "queue_full", flow=packet.flow)
@@ -584,30 +571,17 @@ class Link:
     def set_up(self, up: bool) -> None:
         """Change link state; going down flushes both transmit queues.
 
-        A lazy direction's in-service packet keeps its serialization: its
-        pre-scheduled arrival is cancelled and the packet is re-judged at
-        its completion instant, so it is lost as ``tx_link_down`` there,
-        exactly as in the classic form.
+        An in-service packet keeps its serialization: it is judged at its
+        completion instant (its pre-scheduled arrival becomes a
+        :meth:`_judge` entry) and lost there as ``tx_link_down`` unless
+        the link is back up by then, as in the generator reference.
         """
         if up == self.up:
             return
         self.up = up
         if not up:
-            if self._fast:
-                # Convert each direction's lazy in-flight packet (if any)
-                # to a completion-time judgement before the flush below.
-                for d, st in self._dir.items():
-                    if st.classic:
-                        continue
-                    rec = self._lazy_interrupt(st)
-                    if rec is not None:
-                        t_done, packet, entry = rec
-                        self.env.cancel(entry)
-                        st.inflight = None
-                        st.busy = True
-                        self.env.call_at(
-                            t_done, self._finish_interrupted, d, packet
-                        )
+            for d, st in self._dir.items():
+                self._judge_inflight(d, st)
             for direction, q in self._queues.items():
                 for flow, count in _count_by_flow(q.clear()).items():
                     self._drop(direction, "link_down", count, flow=flow)
@@ -648,17 +622,13 @@ class Link:
             elif self._loss_rngs[d] is None and rate > 0.0:
                 self._loss_rngs[d] = random.Random(0)
             self.loss_rate[d] = rate
-            if self._fast:
-                # Random wire loss must draw its RNG at serialization
-                # *end*, so a lossy direction runs the classic
-                # completion-event form.  Turning loss on mid-flight
-                # converts the lazy in-service packet to a completion-
-                # time judgement (its pre-scheduled arrival is killed).
-                st = self._dir[d]
-                was_classic = st.classic
-                st.classic = rate > 0.0
-                if st.classic and not was_classic:
-                    self._convert_inflight(d)
+            # Wire loss draws its RNG at serialization *end*, so a lossy
+            # direction schedules a completion judgement per packet, and
+            # turning loss on converts the in-service packet's arrival.
+            st = self._dir[d]
+            st.lossy = rate > 0.0
+            if st.lossy:
+                self._judge_inflight(d, st)
 
     def _account_tx(self, st: "_DirState", packet: Packet) -> int:
         """Tally one transmission (aggregate and per flow); wire bytes."""
@@ -672,58 +642,19 @@ class Link:
         per_flow[flow] = per_flow.get(flow, 0) + 1
         return wire
 
-    # -- fast path: callback-driven transmit state machine -----------------
-    def _start_tx(self, direction: str, packet: Packet) -> None:
-        """Begin serializing ``packet``; completion is a scheduled callback."""
-        st = self._dir[direction]
-        st.busy = True
-        wire = self._account_tx(st, packet)
-        serialization = wire * 8 / st.eff
-        st.tx_begin = self.env.now
-        self.env.call_later(
-            serialization, self._tx_done, direction, packet, serialization
-        )
+    # -- fast path: one pre-scheduled heap entry per packet ----------------
+    def _lazy_start(
+        self, direction: str, st: "_DirState", packet: Packet, now: float
+    ) -> None:
+        """Serialize ``packet`` starting at ``now``, pre-scheduling the one
+        heap entry the packet needs: its arrival at the far node, or on a
+        lossy direction its completion judgement (:meth:`_judge`).
 
-    def _tx_done(self, direction: str, packet: Packet, serialization: float) -> None:
-        st = self._dir[direction]
-        st.bt += serialization
-        st.tx_begin = None
-        if not self.up:
-            self._lose(direction, "tx_link_down", packet.flow)
-        else:
-            rate = self.loss_rate[direction]
-            rng = self._loss_rngs[direction]
-            if rate > 0.0 and rng is not None and rng.random() < rate:
-                self._lose(direction, "wire_loss", packet.flow)
-            else:
-                dst = self.b if direction == self.a.name else self.a
-                self._emit(dst, packet)
-        self._continue_after_tx(direction)
-
-    def _continue_after_tx(self, direction: str) -> None:
-        """Post-completion service decision, honouring the current mode
-        (a direction can leave classic mode when its loss rate drops)."""
-        st = self._dir[direction]
-        waiting = st.q
-        if waiting._total:
-            if st.classic:
-                self._start_tx(direction, waiting.dequeue())
-                return
-            st.busy = False
-            self._lazy_service(direction, st)
-        else:
-            st.busy = False
-
-    # -- fast path, lazy form: one pre-scheduled arrival per packet --------
-    def _lazy_start(self, st: "_DirState", packet: Packet, now: float) -> None:
-        """Serialize ``packet`` starting at ``now``, pre-scheduling its
-        arrival at the far node — the only heap entry the packet needs.
-
-        Timestamps mirror the classic form bit-for-bit: the completion
-        and arrival instants are built with the same float-add sequence
-        (``now + serialization`` then ``+ propagation`` then, when the
-        far node is a folded switch, ``+ latency``) the chained
-        callbacks would produce.  Busy time is credited eagerly;
+        Timestamps mirror the generator reference bit-for-bit: the
+        completion and arrival instants are built with the same float-add
+        sequence (``now + serialization`` then ``+ propagation`` then,
+        when the far node is a folded switch, ``+ latency``) its chained
+        events produce.  Busy time is credited eagerly;
         :meth:`busy_seconds` subtracts the un-elapsed tail so pro-rated
         utilization stays exact.  (:meth:`send` inlines this body on its
         idle lane; keep the two in sync.)
@@ -748,7 +679,9 @@ class Link:
         st.bt += s
         st.bu = t_done
         fold = st.fold
-        if fold is None:
+        if st.lossy:
+            entry = self.env.call_at(t_done, self._judge, direction, packet)
+        elif fold is None:
             entry = self.env.call_at(
                 t_done + self.propagation, self._arrive, st.dst, packet
             )
@@ -776,73 +709,65 @@ class Link:
         else:
             sw.forward(packet)
 
+    def _judge(self, direction: str, packet: Packet) -> None:
+        """Completion-time fate of a packet on a lossy or faulted
+        direction: lost to a link that went down mid-serialization, lost
+        to the wire-loss draw, or put on the wire."""
+        if not self.up:
+            self._lose(direction, "tx_link_down", packet.flow)
+            return
+        rate = self.loss_rate[direction]
+        rng = self._loss_rngs[direction]
+        if rate > 0.0 and rng is not None and rng.random() < rate:
+            self._lose(direction, "wire_loss", packet.flow)
+        else:
+            self._emit(self._dir[direction].dst, packet)
+
+    def _arm(self, direction: str, st: "_DirState") -> None:
+        """Arm the next service decision at ``bu``, ordered right behind
+        the in-service packet's own heap entry: the generator reference
+        decides in the serialization timeout it scheduled at service
+        start, so a same-instant arrival scheduled after that start must
+        reach the queue only after the decision."""
+        st.armed = True
+        st.resume = self.env.call_at_after(
+            st.bu, st.inflight[2], self._lazy_resume_cb, direction, st
+        )
+
     def _lazy_service(self, direction: str, st: "_DirState") -> None:
         """Make a dequeue decision now (the transmitter just went idle)."""
         q = st.q
         if not q._total:
             return
-        self._lazy_start(st, q.dequeue(), self.env._now)
+        self._lazy_start(direction, st, q.dequeue(), self.env._now)
         if q._total:
-            st.armed = True
-            st.resume = self.env.call_at(
-                st.bu, self._lazy_resume_cb, direction, st
-            )
+            self._arm(direction, st)
 
     def _lazy_resume_cb(self, direction: str, st: "_DirState") -> None:
-        # An interrupt cancels this entry in place, so reaching here
-        # means the wake-up is current — no epoch guard needed.
+        # Only _judge_inflight cancels this entry, and it re-arms one
+        # behind the new judgement, so reaching here means the wake-up
+        # is current — no epoch guard needed.
         st.armed = False
         st.resume = None
         self._lazy_service(direction, st)
 
-    def _lazy_interrupt(self, st: "_DirState"):
-        """Cancel any armed resume and return the in-service
-        ``(t_done, packet, entry)`` record, or ``None`` when idle.  The
-        caller decides the in-service packet's fate (keep its lazy
-        arrival, or cancel it and re-judge at ``t_done``) and the next
-        service decision."""
-        if st.armed:
-            self.env.cancel(st.resume)
-            st.armed = False
-            st.resume = None
-        rec = st.inflight
-        if rec is not None and rec[0] > self.env._now:
-            return rec
-        return None
-
-    def _convert_inflight(self, direction: str) -> None:
+    def _judge_inflight(self, direction: str, st: "_DirState") -> None:
         """Fault-triggered conversion: cancel the in-service packet's
-        pre-scheduled arrival and re-judge it at its completion instant
-        (link state / wire loss are evaluated there, like the classic
-        form).  ``busy`` is held True so arrivals enqueue classically
-        until :meth:`_finish_interrupted` runs."""
-        st = self._dir[direction]
-        rec = self._lazy_interrupt(st)
-        if rec is not None:
-            t_done, packet, entry = rec
-            self.env.cancel(entry)
-            st.inflight = None
-            st.busy = True
-            self.env.call_at(t_done, self._finish_interrupted, direction, packet)
-        elif not st.busy and st.q._total:
-            # Interrupted exactly at a service boundary with queued work
-            # and a cancelled resume: decide service now.
-            self._continue_after_tx(direction)
-
-    def _finish_interrupted(self, direction: str, packet: Packet) -> None:
-        """Completion judgement for a converted in-service packet."""
-        st = self._dir[direction]
-        if not self.up:
-            self._lose(direction, "tx_link_down", packet.flow)
-        else:
-            rate = self.loss_rate[direction]
-            rng = self._loss_rngs[direction]
-            if rate > 0.0 and rng is not None and rng.random() < rate:
-                self._lose(direction, "wire_loss", packet.flow)
-            else:
-                self._emit(st.dst, packet)
-        st.busy = False
-        self._continue_after_tx(direction)
+        pre-scheduled arrival and judge it at its completion instant
+        instead (:meth:`_judge` evaluates link state and wire loss
+        there), moving any armed resume behind the judgement.  A no-op
+        when nothing is serializing or the packet is judged already."""
+        rec = st.inflight
+        if rec is None or rec[0] <= self.env._now or rec[2][2] == self._judge:
+            return
+        t_done, packet, entry = rec
+        env = self.env
+        env.cancel(entry)
+        entry = env.call_at(t_done, self._judge, direction, packet)
+        st.inflight = (t_done, packet, entry)
+        if st.armed:
+            env.cancel(st.resume)
+            self._arm(direction, st)
 
     # -- slow path: the process-per-direction reference transmitter --------
     def _transmitter(self, src: "Node", dst: "Node"):
@@ -873,11 +798,12 @@ class Link:
         """Seconds one direction has spent serializing, up to now.
 
         The raw ``busy_time`` tally is not directly comparable across
-        transmitter forms: the classic/slow forms credit a serialization
-        at *completion* (``tx_begin`` marks one in progress), while the
-        lazy form credits eagerly at *start* (``bu`` marks the
-        un-elapsed tail).  This folds both into the exact elapsed-busy
-        figure, so utilization math has a single source of truth.
+        transmitter forms: the generator reference credits a
+        serialization at *completion* (``tx_begin`` marks one in
+        progress), while the fast path credits eagerly at *start* (``bu``
+        marks the un-elapsed tail).  This folds both into the exact
+        elapsed-busy figure, so utilization math has a single source of
+        truth.
         """
         now = self.env.now
         st = self._dir[from_node]
@@ -905,10 +831,9 @@ class Link:
 
         Propagation does not occupy the transmitter: a bare delivery
         callback (inline when zero) lets back-to-back packets pipeline
-        with no process spawn.  Called at serialization end by the
-        classic completion-event form and by the completion judgement of
-        an interrupted lazy packet; the lazy form otherwise schedules
-        the arrival itself at serialization start.
+        with no process spawn.  Called at serialization end by
+        :meth:`_judge`; a lossless direction otherwise schedules the
+        arrival itself at serialization start.
         """
         if self.propagation:
             self.env.call_later(self.propagation, self._deliver_now, dst, packet)

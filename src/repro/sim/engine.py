@@ -7,7 +7,8 @@ callable scheduled with :meth:`Environment.call_at` /
 :meth:`Environment.call_later`, invoked as ``obj(*args)``.  Both forms
 share one monotonically increasing serial, so entries scheduled for the
 same simulated time fire in scheduling (FIFO) order regardless of which
-form they used.
+form they used.  :meth:`Environment.call_at_after` is the one exception:
+it slots an entry in right behind a given pending one.
 
 Entries are *lists*, not tuples, for two reasons:
 
@@ -56,8 +57,8 @@ class Environment:
     ``fast_path`` (default True) lets model code pick allocation-free
     scheduling shortcuts (inline completion, callback delivery) that are
     result-identical but reorder nothing observable; passing ``False``
-    forces the classic event-per-hop slow path, which the determinism
-    test suite uses as the reference.
+    forces the event-per-hop reference path, which the determinism
+    test suite uses as the oracle.
     """
 
     __slots__ = (
@@ -164,6 +165,35 @@ class Environment:
             self.pool_allocs += 1
         _heappush(self._queue, entry)
         return entry
+
+    def call_at_after(self, when: float, entry: list, fn: Callable, *args: Any) -> list:
+        """Schedule ``fn(*args)`` at ``when``, ordered among same-instant
+        entries as if it had been scheduled right after the pending
+        ``entry`` (its serial sits just behind ``entry``'s).
+
+        For work that belongs with an already-queued entry but is only
+        known to be needed later.  Heap keys must stay unique, so at most
+        one entry may ever sit behind a given ``entry`` at the same time
+        (a cancelled one still sits in the heap).  Counts in
+        ``scheduled_count`` and returns the live entry (see
+        :meth:`cancel`).
+        """
+        if when < self._now:
+            raise SimulationError(f"cannot schedule into the past (t={when})")
+        self._eid += 1
+        serial = entry[1] + 0.5
+        pool = self._pool
+        if pool:
+            new = pool.pop()
+            new[0] = when
+            new[1] = serial
+            new[2] = fn
+            new[3] = args
+        else:
+            new = [when, serial, fn, args]
+            self.pool_allocs += 1
+        _heappush(self._queue, new)
+        return new
 
     @staticmethod
     def cancel(entry: list) -> None:

@@ -27,6 +27,11 @@ from repro.sim import Environment
 
 VARIANTS = ("fast", "slow")
 
+#: Mid-burst wire-loss window on the WAN: (probability, start, duration,
+#: injector seed).  Both edges fall inside a serialization on the
+#: GMD->Juelich direction, the opening one with packets queued behind it.
+LOSS_WINDOW = (0.3, 6e-3, 8e-3, 5)
+
 #: Mid-contention DRR weight change on the bottleneck: (instant, flow,
 #: weight).  The instant is off every packet boundary of the scenario,
 #: so the change never ties with a service decision.
@@ -46,9 +51,12 @@ def _record_deliveries(net, hosts):
     return deliveries
 
 
-def _run_fault_mid_burst(variant):
-    """A CBR stream over the WAN with the link failing mid-stream."""
+def _run_fault_mid_burst(variant, fault="link_down"):
+    """A CBR stream over the WAN with a fault window opening mid-stream:
+    the link failing, or (``random_loss``) wire loss switched on and off
+    again while a competing bulk shares the WAN direction."""
     tb = build_testbed(env=Environment(fast_path=variant == "fast"))
+    ip = ClassicalIP(TESTBED_MTU)
     cbr = CbrFlow(
         tb.net,
         "sp2",
@@ -56,20 +64,51 @@ def _run_fault_mid_burst(variant):
         frame_bytes=128 * 1024,
         interval=2e-3,
         n_frames=30,
-        ip=ClassicalIP(TESTBED_MTU),
+        ip=ip,
         name="video",
         drain_timeout=0.5,
     )
-    # Down for 8 ms starting a third of the way in: several pre-scheduled
-    # frame bursts and in-service packets get chopped mid-flight.
-    FaultInjector(tb.net).link_down(tb.wan_link, at=0.02, duration=8e-3)
-    deliveries = _record_deliveries(tb.net, ("sp2", "t3e-600"))
-    tb.net.env.run(until=cbr.done)
+    hosts = ("sp2", "t3e-600")
+    done = [cbr.done]
+    edges: list[bool] = []
+    if fault == "link_down":
+        # Down for 8 ms starting a third of the way in: several
+        # pre-scheduled frame bursts and in-service packets get chopped
+        # mid-flight.
+        FaultInjector(tb.net).link_down(tb.wan_link, at=0.02, duration=8e-3)
+    else:
+        # Loss opens mid-serialization, so the in-service packet's
+        # arrival must turn into a completion-time judgement, and closes
+        # with a judged packet still serializing.  A competing bulk
+        # shares the direction, so packets queue behind the judgement.
+        bulk = BulkTransfer(
+            tb.net, "e500-gmd", "t3e-1200", 1024 * 1024, ip=ip, name="bulk"
+        )
+        p, start, duration, seed = LOSS_WINDOW
+        FaultInjector(tb.net, seed=seed).random_loss(
+            tb.wan_link, p, start=start, duration=duration
+        )
+        hosts += ("e500-gmd", "t3e-1200")
+        done.append(bulk.done)
+        st = tb.wan_link._dir["sw-gmd"]
+
+        def edge():
+            # Serializing: the reference marks tx_begin, the fast path
+            # has busy_until ahead of now.
+            edges.append(st.tx_begin is not None or st.bu > tb.env.now)
+
+        tb.env.call_at(start, edge)
+        tb.env.call_at(start + duration, edge)
+    deliveries = _record_deliveries(tb.net, hosts)
+    env = tb.net.env
+    env.run(until=env.all_of(done))
     return {
         "deliveries": deliveries,
-        "elapsed": tb.net.env.now,
+        "elapsed": env.now,
         "frames_received": cbr.frames_received,
         "frames_lost": cbr.frames_lost,
+        "wire_loss": tb.wan_link.drop_reasons.get("wire_loss", 0),
+        "edges_mid_serialization": edges,
     }
 
 
@@ -141,6 +180,11 @@ def fault_runs():
 
 
 @pytest.fixture(scope="module")
+def loss_runs():
+    return {v: _run_fault_mid_burst(v, "random_loss") for v in VARIANTS}
+
+
+@pytest.fixture(scope="module")
 def contention_runs():
     return {v: _run_contention_mid_burst(v) for v in VARIANTS}
 
@@ -154,6 +198,13 @@ def weight_runs():
 def test_fault_mid_burst_is_bit_identical(fault_runs, variant):
     assert fault_runs[variant] == fault_runs["fast"], (
         f"{variant} diverged from the fast path under a mid-burst fault"
+    )
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "fast"])
+def test_loss_window_mid_burst_is_bit_identical(loss_runs, variant):
+    assert loss_runs[variant] == loss_runs["fast"], (
+        f"{variant} diverged from the fast path across a mid-burst loss window"
     )
 
 
@@ -178,6 +229,16 @@ def test_fault_scenario_actually_loses_frames(fault_runs):
     ref = fault_runs["fast"]
     assert ref["frames_lost"] > 0
     assert ref["frames_received"] > 0
+
+
+def test_loss_window_actually_bites(loss_runs):
+    """The window must open and close mid-serialization and lose
+    packets, or the identity assertion above proves nothing about
+    turning loss on and off mid-burst."""
+    ref = loss_runs["fast"]
+    assert ref["edges_mid_serialization"] == [True, True]
+    assert ref["wire_loss"] > 0
+    assert len(ref["deliveries"]) == 120
 
 
 def test_contention_scenario_actually_contends(contention_runs):

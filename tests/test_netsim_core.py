@@ -1,6 +1,8 @@
 """Tests for the packet-level network: links, hosts, switches, gateways,
 routing."""
 
+import random
+
 import pytest
 
 from repro.netsim.core import (
@@ -239,6 +241,7 @@ def _counter_run(fast_path, script):
         "flow_tx_bytes": link.flow_tx_bytes,
         "busy_seconds": link.busy_seconds("a"),
         "deliveries": b.got,
+        "drop_reasons": dict(link.drop_reasons),
     }
 
 
@@ -255,18 +258,52 @@ def _background_load_mid_backlog(env, link, a):
     env.call_at(5.5 * SER, link.set_background_load, "a", 0.0)
 
 
+def _flap(link, a, seqs):
+    """Link down and straight back up, then new packets at once."""
+    link.set_up(False)
+    link.set_up(True)
+    for i in seqs:
+        link.send(a, mkpkt(flow="bulk", seq=i))
+
+
+def _flap_at_service_boundary(env, link, a):
+    # Scheduled before the sends, so the flap runs at SER ahead of the
+    # service decision due then: the backlog is flushed while that
+    # decision is still armed, and the new packets must queue behind it.
+    env.call_at(SER, _flap, link, a, (3, 4))
+    for i in range(3):
+        link.send(a, mkpkt(flow="bulk", seq=i))
+
+
+def _lossy_flap_mid_serialization(env, link, a):
+    # The in-service packet already has a completion judgement; new
+    # packets queue behind it again before it completes.
+    link.set_loss(0.5, "a", rng=random.Random(3))
+    for i in range(3):
+        link.send(a, mkpkt(flow="bulk", seq=i))
+    env.call_at(0.5 * SER, _flap, link, a, (3, 4))
+
+
 @pytest.mark.parametrize(
-    "script, sent",
-    [(_other_flow_mid_backlog, 7), (_background_load_mid_backlog, 8)],
-    ids=["other_flow", "background_load"],
+    "script, sent, delivered",
+    [
+        (_other_flow_mid_backlog, 7, 7),
+        (_background_load_mid_backlog, 8, 8),
+        (_flap_at_service_boundary, 3, 3),
+        (_lossy_flap_mid_serialization, 3, 1),
+    ],
+    ids=["other_flow", "background_load", "flap_at_service_boundary",
+         "lossy_flap_mid_serialization"],
 )
-def test_fast_path_tx_counters_match_reference(script, sent):
-    """Every packet the link sends is counted once, on both forms."""
+def test_fast_path_tx_counters_match_reference(script, sent, delivered):
+    """Every packet the link sends is counted once, on both forms.  A
+    link flap flushes the backlog without leaving a second transmitter
+    running: packets sent right after it are serialized one at a time."""
     fast = _counter_run(True, script)
     slow = _counter_run(False, script)
     assert fast == slow
     assert fast["tx_packets"] == {"a": sent, "b": 0}
-    assert len(fast["deliveries"]) == sent
+    assert len(fast["deliveries"]) == delivered
 
 
 # -- typed input checks -------------------------------------------------------

@@ -321,6 +321,25 @@ def test_call_at_past_rejected():
         env.call_at(9.0, lambda: None)
 
 
+def test_call_at_after_slots_in_behind_its_entry():
+    env = Environment()
+    order = []
+    anchor = env.call_at(1.0, order.append, "anchor")
+    env.call_at(1.0, order.append, "later")
+    before = env.scheduled_count
+    env.call_at_after(1.0, anchor, order.append, "behind")
+    assert env.scheduled_count == before + 1
+    env.run()
+    assert order == ["anchor", "behind", "later"]
+
+
+def test_call_at_after_past_rejected():
+    env = Environment(initial_time=10.0)
+    anchor = env.call_at(12.0, lambda: None)
+    with pytest.raises(SimulationError):
+        env.call_at_after(9.0, anchor, lambda: None)
+
+
 def test_callbacks_and_events_share_fifo_order():
     env = Environment()
     order = []
