@@ -720,8 +720,22 @@ class Link:
         rng = self._loss_rngs[direction]
         if rate > 0.0 and rng is not None and rng.random() < rate:
             self._lose(direction, "wire_loss", packet.flow)
+            return
+        # On the wire: the one arrival entry a lossless direction would
+        # have scheduled, built with the same float additions.  With no
+        # propagation and no fold the hand-off is inline, as in the
+        # generator reference.
+        st = self._dir[direction]
+        fold = st.fold
+        if fold is not None:
+            self.env.call_at(
+                self.env._now + self.propagation + fold,
+                self._sw_arrive, st.dst, packet,
+            )
+        elif self.propagation:
+            self.env.call_later(self.propagation, self._arrive, st.dst, packet)
         else:
-            self._emit(self._dir[direction].dst, packet)
+            self._arrive(st.dst, packet)
 
     def _arm(self, direction: str, st: "_DirState") -> None:
         """Arm the next service decision at ``bu``, ordered right behind
@@ -826,26 +840,8 @@ class Link:
             return 0.0
         return self.busy_seconds(from_node) / self.env.now
 
-    def _emit(self, dst: "Node", packet: Packet) -> None:
-        """Put a fully-serialized packet on the wire towards ``dst``.
-
-        Propagation does not occupy the transmitter: a bare delivery
-        callback (inline when zero) lets back-to-back packets pipeline
-        with no process spawn.  Called at serialization end by
-        :meth:`_judge`; a lossless direction otherwise schedules the
-        arrival itself at serialization start.
-        """
-        if self.propagation:
-            self.env.call_later(self.propagation, self._deliver_now, dst, packet)
-        else:
-            self._deliver_now(dst, packet)
-
-    def _deliver_now(self, dst: "Node", packet: Packet) -> None:
-        packet.hops += 1
-        dst.receive(packet, self)
-
     def _deliver(self, dst: "Node", packet: Packet):
-        # Slow-path (process-per-packet) reference form of _deliver_now.
+        # Slow-path (process-per-packet) reference form of _arrive.
         if self.propagation:
             yield self.env.timeout(self.propagation)
         packet.hops += 1

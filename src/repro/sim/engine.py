@@ -10,21 +10,14 @@ same simulated time fire in scheduling (FIFO) order regardless of which
 form they used.  :meth:`Environment.call_at_after` is the one exception:
 it slots an entry in right behind a given pending one.
 
-Entries are *lists*, not tuples, for two reasons:
-
-* **Arena reuse.**  Dispatched entries return to a bounded free list and
-  are refilled in place on the next schedule, so a steady-state run
-  allocates almost no per-event objects (``pool_allocs`` counts the ones
-  that were).  Less allocator churn also means fewer generation-0 GC
-  passes in 10k+ flow runs.
-* **In-place cancellation.**  The scheduling methods return the live
-  entry; model code that holds it can neutralize the callback with
-  :meth:`Environment.cancel` — the entry stays in the heap and fires as
-  a no-op at its scheduled time.  That gives exact-cost cancellation
-  (no heap surgery, no tombstone bookkeeping) for pre-scheduled work a
-  fault or contention event invalidated.  Only entries whose time is
-  still in the future may be cancelled: once dispatched, an entry is
-  recycled and may already describe someone else's callback.
+Entries are *lists*, not tuples, for **in-place cancellation**: the
+scheduling methods return the live entry, and model code that holds it
+can neutralize the callback with :meth:`Environment.cancel` — the entry
+stays in the heap and fires as a no-op at its scheduled time.  That
+gives exact-cost cancellation (no heap surgery, no tombstone
+bookkeeping) for pre-scheduled work a fault or contention event
+invalidated.  Every schedule call builds a fresh entry and a dispatched
+one is never reused, so cancelling a stale handle is harmless.
 """
 
 from __future__ import annotations
@@ -38,10 +31,6 @@ from repro.sim.errors import SimulationError as SimulationError
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: Free-list bound: enough to cover the peak queue depth of large runs,
-#: small enough that an idle environment pins only a few KB.
-_POOL_MAX = 4096
 
 
 def _noop(*_args: Any) -> None:
@@ -67,8 +56,6 @@ class Environment:
         "_eid",
         "_active_proc",
         "fast_path",
-        "_pool",
-        "pool_allocs",
     )
 
     def __init__(self, initial_time: float = 0.0, fast_path: bool = True):
@@ -77,11 +64,6 @@ class Environment:
         self._eid = 0
         self._active_proc: Optional[_ev.Process] = None
         self.fast_path = bool(fast_path)
-        #: recycled heap-entry arena (see module docstring)
-        self._pool: list[list] = []
-        #: entries that had to be allocated because the arena was empty;
-        #: ``scheduled_count - pool_allocs`` is the number of reuses
-        self.pool_allocs = 0
 
     @property
     def now(self) -> float:
@@ -102,22 +84,19 @@ class Environment:
         """
         return self._eid
 
+    @property
+    def pool_allocs(self) -> int:
+        """Heap entries allocated: every scheduled entry is a fresh list,
+        so this equals :attr:`scheduled_count`."""
+        return self._eid
+
     # -- scheduling ------------------------------------------------------
     def schedule(self, event: "_ev.Event", delay: float = 0.0) -> list:
         """Queue a triggered event to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._eid = eid = self._eid + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self._now + delay
-            entry[1] = eid
-            entry[2] = event
-            entry[3] = None
-        else:
-            entry = [self._now + delay, eid, event, None]
-            self.pool_allocs += 1
+        entry = [self._now + delay, eid, event, None]
         _heappush(self._queue, entry)
         return entry
 
@@ -130,19 +109,10 @@ class Environment:
         when a process must yield on the delay.  Returns the live entry
         (see :meth:`cancel`).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._eid = eid = self._eid + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = self._now + delay
-            entry[1] = eid
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [self._now + delay, eid, fn, args]
-            self.pool_allocs += 1
+        entry = [self._now + delay, eid, fn, args]
         _heappush(self._queue, entry)
         return entry
 
@@ -150,19 +120,10 @@ class Environment:
         """Schedule ``fn(*args)`` at absolute simulation time ``when``.
 
         Returns the live entry (see :meth:`cancel`)."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(f"cannot schedule into the past (t={when})")
         self._eid = eid = self._eid + 1
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = eid
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [when, eid, fn, args]
-            self.pool_allocs += 1
+        entry = [when, eid, fn, args]
         _heappush(self._queue, entry)
         return entry
 
@@ -178,20 +139,10 @@ class Environment:
         ``scheduled_count`` and returns the live entry (see
         :meth:`cancel`).
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(f"cannot schedule into the past (t={when})")
         self._eid += 1
-        serial = entry[1] + 0.5
-        pool = self._pool
-        if pool:
-            new = pool.pop()
-            new[0] = when
-            new[1] = serial
-            new[2] = fn
-            new[3] = args
-        else:
-            new = [when, serial, fn, args]
-            self.pool_allocs += 1
+        new = [when, entry[1] + 0.5, fn, args]
         _heappush(self._queue, new)
         return new
 
@@ -200,10 +151,10 @@ class Environment:
         """Neutralize a queued entry in place: it stays in the heap and
         fires as a no-op at its scheduled time.
 
-        Valid only while the entry's time is in the future — a dispatched
-        entry has been recycled into the arena and may already carry an
-        unrelated callback.  ``scheduled_count`` is unaffected (the
-        entry was, and still is, scheduled work).
+        Meant for entries that are still due later; cancelling one that
+        has already been dispatched is harmless (entries are never
+        reused), and does nothing.  ``scheduled_count`` is unaffected
+        (the entry was, and still is, scheduled work).
         """
         entry[2] = _noop
         entry[3] = ()
@@ -234,9 +185,6 @@ class Environment:
         self._now = entry[0]
         obj = entry[2]
         args = entry[3]
-        entry[2] = entry[3] = None
-        if len(self._pool) < _POOL_MAX:
-            self._pool.append(entry)
         if args is None:
             obj._fire()
         else:
@@ -260,7 +208,6 @@ class Environment:
         fires, returning its value; raises if the queue drains first).
         """
         queue = self._queue
-        pool = self._pool
         pop = _heappop
 
         if until is None:
@@ -269,9 +216,6 @@ class Environment:
                 self._now = entry[0]
                 obj = entry[2]
                 args = entry[3]
-                entry[2] = entry[3] = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(entry)
                 if args is None:
                     obj._fire()
                 else:
@@ -289,9 +233,6 @@ class Environment:
                 self._now = entry[0]
                 obj = entry[2]
                 args = entry[3]
-                entry[2] = entry[3] = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(entry)
                 if args is None:
                     obj._fire()
                 else:
@@ -301,16 +242,13 @@ class Environment:
             return sentinel._value
 
         horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError("cannot run() backwards in time")
+        if not horizon >= self._now:
+            raise SimulationError(f"cannot run() backwards in time (until={until})")
         while queue and queue[0][0] <= horizon:
             entry = pop(queue)
             self._now = entry[0]
             obj = entry[2]
             args = entry[3]
-            entry[2] = entry[3] = None
-            if len(pool) < _POOL_MAX:
-                pool.append(entry)
             if args is None:
                 obj._fire()
             else:

@@ -123,7 +123,7 @@ class Timeout(Event):
 
     def __init__(self, env, delay: float, value: Any = None):
         super().__init__(env)
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay {delay}")
         self.delay = delay
         self._ok = True

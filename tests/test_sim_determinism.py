@@ -8,6 +8,8 @@ simulated behaviour: identical delivery order, identical timestamps,
 identical flow metrics.
 """
 
+import random
+
 import pytest
 
 from repro.harness.runner import SweepRunner
@@ -79,10 +81,19 @@ CONTENDED = {
 }
 
 
-def _run_contended(fast_path: bool, nbytes: int = MB, scenario: str = "gateway"):
+def _run_contended(
+    fast_path: bool,
+    nbytes: int = MB,
+    scenario: str = "gateway",
+    loss: float = 0.0,
+):
     """Competing bulk transfers (plus a CBR stream, per ``scenario``),
-    every delivery at every endpoint recorded."""
+    every delivery at every endpoint recorded.  ``loss`` > 0 puts seeded
+    wire loss on both WAN directions."""
     tb = build_testbed(env=Environment(fast_path=fast_path))
+    if loss:
+        tb.wan_link.set_loss(loss, tb.SW_JUELICH, random.Random(11))
+        tb.wan_link.set_loss(loss, tb.SW_GMD, random.Random(12))
     ip = ClassicalIP(TESTBED_MTU)
     pairs, with_cbr = CONTENDED[scenario]
     bulks = [
@@ -141,6 +152,23 @@ def test_contended_fast_and_slow_paths_identical():
     assert fast["elapsed"] == slow["elapsed"]
     assert fast["flow_tx"] == slow["flow_tx"]
     assert fast["scheduled"] < slow["scheduled"]
+
+
+def test_lossy_contended_fast_and_slow_paths_identical():
+    """Wire loss on both WAN directions: a packet that survives its
+    completion judgement gets one arrival entry, and the run still
+    matches the reference."""
+    fast = _run_contended(fast_path=True, loss=0.01)
+    slow = _run_contended(fast_path=False, loss=0.01)
+    assert fast["deliveries"] == slow["deliveries"]
+    assert fast["goodputs"] == slow["goodputs"]
+    assert fast["retransmits"] == slow["retransmits"]
+    assert sum(fast["retransmits"].values()) == 1
+    assert fast["elapsed"] == slow["elapsed"]
+    assert fast["flow_tx"] == slow["flow_tx"]
+    # A delivered WAN crossing costs its judgement plus one arrival
+    # entry, as few as a lossless crossing's single arrival allows.
+    assert fast["scheduled"] == 1_468
 
 
 def test_wan_reverse_fast_and_slow_paths_identical():

@@ -340,6 +340,46 @@ def test_call_at_after_past_rejected():
         env.call_at_after(9.0, anchor, lambda: None)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda env: env.call_later(NAN, lambda: None), SimulationError),
+        (lambda env: env.call_at(NAN, lambda: None), SimulationError),
+        (
+            lambda env: env.call_at_after(
+                NAN, env.call_at(2.0, lambda: None), lambda: None
+            ),
+            SimulationError,
+        ),
+        (lambda env: env.schedule(env.event(), NAN), SimulationError),
+        (lambda env: env.timeout(NAN), ValueError),
+        (lambda env: env.run(until=NAN), SimulationError),
+    ],
+    ids=["call_later", "call_at", "call_at_after", "schedule", "timeout", "run"],
+)
+def test_nan_time_rejected(call, error):
+    # NaN compares False against everything: a NaN heap key would
+    # break the queue's order, and a NaN horizon would become the clock.
+    env = Environment(initial_time=1.0)
+    with pytest.raises(error, match="nan"):
+        call(env)
+    assert env.now == 1.0
+
+
+def test_cancel_of_a_dispatched_entry_leaves_new_entries_alone():
+    env = Environment()
+    got = []
+    stale = env.call_at(1.0, got.append, "a")
+    env.run(until=2.0)
+    env.call_at(3.0, got.append, "b")
+    env.cancel(stale)
+    env.run()
+    assert got == ["a", "b"]
+
+
 def test_callbacks_and_events_share_fifo_order():
     env = Environment()
     order = []
