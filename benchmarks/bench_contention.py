@@ -4,9 +4,7 @@ Two angles on the DRR link/gateway schedulers:
 
 * equal-flow fairness, measured directly: N identical bulk transfers
   over the same OC-12 WAN path must each get the max-min fair share
-  predicted by ``fair_share_throughputs`` (within 5%), on both the
-  callback fast path and the generator reference path — and the two
-  forms must agree exactly;
+  predicted by ``fair_share_throughputs`` (within 5%);
 * the paper's concurrent application mix end to end: the committed
   ``contention`` sweep runs bulk + D1 video + ping mixes on the OC-48
   and OC-12 backbones and the regression gate pins per-flow goodputs,
@@ -24,7 +22,6 @@ from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
 from repro.netsim import BulkTransfer, ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
 from repro.netsim.tcp import fair_share_throughputs
-from repro.sim import Environment
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 MODE = "quick" if QUICK else "full"
@@ -39,14 +36,14 @@ def sweep():
     return runner.run(sweep_specs("contention", quick=QUICK), name="contention")
 
 
-def _equal_flow_run(fast_path: bool, n: int = N_FLOWS):
+def _equal_flow_run(n: int = N_FLOWS):
     """N symmetric transfers (one per Cray) sharing the 622 Mbit/s ATM
     gateway attachment — a DRR-scheduled bottleneck *link*; returns
     (per-flow goodput bit/s, model prediction bit/s).  Distinct sources
     matter: flows from one host serialize at its FIFO stack stage in
     sender order, which is exactly the starvation DRR exists to prevent
     on the shared wire."""
-    tb = build_testbed(env=Environment(fast_path=fast_path))
+    tb = build_testbed()
     ip = ClassicalIP(TESTBED_MTU)
     flows = [
         BulkTransfer(
@@ -66,21 +63,16 @@ def _equal_flow_run(fast_path: bool, n: int = N_FLOWS):
 
 
 def test_equal_flow_fairness_report(report, benchmark):
-    benchmark.pedantic(
-        lambda: _equal_flow_run(fast_path=True, n=2), rounds=1, iterations=1
-    )
-    fast, model = _equal_flow_run(fast_path=True)
-    slow, _ = _equal_flow_run(fast_path=False)
-    rows = [
-        f"{'flow':<8} {'fast':>12} {'slow':>12} {'model':>12} {'dev':>8}"
-    ]
+    benchmark.pedantic(lambda: _equal_flow_run(n=2), rounds=1, iterations=1)
+    goodputs, model = _equal_flow_run()
+    rows = [f"{'flow':<8} {'goodput':>12} {'model':>12} {'dev':>8}"]
     worst = 0.0
-    for name in sorted(fast):
-        dev = abs(fast[name] - model[name]) / model[name]
+    for name in sorted(goodputs):
+        dev = abs(goodputs[name] - model[name]) / model[name]
         worst = max(worst, dev)
         rows.append(
-            f"{name:<8} {fast[name] / 1e6:>8.1f} Mb/s {slow[name] / 1e6:>8.1f} Mb/s "
-            f"{model[name] / 1e6:>8.1f} Mb/s {dev:>7.2%}"
+            f"{name:<8} {goodputs[name] / 1e6:>7.1f} Mb/s "
+            f"{model[name] / 1e6:>7.1f} Mb/s {dev:>7.2%}"
         )
     rows.append(f"worst model deviation: {worst:.2%}")
     report.add(
@@ -88,9 +80,7 @@ def test_equal_flow_fairness_report(report, benchmark):
         "\n".join(rows),
     )
 
-    # Both scheduling forms land on the fair share, and agree exactly.
-    assert fast == slow
-    for name, goodput in fast.items():
+    for name, goodput in goodputs.items():
         assert abs(goodput - model[name]) / model[name] < 0.05, name
 
 

@@ -21,6 +21,8 @@ Layers, bottom-up:
 * :mod:`repro.netsim.topology` — declarative multi-site topologies
   (sites × switches × redundant trunks; ring / dual-ring / grid
   generators) with failover-capable min-cost routing.
+* :mod:`repro.netsim.tap` — the delivery tap: a rolling digest of every
+  flow delivery, for golden tests and for finding where two runs part.
 """
 
 from repro.netsim.atm import (

@@ -27,7 +27,7 @@ from repro.netsim.atm import aal5_wire_bytes
 from repro.netsim.hippi import hippi_wire_bytes
 from repro.netsim.ip import LLC_SNAP_HEADER
 from repro.netsim.sched import DrrScheduler
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 _packet_ids = itertools.count()
 
@@ -253,7 +253,6 @@ class _DirState:
         "eff",        # effective serialization rate (background load)
         "ws",         # ip_bytes -> (wire_bytes, serialization_s) memo
         "bu",         # busy_until: end of the last committed serialization
-        "tx_begin",   # generator reference: serialization start (or None)
         "inflight",   # (t_done, packet, heap entry) of the last start
         "armed",      # a resume entry is armed at bu
         "resume",     # the armed resume heap entry (for cancellation)
@@ -272,7 +271,6 @@ class _DirState:
         self.eff = rate
         self.ws: dict[int, tuple] = {}
         self.bu = 0.0
-        self.tx_begin: Optional[float] = None
         self.inflight: Optional[tuple] = None
         self.armed = False
         self.resume: Optional[list] = None
@@ -360,8 +358,8 @@ class Link:
         self._route_cost: Optional[float] = None
         wire_cost = self._wire_cost
         self._queues = {
-            a.name: DrrScheduler(env, cost=wire_cost),
-            b.name: DrrScheduler(env, cost=wire_cost),
+            a.name: DrrScheduler(cost=wire_cost),
+            b.name: DrrScheduler(cost=wire_cost),
         }
         self.drops = {a.name: 0, b.name: 0}
         self.lost = {a.name: 0, b.name: 0}
@@ -382,12 +380,11 @@ class Link:
         #: consumed by analytically-simulated flows; see repro.fluid).
         #: Zero keeps the transmitter bit-identical to the seamless link.
         self.background_share = {a.name: 0.0, b.name: 0.0}
-        self._fast = env.fast_path
         # -- per-direction transmitter state -------------------------------
         # One slotted record per direction holds everything private to
-        # the transmitter.  The fast path schedules ONE heap entry per
-        # packet at serialization start: the arrival at the far node, or
-        # on a lossy direction a completion-time judgement (_judge).
+        # the transmitter.  It schedules ONE heap entry per packet at
+        # serialization start: the arrival at the far node, or on a
+        # lossy direction a completion-time judgement (_judge).
         # Faults invalidate a pre-scheduled arrival by cancelling its
         # heap entry in place (Environment.cancel).
         # ``fold``: when the far node is a plain Switch with nonzero
@@ -403,9 +400,6 @@ class Link:
             self._dir[me.name] = _DirState(
                 self._queues[me.name], far, fold, rate
             )
-        if not self._fast:
-            env.process(self._transmitter(a, b))
-            env.process(self._transmitter(b, a))
         a.attach(self)
         b.attach(self)
 
@@ -446,8 +440,9 @@ class Link:
 
     @property
     def busy_time(self) -> dict[str, float]:
-        """Serialization-busy seconds per direction (raw tally; use
-        :meth:`busy_seconds` for the form-independent elapsed figure)."""
+        """Serialization-busy seconds per direction (raw tally, credited
+        at serialization start; :meth:`busy_seconds` gives the elapsed
+        figure)."""
         return {d: st.bt for d, st in self._dir.items()}
 
     def set_flow_weight(self, flow: str, weight: float) -> None:
@@ -508,65 +503,57 @@ class Link:
             self._drop(direction, "link_down", flow=packet.flow)
             return
         st = self._dir[direction]
-        if self._fast:
-            env = self.env
-            now = env._now
-            if st.bu <= now and not st.armed:
-                # Idle transmitter: start serializing right now — no
-                # queue residency, no DRR state touched (parity with the
-                # slow path's direct hand-off to a blocked getter).  An
-                # armed resume means queued work, or a flushed queue
-                # whose service decision is still due at this instant.
-                # The whole of _lazy_start is inlined here because this
-                # lane carries nearly every packet of an unsaturated run.
-                ip = packet.ip_bytes
-                ws = st.ws.get(ip)
-                if ws is None:
-                    wire = self.framing.wire(ip)
-                    s = wire * 8 / st.eff
-                    st.ws[ip] = (wire, s)
-                else:
-                    wire = ws[0]
-                    s = ws[1]
-                st.txb += wire
-                st.txp += 1
-                flow = packet.flow
-                per = st.fb
-                per[flow] = per.get(flow, 0) + wire
-                per = st.fp
-                per[flow] = per.get(flow, 0) + 1
-                t_done = now + s
-                st.bt += s
-                st.bu = t_done
-                fold = st.fold
-                if st.lossy:
-                    entry = env.call_at(t_done, self._judge, direction, packet)
-                elif fold is None:
-                    entry = env.call_at(
-                        t_done + self.propagation, self._arrive, st.dst, packet
-                    )
-                else:
-                    entry = env.call_at(
-                        t_done + self.propagation + fold,
-                        self._sw_arrive, st.dst, packet,
-                    )
-                st.inflight = (t_done, packet, entry)
-                return
-            # The queue bound counts waiting packets only; the in-service
-            # packet left the queue when its serialization began.
-            q = st.q
-            if q._total >= self.queue_packets:
-                self._drop(direction, "queue_full", flow=packet.flow)
-                return
-            q.put_nowait(packet)
-            if not st.armed:
-                self._arm(direction, st)
+        env = self.env
+        now = env._now
+        if st.bu <= now and not st.armed:
+            # Idle transmitter: start serializing right now — no queue
+            # residency, no DRR state touched.  An armed resume means
+            # queued work, or a flushed queue whose service decision is
+            # still due at this instant.  The whole of _lazy_start is
+            # inlined here because this lane carries nearly every packet
+            # of an unsaturated run.
+            ip = packet.ip_bytes
+            ws = st.ws.get(ip)
+            if ws is None:
+                wire = self.framing.wire(ip)
+                s = wire * 8 / st.eff
+                st.ws[ip] = (wire, s)
+            else:
+                wire = ws[0]
+                s = ws[1]
+            st.txb += wire
+            st.txp += 1
+            flow = packet.flow
+            per = st.fb
+            per[flow] = per.get(flow, 0) + wire
+            per = st.fp
+            per[flow] = per.get(flow, 0) + 1
+            t_done = now + s
+            st.bt += s
+            st.bu = t_done
+            fold = st.fold
+            if st.lossy:
+                entry = env.call_at(t_done, self._judge, direction, packet)
+            elif fold is None:
+                entry = env.call_at(
+                    t_done + self.propagation, self._arrive, st.dst, packet
+                )
+            else:
+                entry = env.call_at(
+                    t_done + self.propagation + fold,
+                    self._sw_arrive, st.dst, packet,
+                )
+            st.inflight = (t_done, packet, entry)
             return
+        # The queue bound counts waiting packets only; the in-service
+        # packet left the queue when its serialization began.
         q = st.q
-        if len(q) >= self.queue_packets:
+        if q._total >= self.queue_packets:
             self._drop(direction, "queue_full", flow=packet.flow)
             return
         q.put_nowait(packet)
+        if not st.armed:
+            self._arm(direction, st)
 
     def set_up(self, up: bool) -> None:
         """Change link state; going down flushes both transmit queues.
@@ -574,7 +561,7 @@ class Link:
         An in-service packet keeps its serialization: it is judged at its
         completion instant (its pre-scheduled arrival becomes a
         :meth:`_judge` entry) and lost there as ``tx_link_down`` unless
-        the link is back up by then, as in the generator reference.
+        the link is back up by then.
         """
         if up == self.up:
             return
@@ -630,19 +617,7 @@ class Link:
             if st.lossy:
                 self._judge_inflight(d, st)
 
-    def _account_tx(self, st: "_DirState", packet: Packet) -> int:
-        """Tally one transmission (aggregate and per flow); wire bytes."""
-        wire = self.framing.wire(packet.ip_bytes)
-        st.txb += wire
-        st.txp += 1
-        flow = packet.flow
-        per_flow = st.fb
-        per_flow[flow] = per_flow.get(flow, 0) + wire
-        per_flow = st.fp
-        per_flow[flow] = per_flow.get(flow, 0) + 1
-        return wire
-
-    # -- fast path: one pre-scheduled heap entry per packet ----------------
+    # -- the transmitter: one pre-scheduled heap entry per packet ----------
     def _lazy_start(
         self, direction: str, st: "_DirState", packet: Packet, now: float
     ) -> None:
@@ -650,11 +625,11 @@ class Link:
         heap entry the packet needs: its arrival at the far node, or on a
         lossy direction its completion judgement (:meth:`_judge`).
 
-        Timestamps mirror the generator reference bit-for-bit: the
-        completion and arrival instants are built with the same float-add
-        sequence (``now + serialization`` then ``+ propagation`` then,
-        when the far node is a folded switch, ``+ latency``) its chained
-        events produce.  Busy time is credited eagerly;
+        The completion and arrival instants are built with one fixed
+        float-add sequence (``now + serialization`` then ``+ propagation``
+        then, when the far node is a folded switch, ``+ latency``), the
+        same one an unfolded hop-by-hop chain would produce, so folding
+        moves no timestamp.  Busy time is credited eagerly;
         :meth:`busy_seconds` subtracts the un-elapsed tail so pro-rated
         utilization stays exact.  (:meth:`send` inlines this body on its
         idle lane; keep the two in sync.)
@@ -723,8 +698,7 @@ class Link:
             return
         # On the wire: the one arrival entry a lossless direction would
         # have scheduled, built with the same float additions.  With no
-        # propagation and no fold the hand-off is inline, as in the
-        # generator reference.
+        # propagation and no fold the hand-off is inline.
         st = self._dir[direction]
         fold = st.fold
         if fold is not None:
@@ -739,10 +713,10 @@ class Link:
 
     def _arm(self, direction: str, st: "_DirState") -> None:
         """Arm the next service decision at ``bu``, ordered right behind
-        the in-service packet's own heap entry: the generator reference
-        decides in the serialization timeout it scheduled at service
-        start, so a same-instant arrival scheduled after that start must
-        reach the queue only after the decision."""
+        the in-service packet's own heap entry.  The same-instant
+        convention: the decision belongs to the service start that
+        scheduled that entry, so an arrival scheduled after the start
+        reaches the queue only after the decision."""
         st.armed = True
         st.resume = self.env.call_at_after(
             st.bu, st.inflight[2], self._lazy_resume_cb, direction, st
@@ -783,48 +757,16 @@ class Link:
             env.cancel(st.resume)
             self._arm(direction, st)
 
-    # -- slow path: the process-per-direction reference transmitter --------
-    def _transmitter(self, src: "Node", dst: "Node"):
-        sname = src.name
-        st = self._dir[sname]
-        q = self._queues[sname]
-        while True:
-            packet: Packet = yield q.get()
-            wire = self._account_tx(st, packet)
-            serialization = wire * 8 / st.eff
-            st.tx_begin = self.env.now
-            yield self.env.timeout(serialization)
-            st.bt += serialization
-            st.tx_begin = None
-            if not self.up:
-                self._lose(sname, "tx_link_down", packet.flow)
-                continue
-            rate = self.loss_rate[sname]
-            rng = self._loss_rngs[sname]
-            if rate > 0.0 and rng is not None and rng.random() < rate:
-                self._lose(sname, "wire_loss", packet.flow)
-                continue
-            # Propagation does not occupy the transmitter: hand off to a
-            # dedicated delivery event so back-to-back packets pipeline.
-            self.env.process(self._deliver(dst, packet))
-
     def busy_seconds(self, from_node: str) -> float:
         """Seconds one direction has spent serializing, up to now.
 
-        The raw ``busy_time`` tally is not directly comparable across
-        transmitter forms: the generator reference credits a
-        serialization at *completion* (``tx_begin`` marks one in
-        progress), while the fast path credits eagerly at *start* (``bu``
-        marks the un-elapsed tail).  This folds both into the exact
-        elapsed-busy figure, so utilization math has a single source of
-        truth.
+        The raw ``busy_time`` tally credits a serialization eagerly, at
+        its *start*; this subtracts the un-elapsed tail (up to ``bu``),
+        so utilization math gets the exact elapsed-busy figure.
         """
         now = self.env.now
         st = self._dir[from_node]
         busy = st.bt
-        begin = st.tx_begin
-        if begin is not None:
-            busy += now - begin
         tail = st.bu - now
         if tail > 0.0:
             busy -= tail
@@ -839,14 +781,6 @@ class Link:
         if self.env.now <= 0:
             return 0.0
         return self.busy_seconds(from_node) / self.env.now
-
-    def _deliver(self, dst: "Node", packet: Packet):
-        # Slow-path (process-per-packet) reference form of _arrive.
-        if self.propagation:
-            yield self.env.timeout(self.propagation)
-        packet.hops += 1
-        dst.receive(packet, self)
-        return None
 
 
 class Node:
@@ -917,10 +851,9 @@ class Node:
 class _SerialStage:
     """A single-server FIFO pipeline stage driven by scheduled callbacks.
 
-    The fast-path replacement for a Store plus worker process: ``cost``
-    maps a packet to its service time, ``emit`` receives the packet when
-    service completes.  One heap entry per packet, no get-events, no
-    generator resumes.
+    ``cost`` maps a packet to its service time, ``emit`` receives the
+    packet when service completes.  One heap entry per packet, no
+    get-events, no generator resumes.
     """
 
     __slots__ = ("env", "cost", "emit", "queue", "busy")
@@ -937,8 +870,8 @@ class _SerialStage:
         self.queue: deque[Packet] = deque()
         self.busy = False
 
-    # Named for interface parity with Store, so Host.send/receive are
-    # oblivious to which pipeline implementation was chosen.
+    # Shared entry-point name with _TandemStage, so Host.send/receive
+    # are oblivious to which stage form the host was built with.
     def put_nowait(self, packet: "Packet") -> bool:
         if self.busy:
             self.queue.append(packet)
@@ -1008,15 +941,13 @@ class Host(Node):
     server, so stages pipeline across back-to-back packets — throughput
     is set by the slowest stage, as on real hosts.
 
-    On a fast-path environment the stages are :class:`_SerialStage`
-    callback machines, and stages that cannot consume simulated time are
-    elided at construction: a zero-cost stack (``cpu_per_packet == 0``)
-    or an infinite I/O bus is a pure pass-through.  A host with *no*
-    costly stage bypasses the pipeline entirely — ``send`` forwards and
-    ``receive`` delivers inline, touching no queue at all.  Stage
-    elision changes only same-time event interleaving, never simulated
-    timestamps.  A non-fast environment keeps the reference
-    Store-plus-worker-process pipeline.
+    The stages are :class:`_SerialStage` callback machines (or, with
+    both costs present, one :class:`_TandemStage`), and stages that
+    cannot consume simulated time are elided at construction: a
+    zero-cost stack (``cpu_per_packet == 0``) or an infinite I/O bus is a
+    pure pass-through.  A host with *no* costly stage bypasses the
+    pipeline entirely — ``send`` forwards and ``receive`` delivers
+    inline, touching no queue at all.
     """
 
     def __init__(
@@ -1032,35 +963,23 @@ class Host(Node):
         self._sinks: dict[str, Callable[[Packet, float], None]] = {}
         has_cpu = cpu_per_packet > 0.0
         has_bus = io_bus_rate != float("inf")
-        self._bypass = env.fast_path and not has_cpu and not has_bus
+        self._bypass = not has_cpu and not has_bus
         if self._bypass:
             # No stage can consume time: no queues at all.
             self._tx_entry = self._rx_entry = None
-        elif env.fast_path:
-            if has_cpu and has_bus:
-                self._tx_entry = _TandemStage(
-                    env, self._cpu_cost, self._bus_cost, self._nic_out
-                )
-                self._rx_entry = _TandemStage(
-                    env, self._bus_cost, self._cpu_cost, self._deliver
-                )
-            elif has_cpu:
-                self._tx_entry = _SerialStage(env, self._cpu_cost, self._nic_out)
-                self._rx_entry = _SerialStage(env, self._cpu_cost, self._deliver)
-            else:
-                self._tx_entry = _SerialStage(env, self._bus_cost, self._nic_out)
-                self._rx_entry = _SerialStage(env, self._bus_cost, self._deliver)
+        elif has_cpu and has_bus:
+            self._tx_entry = _TandemStage(
+                env, self._cpu_cost, self._bus_cost, self._nic_out
+            )
+            self._rx_entry = _TandemStage(
+                env, self._bus_cost, self._cpu_cost, self._deliver
+            )
+        elif has_cpu:
+            self._tx_entry = _SerialStage(env, self._cpu_cost, self._nic_out)
+            self._rx_entry = _SerialStage(env, self._cpu_cost, self._deliver)
         else:
-            self._tx_stack = Store(env)
-            self._tx_bus = Store(env)
-            self._rx_bus = Store(env)
-            self._rx_stack = Store(env)
-            self._tx_entry = self._tx_stack
-            self._rx_entry = self._rx_bus
-            env.process(self._stack_worker(self._tx_stack, self._tx_bus.put_nowait))
-            env.process(self._bus_worker(self._tx_bus, self._nic_out))
-            env.process(self._bus_worker(self._rx_bus, self._rx_stack.put_nowait))
-            env.process(self._stack_worker(self._rx_stack, self._deliver))
+            self._tx_entry = _SerialStage(env, self._bus_cost, self._nic_out)
+            self._rx_entry = _SerialStage(env, self._bus_cost, self._deliver)
 
     # -- stage service costs -----------------------------------------------
     def _cpu_cost(self, packet: Packet) -> float:
@@ -1068,25 +987,6 @@ class Host(Node):
 
     def _bus_cost(self, packet: Packet) -> float:
         return packet.ip_bytes * 8 / self.io_bus_rate
-
-    # -- slow-path pipeline stages -----------------------------------------
-    def _stack_worker(self, queue: Store, emit):
-        get = queue.get
-        timeout = self.env.timeout
-        while True:
-            packet = yield get()
-            if self.cpu_per_packet:
-                yield timeout(self.cpu_per_packet)
-            emit(packet)
-
-    def _bus_worker(self, queue: Store, emit):
-        get = queue.get
-        timeout = self.env.timeout
-        while True:
-            packet = yield get()
-            if self.io_bus_rate != float("inf"):
-                yield timeout(packet.ip_bytes * 8 / self.io_bus_rate)
-            emit(packet)
 
     def _nic_out(self, packet: Packet) -> None:
         self.forward(packet)
@@ -1130,25 +1030,14 @@ class Switch(Node):
     def __init__(self, env: Environment, name: str, latency: float = 10e-6):
         super().__init__(env, name)
         self.latency = latency
-        self._fast = env.fast_path
 
     def receive(self, packet: Packet, link: Link) -> None:
-        if self._fast:
-            # Scheduled-callback forwarding: no per-packet process spawn;
-            # a zero-latency switch forwards inline with no heap entry.
-            if self.latency:
-                self.env.call_later(self.latency, self.forward, packet)
-            else:
-                self.forward(packet)
-        else:
-            self.env.process(self._forward_later(packet))
-
-    def _forward_later(self, packet: Packet):
-        # Slow-path (process-per-packet) reference form of receive().
+        # Scheduled-callback forwarding; a zero-latency switch forwards
+        # inline with no heap entry.
         if self.latency:
-            yield self.env.timeout(self.latency)
-        self.forward(packet)
-        return None
+            self.env.call_later(self.latency, self.forward, packet)
+        else:
+            self.forward(packet)
 
 
 class Gateway(Node):
@@ -1174,7 +1063,7 @@ class Gateway(Node):
         #: simulated flows.  Zero keeps forwarding bit-identical.
         self.background_share = 0.0
         self._eff_per_packet = per_packet
-        self._queue = DrrScheduler(env)
+        self._queue = DrrScheduler()
         self.forwarded = 0
         self.up = True
         self.dropped = 0
@@ -1182,10 +1071,7 @@ class Gateway(Node):
         self.flow_forwarded: dict[str, int] = {}
         self.flow_drops: dict[str, int] = {}
         self.probe: Optional[Any] = None
-        self._fast = env.fast_path
         self._busy = False
-        if not self._fast:
-            env.process(self._worker())
 
     def _drop(self, reason: str, count: int = 1, flow: Optional[str] = None) -> None:
         self.dropped += count
@@ -1227,13 +1113,10 @@ class Gateway(Node):
         if not self.up:
             self._drop("gateway_down", flow=packet.flow)
             return
-        if self._fast:
-            if self._busy:
-                self._queue.put_nowait(packet)
-            else:
-                self._start_service(packet)
-        else:
+        if self._busy:
             self._queue.put_nowait(packet)
+        else:
+            self._start_service(packet)
 
     def _forward_one(self, packet: Packet) -> None:
         self.forwarded += 1
@@ -1241,7 +1124,7 @@ class Gateway(Node):
         self.flow_forwarded[flow] = self.flow_forwarded.get(flow, 0) + 1
         self.forward(packet)
 
-    # -- fast path: callback-driven serial forwarding ----------------------
+    # -- callback-driven serial forwarding ---------------------------------
     def _start_service(self, packet: Packet) -> None:
         self._busy = True
         if self.per_packet:
@@ -1250,8 +1133,7 @@ class Gateway(Node):
             self._service_done(packet)
 
     def _service_done(self, packet: Packet) -> None:
-        # A crash while this packet was in service black-holes it, exactly
-        # as the slow-path worker does after its timeout.
+        # A crash while this packet was in service black-holes it.
         if not self.up:
             self._drop("gateway_down", flow=packet.flow)
         else:
@@ -1261,17 +1143,6 @@ class Gateway(Node):
             self._start_service(waiting.dequeue())
         else:
             self._busy = False
-
-    # -- slow path: the reference worker process ---------------------------
-    def _worker(self):
-        while True:
-            packet = yield self._queue.get()
-            if self.per_packet:
-                yield self.env.timeout(self._eff_per_packet)
-            if not self.up:
-                self._drop("gateway_down", flow=packet.flow)
-                continue
-            self._forward_one(packet)
 
 
 class Network:

@@ -452,20 +452,20 @@ class CbrFlow:
         self._last_segment_time: Optional[float] = None
         self._segments_per_frame = len(self.ip.segments(frame_bytes))
         net.host(dst).register_sink(self.name, self._on_segment)
-        if self.env.fast_path and n_frames > 0:
-            # Burst form: departure instants are precomputed as one
-            # vectorized prefix sum, and each frame is emitted by a bare
-            # callback — no generator resumes, no per-frame Timeout
-            # allocation.  Packets come from the arena.
-            self._host = net.host(src)
-            self._payloads = [
-                (p, self.ip.datagram_bytes(p))
-                for p in self.ip.segments(frame_bytes)
-            ]
-            self._dep = _burst_departures(self.env.now, self.interval, n_frames)
+        # Burst chain: departure instants are precomputed as one
+        # vectorized prefix sum, and each frame is emitted by a bare
+        # callback — no generator resumes, no per-frame Timeout
+        # allocation.  Packets come from the arena.  An empty stream
+        # goes straight to its drain check.
+        self._host = net.host(src)
+        self._payloads = [
+            (p, self.ip.datagram_bytes(p)) for p in self.ip.segments(frame_bytes)
+        ]
+        self._dep = _burst_departures(self.env.now, self.interval, n_frames)
+        if n_frames > 0:
             self.env.call_later(0.0, self._emit_frame, 0)
         else:
-            self.env.process(self._sender())
+            self.env.call_at(self._dep[0], self._begin_drain)
 
     def _path_rtt_estimate(self) -> float:
         """Zero-load round trip of one full segment, for the drain window."""
@@ -476,53 +476,14 @@ class CbrFlow:
         except (ValueError, TypeError, KeyError):
             return 0.0  # no route right now; fall back to interval-based wait
 
-    def _sender(self):
-        host = self.net.host(self.src)
-        for frame in range(self.n_frames):
-            for payload in self.ip.segments(self.frame_bytes):
-                host.send(
-                    Packet(
-                        flow=self.name,
-                        src=self.src,
-                        dst=self.dst,
-                        ip_bytes=self.ip.datagram_bytes(payload),
-                        payload_bytes=payload,
-                        seq=frame,
-                    )
-                )
-            yield self.env.timeout(self.interval)
-        # Drain the tail: keep waiting while segments are still arriving.
-        # A fixed interval multiple under-waits on long-RTT paths, so the
-        # quiet window covers a full round trip of the path as well.
-        total_segments = self.n_frames * self._segments_per_frame
-        quiet = max(4 * self.interval, 2 * self._path_rtt_estimate())
-        deadline = (
-            self.env.now + self.drain_timeout
-            if self.drain_timeout is not None
-            else float("inf")
-        )
-        drain_anchor = self.env.now
-        while self._segments_received < total_segments and self.env.now < deadline:
-            last = (
-                self._last_segment_time
-                if self._last_segment_time is not None
-                else drain_anchor
-            )
-            if self.env.now - last > quiet:
-                break  # path is silent: the remainder was lost
-            yield self.env.timeout(self.interval)
-        self._finish()
-        return None
-
-    # -- fast path: callback burst chain ------------------------------------
+    # -- the burst chain -----------------------------------------------------
     def _emit_frame(self, frame: int) -> None:
         """Emit every segment of ``frame``, then arm the next departure.
 
         One heap entry per frame.  The next entry is scheduled *after*
-        this frame's segments are injected — the same relative order the
-        generator's ``send…; yield timeout`` shape produced — and at the
-        precomputed departure instant, which matches the chained
-        ``now + interval`` float adds bit for bit.
+        this frame's segments are injected, at the precomputed departure
+        instant, which matches chained ``now + interval`` float adds bit
+        for bit.
         """
         host = self._host
         name = self.name
@@ -538,8 +499,13 @@ class CbrFlow:
             self.env.call_at(self._dep[nxt], self._begin_drain)
 
     def _begin_drain(self) -> None:
-        """Start the drain phase (fires one interval past the last frame,
-        exactly where the generator's final ``timeout`` resumed)."""
+        """Start the drain phase, one interval past the last frame (at
+        the start instant for an empty stream).
+
+        Drain the tail: keep waiting while segments are still arriving.
+        A fixed interval multiple under-waits on long-RTT paths, so the
+        quiet window covers a full round trip of the path as well.
+        """
         self._drain_total = self.n_frames * self._segments_per_frame
         self._drain_quiet = max(4 * self.interval, 2 * self._path_rtt_estimate())
         self._drain_deadline = (
@@ -551,8 +517,8 @@ class CbrFlow:
         self._drain_poll()
 
     def _drain_poll(self) -> None:
-        # Callback form of the generator's drain loop: identical poll
-        # cadence (interval-spaced), identical exit conditions.
+        # Poll every interval until every segment arrived, the deadline
+        # passed, or the path went quiet (the remainder was lost).
         now = self.env._now
         if self._segments_received < self._drain_total and now < self._drain_deadline:
             last = (
@@ -652,36 +618,16 @@ class PingFlow:
         self._dst_host = net.host(dst)
         self._dst_host.register_sink(self.name, self._echo)
         self._src_host.register_sink(self.name + ".reply", self._pong)
-        if self.env.fast_path and count > 0:
-            # Burst form (see CbrFlow): precomputed departures, one
-            # callback per ping, arena packets.
-            self._dep = _burst_departures(self.env.now, interval, count)
+        # Burst chain (see CbrFlow): precomputed departures, one callback
+        # per ping, arena packets.  An empty probe only waits out its
+        # deadline.
+        self._dep = _burst_departures(self.env.now, interval, count)
+        if count > 0:
             self.env.call_later(0.0, self._send_ping, 0)
         else:
-            self.env.process(self._sender())
+            self.env.call_at(self._dep[0], self._arm_deadline)
 
-    def _sender(self):
-        host = self._src_host
-        for i in range(self.count):
-            self._sent_at[i] = self.env.now
-            host.send(
-                Packet(
-                    flow=self.name,
-                    src=self.src,
-                    dst=self.dst,
-                    ip_bytes=self.payload + IP_HEADER + TCP_HEADER,
-                    payload_bytes=self.payload,
-                    seq=i,
-                )
-            )
-            yield self.env.timeout(self.interval)
-        # Deadline after the last send: echoes lost to drops or failures
-        # must not block run() forever.
-        yield self.env.timeout(self.deadline)
-        self._deadline_finish()
-        return None
-
-    # -- fast path: callback burst chain ------------------------------------
+    # -- the burst chain -----------------------------------------------------
     def _send_ping(self, i: int) -> None:
         self._sent_at[i] = self.env._now
         self._src_host.send(
@@ -699,11 +645,11 @@ class PingFlow:
         if nxt < self.count:
             self.env.call_at(self._dep[nxt], self._send_ping, nxt)
         else:
-            # Mirror the generator's two-step tail: timeout(interval)
-            # after the last send, then timeout(deadline).
             self.env.call_at(self._dep[nxt], self._arm_deadline)
 
     def _arm_deadline(self) -> None:
+        # Deadline one interval after the last send: echoes lost to drops
+        # or failures must not block run() forever.
         self.env.call_later(self.deadline, self._deadline_finish)
 
     def _deadline_finish(self) -> None:

@@ -12,16 +12,15 @@ Varghese), the classic O(1) approximation of weighted fair queueing.
 Design constraints, in order:
 
 * **Pure data structure on the dequeue/enqueue path.**  The scheduler
-  never touches the event heap on its own; both the callback state
-  machines (``fast_path=True``) and the reference generator processes
-  (``fast_path=False``) drive it, so the two scheduling forms see the
-  exact same service order and stay bit-identical.
+  never touches the event heap; the link transmitter and the gateway
+  worker call :meth:`DrrScheduler.dequeue` when they go idle, so the
+  service order is a function of arrivals and weights alone.
 * **FIFO-degenerate for one flow.**  With a single backlogged flow the
   service order is plain FIFO, so every existing single-flow scenario
   (and the exactly-pinned ``kernel_bench`` baselines) is unchanged.
-* **Store-compatible surface.**  ``put_nowait`` / ``get`` / ``clear`` /
-  ``__len__`` mirror :class:`repro.sim.Store`, so the slow-path
-  transmitter keeps its ``packet = yield q.get()`` shape.
+* **Queue-like surface.**  ``put_nowait`` / ``clear`` / ``__len__``
+  read like :class:`repro.sim.Store`'s, but nothing ever blocks on the
+  scheduler: ``put_nowait`` always enqueues.
 * **One decision per service start.**  Every transmitter dequeues one
   packet when it goes idle; no caller pre-commits a run of decisions,
   so a weight change or a competing arrival simply takes effect at the
@@ -52,7 +51,6 @@ class DrrScheduler:
     """
 
     __slots__ = (
-        "env",
         "cost",
         "quantum",
         "_queues",
@@ -60,16 +58,13 @@ class DrrScheduler:
         "_deficit",
         "_weights",
         "_total",
-        "_getters",
     )
 
     def __init__(
         self,
-        env,
         cost: Optional[Callable[[object], float]] = None,
         quantum: float = 0.0,
     ):
-        self.env = env
         self.cost = cost
         self.quantum = float(quantum)
         self._queues: dict[str, deque] = {}
@@ -77,7 +72,6 @@ class DrrScheduler:
         self._deficit: dict[str, float] = {}
         self._weights: dict[str, float] = {}
         self._total = 0
-        self._getters: deque = deque()  # blocked slow-path getters (Events)
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
@@ -102,12 +96,8 @@ class DrrScheduler:
 
     # -- enqueue -------------------------------------------------------------
     def put_nowait(self, packet) -> bool:
-        """Accept ``packet``; hand it straight to a blocked getter if one
-        is waiting on an empty scheduler (Store parity).  Never rejects —
-        the caller enforces its aggregate queue bound via ``len``."""
-        if self._getters and not self._total:
-            self._getters.popleft().succeed(packet)
-            return True
+        """Enqueue ``packet`` on its flow's FIFO.  Never rejects — the
+        caller enforces its aggregate queue bound via ``len``."""
         flow = packet.flow
         q = self._queues.get(flow)
         if q is None:
@@ -204,19 +194,10 @@ class DrrScheduler:
         else:
             self.commit_claim(flow)
 
-    def get(self):
-        """Event firing with the next packet (slow-path transmitter API)."""
-        evt = self.env.event()
-        if self._total and not self._getters:
-            evt.succeed(self.dequeue())
-        else:
-            self._getters.append(evt)
-        return evt
-
     # -- flush ---------------------------------------------------------------
     def clear(self) -> list:
         """Discard and return every queued packet (link down / gateway
-        crash).  Blocked getters keep waiting, as with Store.clear."""
+        crash)."""
         dropped: list = []
         for flow in self._active:
             dropped.extend(self._queues[flow])

@@ -41,13 +41,10 @@ class Environment:
     """Simulation environment: clock plus time-ordered event queue.
 
     Entries scheduled at equal times fire in scheduling order (FIFO),
-    which makes simulations deterministic.
-
-    ``fast_path`` (default True) lets model code pick allocation-free
-    scheduling shortcuts (inline completion, callback delivery) that are
-    result-identical but reorder nothing observable; passing ``False``
-    forces the event-per-hop reference path, which the determinism
-    test suite uses as the oracle.
+    which makes simulations deterministic.  Model code has one scheduling
+    form: bare callbacks for per-packet work, events and processes where
+    something must wait; ``tests/delivery_goldens.json`` pins the
+    resulting delivery order exactly.
     """
 
     __slots__ = (
@@ -55,15 +52,13 @@ class Environment:
         "_queue",
         "_eid",
         "_active_proc",
-        "fast_path",
     )
 
-    def __init__(self, initial_time: float = 0.0, fast_path: bool = True):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[list] = []
         self._eid = 0
         self._active_proc: Optional[_ev.Process] = None
-        self.fast_path = bool(fast_path)
 
     @property
     def now(self) -> float:

@@ -15,16 +15,15 @@ class Store:
     ``put(item)`` and ``get()`` both return events a process can yield.
     Semantics mirror a FIFO mailbox: gets are served in request order.
 
-    Two allocation-saving fast paths serve the per-packet pipeline:
+    Two allocation-saving shortcuts:
 
     * :meth:`put_nowait` accepts (or rejects, when full) an item without
       allocating the put-side event nobody waits on, handing the item
       straight to the oldest blocked getter when one is waiting.
-    * On a fast-path environment, :meth:`get` returns an
-      already-*processed* event when an item is immediately available, so
-      a yielding process is resumed inline by the kernel with no heap
-      round trip.  Blocked gets still resume through the queue, keeping
-      FIFO same-time ordering.
+    * :meth:`get` returns an already-*processed* event when an item is
+      immediately available, so a yielding process is resumed inline by
+      the kernel with no heap round trip.  Blocked gets still resume
+      through the queue, keeping FIFO same-time ordering.
     """
 
     __slots__ = ("env", "capacity", "items", "_getters", "_putters")
@@ -75,7 +74,7 @@ class Store:
     def get(self) -> Event:
         """Event that fires with the oldest item once one is available."""
         evt = Event(self.env)
-        if self.items and not self._getters and self.env.fast_path:
+        if self.items and not self._getters:
             # Inline completion: the item is here, so skip the
             # succeed-then-fire heap round trip entirely.  A process
             # yielding this event is resumed immediately by the kernel.

@@ -13,7 +13,6 @@ from repro.util.units import (
     pretty_size,
     pretty_time,
 )
-from repro.util.gitinfo import git_short_sha
 from repro.util.images import write_pgm, write_ppm
 from repro.util.stats import RunningStats
 
@@ -29,7 +28,6 @@ __all__ = [
     "pretty_rate",
     "pretty_size",
     "pretty_time",
-    "git_short_sha",
     "write_pgm",
     "write_ppm",
     "RunningStats",

@@ -3,9 +3,9 @@ per-flow accounting, and the scheduler data structure itself.
 
 The fairness contract: N backlogged flows crossing one DRR-scheduled
 bottleneck link each get the share :func:`fair_share_throughputs`
-predicts, on both scheduling forms, and every dropped packet is
-attributed to its flow so the per-flow tallies reconcile exactly with
-the aggregate link/gateway counters.
+predicts, and every dropped packet is attributed to its flow so the
+per-flow tallies reconcile exactly with the aggregate link/gateway
+counters.
 """
 
 import pytest
@@ -26,15 +26,16 @@ from repro.netsim import (
 from repro.netsim.core import Packet
 from repro.netsim.ip import TESTBED_MTU
 from repro.sim import Environment
+from tests import delivery_scenarios as ds
 
 MB = 1024 * 1024
 
 
 # -- fairness vs the closed-form model ---------------------------------------
 
-def _dumbbell(fast_path: bool, n: int, rate: float = 100e6):
+def _dumbbell(n: int, rate: float = 100e6):
     """n zero-cost sources, fast access links, one shared bottleneck."""
-    env = Environment(fast_path=fast_path)
+    env = Environment()
     net = Network(env)
     for i in range(n):
         net.add(Host(env, f"src{i}"))
@@ -46,10 +47,9 @@ def _dumbbell(fast_path: bool, n: int, rate: float = 100e6):
     return env, net
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
 @pytest.mark.parametrize("n", [2, 3])
-def test_equal_flows_match_fair_share_on_dumbbell(fast_path, n):
-    env, net = _dumbbell(fast_path, n)
+def test_equal_flows_match_fair_share_on_dumbbell(n):
+    env, net = _dumbbell(n)
     flows = [
         BulkTransfer(net, f"src{i}", "dst", 2 * MB, name=f"eq{i}")
         for i in range(n)
@@ -64,11 +64,10 @@ def test_equal_flows_match_fair_share_on_dumbbell(fast_path, n):
     assert max(goodputs) / min(goodputs) < 1.02
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_testbed_equal_flows_match_fair_share(fast_path):
+def test_testbed_equal_flows_match_fair_share():
     """The acceptance run: one transfer per Cray, all crossing the
     622 Mbit/s ATM gateway attachment of the Figure-1 testbed."""
-    tb = build_testbed(env=Environment(fast_path=fast_path))
+    tb = build_testbed()
     ip = ClassicalIP(TESTBED_MTU)
     flows = [
         BulkTransfer(tb.net, src, "e500-gmd", 4 * MB, ip=ip, name=f"eq-{src}")
@@ -84,7 +83,7 @@ def test_testbed_equal_flows_match_fair_share(fast_path):
 def test_fair_share_respects_cbr_rate_cap():
     """A fixed-rate source below its fair share keeps exactly its rate;
     the slack goes to the elastic flows."""
-    env, net = _dumbbell(True, 2)
+    env, net = _dumbbell(2)
     demands = [
         FlowDemand("bulk", "src0", "dst"),
         FlowDemand("cbr", "src1", "dst", rate=10e6),
@@ -109,7 +108,7 @@ def test_fair_share_unconstrained_flow_is_infinite():
 
 
 def test_fair_share_duplicate_names_rejected():
-    env, net = _dumbbell(True, 2)
+    env, net = _dumbbell(2)
     with pytest.raises(ValueError, match="duplicate flow name"):
         fair_share_throughputs(
             net,
@@ -119,32 +118,10 @@ def test_fair_share_duplicate_names_rejected():
 
 # -- per-flow accounting reconciles with the aggregates ----------------------
 
-def _overloaded_run(fast_path: bool):
-    """Two CBR streams oversubscribing a shallow bottleneck queue."""
-    env = Environment(fast_path=fast_path)
-    net = Network(env)
-    for name in ("src0", "src1"):
-        net.add(Host(env, name))
-    net.add(Switch(env, "sw", latency=1e-6))
-    net.add(Host(env, "dst"))
-    net.link("src0", "sw", 1e9, 1e-6)
-    net.link("src1", "sw", 1e9, 1e-6)
-    bott = net.link("sw", "dst", 50e6, 1e-6, queue_packets=4)
-    flows = [
-        CbrFlow(
-            net, src, "dst", frame_bytes=100_000, interval=0.01,
-            n_frames=20, name=f"cbr-{src}",
-        )
-        for src in ("src0", "src1")
-    ]
-    for flow in flows:
-        env.run(until=flow.done)
-    return bott, flows
-
-
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_per_flow_drops_sum_to_link_totals(fast_path):
-    bott, flows = _overloaded_run(fast_path)
+def test_per_flow_drops_sum_to_link_totals():
+    """Two CBR streams oversubscribing a shallow bottleneck queue (the
+    ``overloaded`` golden pins the exact per-flow tallies)."""
+    _, bott, flows = ds.overloaded_run()
     assert bott.drops["sw"] > 0  # the overload actually dropped
     for direction in bott.drops:
         per_flow = sum(bott.flow_drops[direction].values())
@@ -163,21 +140,10 @@ def test_per_flow_drops_sum_to_link_totals(fast_path):
         )
 
 
-def test_drop_accounting_identical_across_forms():
-    fast_bott, fast_flows = _overloaded_run(True)
-    slow_bott, slow_flows = _overloaded_run(False)
-    assert fast_bott.flow_drops == slow_bott.flow_drops
-    assert fast_bott.flow_tx_packets == slow_bott.flow_tx_packets
-    assert [f.frames_received for f in fast_flows] == [
-        f.frames_received for f in slow_flows
-    ]
-
-
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_gateway_per_flow_accounting(fast_path):
+def test_gateway_per_flow_accounting():
     """A crash mid-stream: flushed and in-service packets are attributed
     per flow, and forwarded tallies reconcile with the aggregate."""
-    env = Environment(fast_path=fast_path)
+    env = Environment()
     net = Network(env)
     net.add(Host(env, "src0"))
     net.add(Host(env, "src1"))
@@ -214,7 +180,7 @@ def _pkt(flow: str, seq: int, nbytes: int = 1000) -> Packet:
 
 
 def test_drr_single_flow_is_fifo():
-    sched = DrrScheduler(Environment())
+    sched = DrrScheduler()
     packets = [_pkt("f", i) for i in range(5)]
     for p in packets:
         sched.put_nowait(p)
@@ -223,7 +189,7 @@ def test_drr_single_flow_is_fifo():
 
 
 def test_drr_interleaves_backlogged_flows():
-    sched = DrrScheduler(Environment())
+    sched = DrrScheduler()
     for i in range(4):
         sched.put_nowait(_pkt("a", i))
     for i in range(4):
@@ -234,7 +200,7 @@ def test_drr_interleaves_backlogged_flows():
 
 
 def test_drr_respects_weights():
-    sched = DrrScheduler(Environment())
+    sched = DrrScheduler()
     sched.set_weight("heavy", 3.0)
     for i in range(12):
         sched.put_nowait(_pkt("heavy", i))
@@ -244,7 +210,7 @@ def test_drr_respects_weights():
 
 
 def test_drr_weight_must_be_positive():
-    sched = DrrScheduler(Environment())
+    sched = DrrScheduler()
     with pytest.raises(ValueError):
         sched.set_weight("f", 0.0)
 
@@ -252,7 +218,7 @@ def test_drr_weight_must_be_positive():
 def test_drr_cost_fairness_in_bytes():
     """With a byte cost, a big-packet flow gets fewer packets per round
     so both flows progress at equal byte rates."""
-    sched = DrrScheduler(Environment(), cost=lambda p: float(p.ip_bytes))
+    sched = DrrScheduler(cost=lambda p: float(p.ip_bytes))
     for i in range(8):
         sched.put_nowait(_pkt("big", i, nbytes=2000))
         sched.put_nowait(_pkt("small", i, nbytes=1000))
@@ -264,7 +230,7 @@ def test_drr_cost_fairness_in_bytes():
 
 
 def test_drr_clear_resets_state():
-    sched = DrrScheduler(Environment())
+    sched = DrrScheduler()
     for i in range(3):
         sched.put_nowait(_pkt("a", i))
         sched.put_nowait(_pkt("b", i))

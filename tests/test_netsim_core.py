@@ -1,8 +1,6 @@
 """Tests for the packet-level network: links, hosts, switches, gateways,
 routing."""
 
-import random
-
 import pytest
 
 from repro.netsim.core import (
@@ -12,13 +10,13 @@ from repro.netsim.core import (
     HippiFraming,
     Link,
     Network,
-    Node,
     Packet,
     PlainFraming,
     Switch,
 )
 from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment
+from tests import delivery_scenarios as ds
 
 
 def simple_net(**host_kw):
@@ -209,108 +207,40 @@ def test_host_forwards_transit_packets():
     assert got == [2]
 
 
-# -- link transmit counters: fast path vs the generator reference ------------
-
-class _Recorder(Node):
-    """Bare endpoint: records (flow, seq, t) of every arriving packet."""
-
-    def __init__(self, env, name):
-        super().__init__(env, name)
-        self.got = []
-
-    def receive(self, packet, link):
-        self.got.append((packet.flow, packet.seq, self.env.now))
-
-
-#: serialization time of one 1,000-byte packet at 1 Mbit/s, no framing
-SER = 1000 * 8 / 1e6
-
-
-def _counter_run(fast_path, script):
-    """Drive a bare two-node 1 Mbit/s, 1 ms link with ``script(env,
-    link, a)`` and return its transmit counters and deliveries."""
-    env = Environment(fast_path=fast_path)
-    a, b = _Recorder(env, "a"), _Recorder(env, "b")
-    link = Link(env, a, b, 1e6, 1e-3, framing=PlainFraming(0))
-    script(env, link, a)
-    env.run()
-    return {
-        "tx_packets": link.tx_packets,
-        "tx_bytes": link.tx_bytes,
-        "flow_tx_packets": link.flow_tx_packets,
-        "flow_tx_bytes": link.flow_tx_bytes,
-        "busy_seconds": link.busy_seconds("a"),
-        "deliveries": b.got,
-        "drop_reasons": dict(link.drop_reasons),
-    }
-
-
-def _other_flow_mid_backlog(env, link, a):
-    for i in range(6):
-        link.send(a, mkpkt(flow="bulk", seq=i))
-    env.call_at(2.5 * SER, link.send, a, mkpkt(flow="ping", seq=0))
-
-
-def _background_load_mid_backlog(env, link, a):
-    for i in range(8):
-        link.send(a, mkpkt(flow="bulk", seq=i))
-    env.call_at(2.5 * SER, link.set_background_load, "a", 0.4)
-    env.call_at(5.5 * SER, link.set_background_load, "a", 0.0)
-
-
-def _flap(link, a, seqs):
-    """Link down and straight back up, then new packets at once."""
-    link.set_up(False)
-    link.set_up(True)
-    for i in seqs:
-        link.send(a, mkpkt(flow="bulk", seq=i))
-
-
-def _flap_at_service_boundary(env, link, a):
-    # Scheduled before the sends, so the flap runs at SER ahead of the
-    # service decision due then: the backlog is flushed while that
-    # decision is still armed, and the new packets must queue behind it.
-    env.call_at(SER, _flap, link, a, (3, 4))
-    for i in range(3):
-        link.send(a, mkpkt(flow="bulk", seq=i))
-
-
-def _lossy_flap_mid_serialization(env, link, a):
-    # The in-service packet already has a completion judgement; new
-    # packets queue behind it again before it completes.
-    link.set_loss(0.5, "a", rng=random.Random(3))
-    for i in range(3):
-        link.send(a, mkpkt(flow="bulk", seq=i))
-    env.call_at(0.5 * SER, _flap, link, a, (3, 4))
-
+# -- link transmit counters ---------------------------------------------------
 
 @pytest.mark.parametrize(
     "script, sent, delivered",
     [
-        (_other_flow_mid_backlog, 7, 7),
-        (_background_load_mid_backlog, 8, 8),
-        (_flap_at_service_boundary, 3, 3),
-        (_lossy_flap_mid_serialization, 3, 1),
+        ("other_flow", 7, 7),
+        ("background_load", 8, 8),
+        ("flap_at_service_boundary", 3, 3),
+        ("lossy_flap_mid_serialization", 3, 1),
     ],
     ids=["other_flow", "background_load", "flap_at_service_boundary",
          "lossy_flap_mid_serialization"],
 )
-def test_fast_path_tx_counters_match_reference(script, sent, delivered):
-    """Every packet the link sends is counted once, on both forms.  A
-    link flap flushes the backlog without leaving a second transmitter
-    running: packets sent right after it are serialized one at a time."""
-    fast = _counter_run(True, script)
-    slow = _counter_run(False, script)
-    assert fast == slow
-    assert fast["tx_packets"] == {"a": sent, "b": 0}
-    assert len(fast["deliveries"]) == delivered
+def test_tx_counters(script, sent, delivered):
+    """Every packet the link sends is counted once.  A link flap flushes
+    the backlog without leaving a second transmitter running: packets
+    sent right after it are serialized one at a time.  (The full
+    counters and delivery times are pinned by the ``counters_*``
+    goldens.)"""
+    got = ds.counter_run(script)
+    assert got["tx_packets"] == {"a": sent, "b": 0}
+    assert len(got["deliveries"]) == delivered
+    for per_flow, total in (
+        (got["flow_tx_packets"], got["tx_packets"]),
+        (got["flow_tx_bytes"], got["tx_bytes"]),
+    ):
+        assert {d: sum(f.values()) for d, f in per_flow.items()} == total
 
 
 # -- typed input checks -------------------------------------------------------
 
 def _two_nodes():
     env = Environment()
-    return env, _Recorder(env, "a"), _Recorder(env, "b")
+    return env, ds.Recorder(env, "a"), ds.Recorder(env, "b")
 
 
 @pytest.mark.parametrize(
@@ -345,4 +275,4 @@ def test_flow_weight_must_be_positive_and_finite(weight):
     with pytest.raises(ValueError, match=repr(weight)):
         link.set_flow_weight("f", weight)
     with pytest.raises(ValueError, match=repr(weight)):
-        DrrScheduler(env).set_weight("f", weight)
+        DrrScheduler().set_weight("f", weight)

@@ -3,6 +3,7 @@ the closed-form prediction and the discrete-event measurement."""
 
 import pytest
 
+from repro.netsim import build_testbed
 from repro.netsim.core import Host, Network, PlainFraming
 from repro.netsim.faults import FaultInjector
 from repro.netsim.flows import BulkTransfer, CbrFlow, PingFlow
@@ -249,3 +250,41 @@ class TestPingFlow:
         flow = PingFlow(net, "a", "b", count=8)
         flow.run()
         assert flow.rtt.n == 8
+
+
+class TestEmptySources:
+    """A source with nothing to send completes on its burst chain at the
+    instants the retired generator senders gave: an empty CBR stream at
+    its start instant (drain check), an empty ping probe one deadline
+    later.  Each costs one heap entry fewer than the generator, whose
+    process also fired its own completion event."""
+
+    @pytest.mark.parametrize("t0, done_at", [(0.0, 0.0), (0.25, 0.25)])
+    def test_empty_cbr_stream(self, t0, done_at):
+        tb = build_testbed()
+        env = tb.env
+        env.run(until=t0)
+        before = env.scheduled_count
+        flow = CbrFlow(
+            tb.net, "sp2", "t3e-600", frame_bytes=100_000, interval=0.04,
+            n_frames=0, name="video",
+        )
+        env.run(until=flow.done)
+        assert env.now == done_at
+        assert (flow.frames_received, flow.frames_lost) == (0, 0)
+        assert env.scheduled_count - before == 2
+
+    @pytest.mark.parametrize("t0, done_at", [(0.0, 0.3), (0.25, 0.55)])
+    def test_empty_ping_probe(self, t0, done_at):
+        tb = build_testbed()
+        env = tb.env
+        env.run(until=t0)
+        before = env.scheduled_count
+        flow = PingFlow(
+            tb.net, "sp2", "t3e-600", count=0, interval=1e-3, name="ping",
+            deadline=0.3,
+        )
+        assert flow.run() == 0.0
+        assert env.now == done_at
+        assert (flow.lost, flow.rtt.n) == (0, 0)
+        assert env.scheduled_count - before == 3

@@ -146,23 +146,12 @@ def test_put_nowait_hands_off_to_blocked_getter():
     assert len(store) == 0  # handed off, never parked in items
 
 
-def test_get_completes_inline_on_fast_path():
+def test_get_completes_inline_when_item_ready():
     env = Environment()
     store = Store(env)
     store.put_nowait("ready")
     evt = store.get()
     # No heap round trip: the event is already processed at creation.
-    assert evt.processed
-    assert evt.value == "ready"
-
-
-def test_get_round_trips_through_queue_on_slow_path():
-    env = Environment(fast_path=False)
-    store = Store(env)
-    store.put_nowait("ready")
-    evt = store.get()
-    assert not evt.processed  # classic succeed-then-fire round trip
-    env.run()
     assert evt.processed
     assert evt.value == "ready"
 
