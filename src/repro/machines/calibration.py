@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,16 @@ def fit_amdahl_log(pes: np.ndarray, times: np.ndarray) -> CalibrationResult:
     times = np.asarray(times, dtype=float)
     if pes.shape != times.shape or pes.ndim != 1:
         raise ValueError("pes and times must be 1-D arrays of equal length")
+    if pes.size == 0:
+        raise ValueError("need at least one (pes, time) point")
+    if not (np.all(np.isfinite(pes)) and np.all(np.isfinite(times))):
+        raise ValueError("pes and times must be finite")
     if np.any(pes < 1) or np.any(times <= 0):
         raise ValueError("need pes >= 1 and positive times")
+    # Imported here, not at module level: scipy costs about 44 MB and
+    # 0.7 s per process, and nothing in the simulator stack but a fit
+    # needs it (tests/test_import_footprint.py).
+    from scipy.optimize import lsq_linear
 
     design = np.column_stack([1.0 / pes, np.ones_like(pes), np.log2(pes)])
     weights = 1.0 / times

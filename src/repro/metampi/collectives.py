@@ -63,6 +63,18 @@ def _binomial_parent_children(
     return parent, children
 
 
+def _received(data: Any, like: np.ndarray) -> np.ndarray:
+    """A peer's buffer partial in the shape of ``like``; a size mismatch
+    means the ranks passed send buffers of different sizes."""
+    data = np.asarray(data)
+    if data.size != like.size:
+        raise MetaMpiError(
+            f"received {data.size} elements where {like.size} were expected: "
+            "send buffers differ in size across ranks"
+        )
+    return data.reshape(like.shape)
+
+
 def _is_commutative(op: Any) -> bool:
     """Ops without an explicit flag (plain callables) are assumed
     commutative, matching MPI's default for builtin ops."""
@@ -227,8 +239,8 @@ class CollectiveStrategy:
                     raise MetaMpiError("root must supply recvbuf")
                 acc = parts[0]
                 for part in parts[1:]:
-                    acc = _apply_op(op, acc, part)
-                recvbuf.reshape(-1)[:] = np.asarray(acc).reshape(-1)
+                    acc = _apply_op(op, acc, _received(part, acc))
+                comm._copy_into(recvbuf, acc)
             return
         tag = comm._coll_tag()
         parent, children = comm._tree(root)
@@ -236,13 +248,13 @@ class CollectiveStrategy:
         acc = np.array(sendbuf, copy=True)
         for child in children[me]:
             msg = comm._collect_internal(child, tag)
-            op.np_ufunc(acc, np.asarray(msg.data).reshape(acc.shape), out=acc)
+            op.np_ufunc(acc, _received(msg.data, acc), out=acc)
         if me != root:
             comm._send_i("buf", acc, parent[me], tag)
         else:
             if recvbuf is None:
                 raise MetaMpiError("root must supply recvbuf")
-            recvbuf.reshape(-1)[:] = acc.reshape(-1)
+            comm._copy_into(recvbuf, acc)
 
     def Allreduce(
         self, comm: "Intracomm", sendbuf: np.ndarray, recvbuf: np.ndarray, op
@@ -334,9 +346,8 @@ class RingStrategy(CollectiveStrategy):
             and data.size >= comm.size
         )
 
-    def _ring_allreduce(
-        self, comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op
-    ) -> None:
+    def _ring_allreduce(self, comm, sendbuf: np.ndarray, op) -> np.ndarray:
+        """The reduced buffer, flattened, in ``sendbuf``'s dtype."""
         n, me = comm.size, comm.rank
         nxt, prv = (me + 1) % n, (me - 1) % n
         flat = np.array(sendbuf, copy=True).reshape(-1)
@@ -350,18 +361,17 @@ class RingStrategy(CollectiveStrategy):
             recv_c = (me - s - 2) % n
             comm._send_i("buf", flat[sl[send_c]], nxt, tag)
             msg = comm._collect_internal(prv, tag)
-            incoming = np.asarray(msg.data).reshape(-1)
-            op.np_ufunc(flat[sl[recv_c]], incoming, out=flat[sl[recv_c]])
+            chunk = flat[sl[recv_c]]
+            op.np_ufunc(chunk, _received(msg.data, chunk), out=chunk)
         # Phase 2 — ring allgather of the reduced chunks.
-        out = recvbuf.reshape(-1)
-        out[sl[me]] = flat[sl[me]]
         tag = comm._coll_tag()
         for s in range(n - 1):
             send_c = (me - s) % n
             recv_c = (me - s - 1) % n
-            comm._send_i("buf", out[sl[send_c]], nxt, tag)
+            comm._send_i("buf", flat[sl[send_c]], nxt, tag)
             msg = comm._collect_internal(prv, tag)
-            out[sl[recv_c]] = np.asarray(msg.data).reshape(-1)
+            flat[sl[recv_c]] = _received(msg.data, flat[sl[recv_c]])
+        return flat
 
     def allgather(self, comm, obj):
         n, me = comm.size, comm.rank
@@ -380,15 +390,13 @@ class RingStrategy(CollectiveStrategy):
 
     def allreduce(self, comm, value, op):
         if self._ring_applicable(comm, value, op):
-            recv = np.empty_like(value)
-            self._ring_allreduce(comm, value, recv, op)
-            return recv
+            return self._ring_allreduce(comm, value, op).reshape(value.shape)
         return super().allreduce(comm, value, op)
 
     def Allreduce(self, comm, sendbuf, recvbuf, op):
         sendarr = np.asarray(sendbuf)
         if self._ring_applicable(comm, sendarr, op):
-            self._ring_allreduce(comm, sendarr, recvbuf, op)
+            comm._copy_into(recvbuf, self._ring_allreduce(comm, sendarr, op))
         else:
             super().Allreduce(comm, sendbuf, recvbuf, op)
 
@@ -592,7 +600,7 @@ class HierarchicalStrategy(CollectiveStrategy):
             if leader_comm is not None:
                 leader_comm.Allreduce(partial, recvbuf, op)
             else:
-                recvbuf.reshape(-1)[:] = partial.reshape(-1)
+                comm._copy_into(recvbuf, partial)
         else:
             site.Reduce(sendbuf, None, op, root=0)
         site.Bcast(recvbuf, root=0)

@@ -19,6 +19,7 @@ ablation benchmark.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -105,8 +106,11 @@ class Comm:
     # -- virtual time ---------------------------------------------------------
     def advance(self, seconds: float) -> None:
         """Account ``seconds`` of local computation on this rank's clock."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
+        # Written so NaN fails too: a NaN clock would leave the baton's
+        # (clock, rank) order undefined.
+        if not 0.0 <= seconds < math.inf:
+            raise ValueError(
+                f"advance needs finite seconds >= 0, got {seconds!r}")
         ctx = self._me()
         ctx.clock += seconds
         if self.runtime.tracer is not None:
@@ -224,13 +228,18 @@ class Comm:
         if buf.size != data.size:
             raise MetaMpiError(f"buffer size {buf.size} != data size {data.size}")
         # Reject lossy dtype conversion: receiving a float64 message into
-        # an int32 buffer used to truncate values silently.
-        if not np.can_cast(data.dtype, buf.dtype, casting="safe"):
+        # an int32 buffer used to truncate values silently.  (The dtype
+        # comparison only skips ``can_cast``'s cost on the common case.)
+        if data.dtype != buf.dtype and not np.can_cast(
+            data.dtype, buf.dtype, casting="safe"
+        ):
             raise MetaMpiError(
                 f"cannot safely cast dtype {data.dtype} into buffer dtype "
                 f"{buf.dtype}"
             )
-        buf.reshape(-1)[:] = data.reshape(-1)
+        # Assign through the buffer's own shape: ``buf.reshape(-1)`` is a
+        # copy, not a view, when ``buf`` is not C-contiguous.
+        buf[...] = data.reshape(buf.shape)
 
     def _post(self, kind: str, data: Any, dest: int, tag: int, user: bool) -> None:
         if user and tag < 0:
@@ -462,7 +471,7 @@ class Intracomm(Comm):
         if self._solo(root):
             if recvbuf is None:
                 raise MetaMpiError("root must supply recvbuf")
-            recvbuf.reshape(-1)[:] = np.asarray(sendbuf).reshape(-1)
+            self._copy_into(recvbuf, sendbuf)
             return
         with self._collective("Reduce"):
             self.strategy.Reduce(self, sendbuf, recvbuf, op, root)

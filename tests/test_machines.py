@@ -81,6 +81,21 @@ class TestCalibration:
         with pytest.raises(ValueError):
             fit_amdahl_log(np.array([1, 2]), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["pes", "times"])
+    def test_non_finite_rejected(self, where, bad):
+        """Rejected up front: NaN used to fail inside LAPACK and inf to
+        return NaN coefficients."""
+        pes = np.array([1.0, 2.0, 4.0])
+        times = np.array([4.0, 2.5, 1.5])
+        {"pes": pes, "times": times}[where][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_amdahl_log(pes, times)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            fit_amdahl_log(np.array([]), np.array([]))
+
     @given(
         a=st.floats(0.5, 100), b=st.floats(0.0, 1.0), c=st.floats(0.0, 0.2)
     )

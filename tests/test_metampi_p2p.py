@@ -283,6 +283,17 @@ class TestVirtualTime:
         with pytest.raises(RankFailed):
             run(main, layout=((CRAY_T3E_600, 1),))
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf")])
+    def test_advance_non_finite_rejected(self, seconds):
+        """A NaN or infinite step would leave the baton's (clock, rank)
+        order undefined, so it fails like a negative one."""
+        def main(comm):
+            comm.advance(seconds)
+
+        with pytest.raises(RankFailed) as exc:
+            run(main, layout=((CRAY_T3E_600, 1),))
+        assert isinstance(exc.value.original, ValueError)
+
     def test_recv_clock_respects_arrival(self):
         """Receiver idling at t=0 jumps to the message arrival time."""
         def main(comm):

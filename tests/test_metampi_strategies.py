@@ -335,6 +335,72 @@ class TestDtypeSafety:
         with pytest.raises(RankFailed, match="cannot safely cast"):
             run(main, strategy=strategy)
 
+    @staticmethod
+    def _reduce(comm, coll, send, recv):
+        if coll == "Reduce":
+            comm.Reduce(send, recv if comm.rank == 0 else None, root=0)
+        else:
+            comm.Allreduce(send, recv)
+
+    @pytest.mark.parametrize("layout", [((CRAY_T3E_600, 1),), TWO_MACHINES],
+                             ids=["one-rank", "two-machines"])
+    @pytest.mark.parametrize("coll", ["Reduce", "Allreduce"])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_reductions_reject_lossy_cast(self, strategy, coll, layout):
+        """A float64 sum used to land truncated in an int64 recvbuf."""
+        def main(comm):
+            recv = np.zeros(8, dtype=np.int64)
+            self._reduce(comm, coll, np.full(8, 1.25), recv)
+
+        with pytest.raises(RankFailed, match="cannot safely cast") as exc:
+            run(main, layout=layout, strategy=strategy)
+        assert isinstance(exc.value.original, MetaMpiError)
+
+    @pytest.mark.parametrize("coll", ["Reduce", "Allreduce"])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_reductions_reject_mismatched_sizes(self, strategy, coll):
+        """One rank's 9-element buffer against everyone else's 8 used to
+        fail with a bare numpy reshape error (or, in the ring, could
+        broadcast silently)."""
+        def main(comm):
+            n = 9 if comm.rank == comm.size - 1 else 8
+            recv = np.zeros(n, dtype=np.int64)
+            self._reduce(comm, coll, np.ones(n, dtype=np.int64), recv)
+
+        with pytest.raises(RankFailed, match="size") as exc:
+            run(main, strategy=strategy)
+        assert isinstance(exc.value.original, MetaMpiError)
+
+    @pytest.mark.parametrize("coll", ["Reduce", "Allreduce"])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_reductions_into_int64_unchanged(self, strategy, coll):
+        def main(comm):
+            recv = np.zeros(8, dtype=np.int64)
+            self._reduce(comm, coll, np.arange(8, dtype=np.int64), recv)
+            return recv.tolist()
+
+        _, vals = run(main, strategy=strategy)
+        want = (5 * np.arange(8)).tolist()
+        assert vals[0] == want
+        if coll == "Allreduce":
+            assert all(v == want for v in vals)
+
+    def test_Recv_into_non_contiguous_buffer(self):
+        """A strided view receives in place (``reshape(-1)`` of one is a
+        copy, so the data used to be dropped)."""
+        def main(comm):
+            if comm.rank == 0:
+                comm.Send(np.arange(6.0), dest=1)
+                return None
+            if comm.rank == 1:
+                grid = np.zeros((3, 4))
+                comm.Recv(grid[:, 1:3], source=0)
+                return grid.tolist()
+            return None
+
+        _, vals = run(main)
+        assert np.array_equal(vals[1], [[0, 0, 1, 0], [0, 2, 3, 0], [0, 4, 5, 0]])
+
 
 class TestWanAccounting:
     def test_hierarchical_allreduce_one_crossing_per_direction(self):
