@@ -237,21 +237,35 @@ def kernel_bench(spec: ScenarioSpec) -> dict[str, Any]:
       effectively-infinite tolerance for them).  Note the disk cache
       replays them from the recorded run; use ``--no-cache`` for fresh
       timings.
+
+    ``heap_peak`` is exact too: the most entries the event heap held
+    between two dispatches.  It comes from a second, untimed run of the
+    same transfer driven by ``env.step()``, so ``wall_s`` stays a
+    ``run()`` timing.
     """
     from repro.netsim import BulkTransfer
 
-    tb = _testbed(spec)
-    nbytes = int(spec.get("mbytes", 8)) * MBYTE
-    bt = BulkTransfer(
-        tb.net,
-        str(spec.get("src", "sp2")),
-        str(spec.get("dst", "t3e-600")),
-        nbytes,
-        ip=_ip(spec),
-    )
+    def transfer():
+        tb = _testbed(spec)
+        bt = BulkTransfer(
+            tb.net,
+            str(spec.get("src", "sp2")),
+            str(spec.get("dst", "t3e-600")),
+            int(spec.get("mbytes", 8)) * MBYTE,
+            ip=_ip(spec),
+        )
+        return tb, bt
+
+    tb, bt = transfer()
     t0 = time.perf_counter()
     goodput = bt.run()
     wall = time.perf_counter() - t0
+    stepped_tb, stepped = transfer()
+    env = stepped_tb.env
+    heap_peak = env.heap_depth
+    while not stepped.done.processed:
+        env.step()
+        heap_peak = max(heap_peak, env.heap_depth)
     link_packets = sum(
         sum(link.tx_packets.values()) for link in tb.net.links.values()
     )
@@ -262,6 +276,7 @@ def kernel_bench(spec: ScenarioSpec) -> dict[str, Any]:
         "goodput_mbps": goodput / 1e6,
         "wall_s": wall,
         "packets_per_sec": link_packets / wall if wall > 0 else 0.0,
+        "heap_peak": heap_peak,
     }
 
 

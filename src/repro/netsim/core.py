@@ -27,7 +27,8 @@ from repro.netsim.atm import aal5_wire_bytes
 from repro.netsim.hippi import hippi_wire_bytes
 from repro.netsim.ip import LLC_SNAP_HEADER
 from repro.netsim.sched import DrrScheduler
-from repro.sim import Environment
+from repro.sim import Environment, Lane
+from repro.util.units import check_rate, check_seconds
 
 _packet_ids = itertools.count()
 
@@ -332,8 +333,7 @@ class Link:
         name: str = "",
         queue_packets: int | float = float("inf"),
     ):
-        if not rate > 0:
-            raise ValueError(f"link rate must be positive, got {rate!r}")
+        check_rate("link rate", rate)
         if not propagation >= 0:
             raise ValueError(
                 f"link propagation must be non-negative, got {propagation!r}"
@@ -392,11 +392,7 @@ class Link:
         # arrival + latency — one heap entry fewer per hop.
         self._dir: dict[str, _DirState] = {}
         for me, far in ((a, b), (b, a)):
-            fold = (
-                far.latency
-                if type(far) is Switch and far.latency > 0.0
-                else None
-            )
+            fold = far.latency if type(far) is Switch and far.latency > 0.0 else None
             self._dir[me.name] = _DirState(
                 self._queues[me.name], far, fold, rate
             )
@@ -722,22 +718,19 @@ class Link:
             st.bu, st.inflight[2], self._lazy_resume_cb, direction, st
         )
 
-    def _lazy_service(self, direction: str, st: "_DirState") -> None:
+    def _lazy_resume_cb(self, direction: str, st: "_DirState") -> None:
         """Make a dequeue decision now (the transmitter just went idle)."""
+        # Only _judge_inflight cancels this entry, and it re-arms one
+        # behind the new judgement, so reaching here means the wake-up
+        # is current — no epoch guard needed.
+        st.armed = False
+        st.resume = None
         q = st.q
         if not q._total:
             return
         self._lazy_start(direction, st, q.dequeue(), self.env._now)
         if q._total:
             self._arm(direction, st)
-
-    def _lazy_resume_cb(self, direction: str, st: "_DirState") -> None:
-        # Only _judge_inflight cancels this entry, and it re-arms one
-        # behind the new judgement, so reaching here means the wake-up
-        # is current — no epoch guard needed.
-        st.armed = False
-        st.resume = None
-        self._lazy_service(direction, st)
 
     def _judge_inflight(self, direction: str, st: "_DirState") -> None:
         """Fault-triggered conversion: cancel the in-service packet's
@@ -892,7 +885,7 @@ class _SerialStage:
 
 
 class _TandemStage:
-    """Two serial FIFO stages collapsed into one heap entry per packet.
+    """Two serial FIFO stages collapsed into one scheduled entry per packet.
 
     A pair of chained :class:`_SerialStage` machines (host stack CPU
     feeding the I/O bus, or vice versa) costs two heap entries per
@@ -902,11 +895,11 @@ class _TandemStage:
     recursion inline at arrival and scheduling only the final
     completion ``b_k`` halves the entries while emitting at bit-identical
     times — each completion is one float add from its max base, exactly
-    the chained machines' ``call_later`` arithmetic.  Emission order is
-    FIFO because ``b_k`` is strictly increasing in ``k``.
+    the chained machines' ``call_later`` arithmetic.  ``b_k`` strictly
+    increases, so the completions wait on a FIFO :class:`~repro.sim.Lane`.
     """
 
-    __slots__ = ("env", "cost1", "cost2", "emit", "_c_prev", "_b_prev")
+    __slots__ = ("env", "cost1", "cost2", "emit", "_c_prev", "_b_prev", "_lane")
 
     def __init__(
         self,
@@ -921,6 +914,7 @@ class _TandemStage:
         self.emit = emit
         self._c_prev = 0.0
         self._b_prev = 0.0
+        self._lane = Lane(env)
 
     def put_nowait(self, packet: "Packet") -> bool:
         now = self.env._now
@@ -928,7 +922,7 @@ class _TandemStage:
         b = (c if c > self._b_prev else self._b_prev) + self.cost2(packet)
         self._c_prev = c
         self._b_prev = b
-        self.env.call_at(b, self.emit, packet)
+        self._lane.call_at(b, self.emit, packet)
         return True
 
 
@@ -958,6 +952,8 @@ class Host(Node):
         io_bus_rate: float = float("inf"),
     ):
         super().__init__(env, name)
+        check_seconds("host cpu_per_packet", cpu_per_packet)
+        check_rate("host io_bus_rate", io_bus_rate)
         self.cpu_per_packet = cpu_per_packet
         self.io_bus_rate = io_bus_rate
         self._sinks: dict[str, Callable[[Packet, float], None]] = {}
@@ -1029,6 +1025,7 @@ class Switch(Node):
 
     def __init__(self, env: Environment, name: str, latency: float = 10e-6):
         super().__init__(env, name)
+        check_seconds("switch latency", latency)
         self.latency = latency
 
     def receive(self, packet: Packet, link: Link) -> None:
@@ -1057,6 +1054,7 @@ class Gateway(Node):
 
     def __init__(self, env: Environment, name: str, per_packet: float = 120e-6):
         super().__init__(env, name)
+        check_seconds("gateway per_packet", per_packet)
         self.per_packet = per_packet
         #: Fluid background share of the forwarding worker (repro.fluid):
         #: the fraction of this serial CPU occupied by analytically-

@@ -11,12 +11,13 @@ events; the kernel resumes it when the event fires, passing the event's
 value back into the generator.
 """
 
-from repro.sim.engine import Environment, Interrupt, SimulationError
+from repro.sim.engine import Environment, Interrupt, Lane, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
+    "Lane",
     "Event",
     "Process",
     "Timeout",

@@ -10,6 +10,10 @@ same simulated time fire in scheduling (FIFO) order regardless of which
 form they used.  :meth:`Environment.call_at_after` is the one exception:
 it slots an entry in right behind a given pending one.
 
+Every pending entry sits in the heap, except those held behind the
+head of a :class:`Lane` (a FIFO of entries due in non-decreasing time
+order); they keep their serials, so the lane changes no dispatch order.
+
 Entries are *lists*, not tuples, for **in-place cancellation**: the
 scheduling methods return the live entry, and model code that holds it
 can neutralize the callback with :meth:`Environment.cancel` — the entry
@@ -23,6 +27,7 @@ one is never reused, so cancelling a stale handle is harmless.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim import events as _ev
@@ -52,6 +57,7 @@ class Environment:
         "_queue",
         "_eid",
         "_active_proc",
+        "_lanes",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -59,6 +65,7 @@ class Environment:
         self._queue: list[list] = []
         self._eid = 0
         self._active_proc: Optional[_ev.Process] = None
+        self._lanes: list[Lane] = []
 
     @property
     def now(self) -> float:
@@ -72,7 +79,8 @@ class Environment:
 
     @property
     def scheduled_count(self) -> int:
-        """Total queue entries ever scheduled (events + callbacks).
+        """Total queue entries ever scheduled (events + callbacks, lane
+        entries included).
 
         A deterministic proxy for kernel work done — the benchmark
         harness hard-gates on it instead of flaky wall-clock timings.
@@ -253,5 +261,72 @@ class Environment:
 
     @property
     def queue_depth(self) -> int:
-        """Entries currently pending in the event queue (telemetry)."""
+        """Entries currently pending (telemetry): those in the heap plus
+        those held behind a :class:`Lane` head, so that
+        ``scheduled_count - queue_depth`` counts the entries dispatched."""
+        return len(self._queue) + sum(len(lane._held) for lane in self._lanes)
+
+    @property
+    def heap_depth(self) -> int:
+        """Entries in the heap itself: :attr:`queue_depth` without the
+        entries held behind :class:`Lane` heads."""
         return len(self._queue)
+
+
+class Lane:
+    """A FIFO of callbacks due in non-decreasing time order, of which
+    only the head sits in the heap.
+
+    For a model stage that pre-schedules many completions at once (the
+    tandem host stage schedules each queued packet's completion at
+    arrival): the heap holds one entry per lane instead of one per
+    pending completion, so every push and pop is cheaper.  Each entry
+    takes its serial when it is scheduled, and the next held entry is
+    pushed with that serial when its predecessor fires, so every entry
+    fires at the time and in the order :meth:`Environment.call_at`
+    would have given it.
+
+    Held entries count in ``scheduled_count`` and ``queue_depth``.  They
+    cannot be cancelled, so :meth:`call_at` returns nothing.
+    """
+
+    __slots__ = ("env", "_heap", "_held", "_armed", "_last", "_fire")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self._heap = env._queue
+        self._held: deque[list] = deque()
+        self._armed = False  # the head entry is in the heap
+        self._last = 0.0  # time of the latest entry (read while armed)
+        self._fire = self._fire_head
+        env._lanes.append(self)
+
+    def call_at(self, when: float, fn: Callable, *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute time ``when``, which must not
+        precede the current time nor this lane's latest entry."""
+        env = self.env
+        if self._armed:
+            if not when >= self._last:
+                raise SimulationError(
+                    f"lane times must not decrease (t={when} < {self._last})"
+                )
+            env._eid = eid = env._eid + 1
+            self._held.append([when, eid, self._fire, (fn, args)])
+        else:
+            if not when >= env._now:
+                raise SimulationError(f"cannot schedule into the past (t={when})")
+            env._eid = eid = env._eid + 1
+            _heappush(self._heap, [when, eid, self._fire, (fn, args)])
+            self._armed = True
+        self._last = when
+
+    def _fire_head(self, fn: Callable, args: tuple) -> None:
+        # Push the successor before running the callback, so a raising
+        # callback cannot strand it and one that schedules on this lane
+        # sees the lane's true state.
+        held = self._held
+        if held:
+            _heappush(self._heap, held.popleft())
+        else:
+            self._armed = False
+        fn(*args)

@@ -88,3 +88,18 @@ def pretty_time(seconds: float) -> str:
     if seconds >= 1e-6:
         return f"{seconds * 1e6:.0f} µs"
     return f"{seconds * 1e9:.0f} ns"
+
+
+def check_seconds(what: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is a finite,
+    non-negative duration (a NaN or negative service time would make a
+    model stage silently free or schedule into the past)."""
+    if not 0.0 <= value < float("inf"):
+        raise ValueError(f"{what} must be a finite time >= 0 s, got {value!r}")
+
+
+def check_rate(what: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is a positive
+    rate (``inf`` allowed: no limit)."""
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value!r}")

@@ -83,6 +83,44 @@ def test_heavy_mix_golden_independent_of_hash_seed():
         assert json.loads(out) == GOLDENS["heavy_mix"], f"PYTHONHASHSEED={seed}"
 
 
+# -- heap depth ---------------------------------------------------------------
+
+def _stepped_bulk(mtu: int, **kw):
+    """Drive an SP2 -> T3E-600 bulk with ``env.step()``; return the tap
+    and the most entries the heap held between two dispatches."""
+    tb = build_testbed()
+    tap = DeliveryTap().attach(tb.net)
+    bt = BulkTransfer(
+        tb.net, "sp2", "t3e-600", 2 * ds.MB, ip=ClassicalIP(mtu), name="bulk", **kw
+    )
+    env = tb.env
+    peak = env.heap_depth
+    while not bt.done.processed:
+        env.step()
+        peak = max(peak, env.heap_depth)
+    assert bt.done.ok
+    return tap, peak
+
+
+def test_bulk_golden_with_shallow_heap():
+    """The SP2's tandem host stage queues every segment of the window at
+    once, but holds their completions on a lane: the heap stays at a
+    handful of entries (36 when each completion sat in it) while the
+    deliveries match the ``bulk`` golden."""
+    tap, peak = _stepped_bulk(TESTBED_MTU)
+    golden = GOLDENS["bulk"]
+    assert tap.summary() == {k: golden[k] for k in ("count", "digest", "checkpoints")}
+    assert peak <= 8
+
+
+def test_window_limited_bulk_at_atm_mtu_keeps_heap_shallow():
+    """A 64 KByte window of 9180-byte segments: at most eight entries
+    in the heap at any step (nine when each completion sat in it)."""
+    tap, peak = _stepped_bulk(9180, window_bytes=64 * 1024)
+    assert tap.count > 0
+    assert peak <= 8
+
+
 # -- the tap itself -----------------------------------------------------------
 
 def test_tap_records_sinks_registered_after_attach():

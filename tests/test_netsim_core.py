@@ -276,3 +276,41 @@ def test_flow_weight_must_be_positive_and_finite(weight):
         link.set_flow_weight("f", weight)
     with pytest.raises(ValueError, match=repr(weight)):
         DrrScheduler().set_weight("f", weight)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "node, kw, bad",
+    [
+        (Host, {"cpu_per_packet": -1e-6}, "host cpu_per_packet .*-1e-06"),
+        (Host, {"cpu_per_packet": NAN}, "host cpu_per_packet .*nan"),
+        (Host, {"cpu_per_packet": INF}, "host cpu_per_packet .*inf"),
+        (Host, {"io_bus_rate": 0}, "host io_bus_rate .*got 0"),
+        (Host, {"io_bus_rate": -1e6}, "host io_bus_rate .*-1000000.0"),
+        (Host, {"io_bus_rate": NAN}, "host io_bus_rate .*nan"),
+        (Switch, {"latency": NAN}, "switch latency .*nan"),
+        (Switch, {"latency": -1e-6}, "switch latency .*-1e-06"),
+        (Gateway, {"per_packet": -1}, "gateway per_packet .*-1"),
+        (Gateway, {"per_packet": NAN}, "gateway per_packet .*nan"),
+    ],
+    ids=["cpu_negative", "cpu_nan", "cpu_inf", "bus_zero", "bus_negative",
+         "bus_nan", "switch_nan", "switch_negative", "gateway_negative",
+         "gateway_nan"],
+)
+def test_node_rejects_bad_costs(node, kw, bad):
+    """A bad per-packet cost is a ValueError naming it at construction,
+    not a silent zero-cost bypass (negative or NaN stack cost), a
+    ZeroDivisionError swallowed in the sender (``io_bus_rate=0``) or a
+    SimulationError mid-run."""
+    with pytest.raises(ValueError, match=bad):
+        node(Environment(), "n", **kw)
+
+
+def test_node_accepts_free_costs():
+    env = Environment()
+    assert Host(env, "h", cpu_per_packet=0.0, io_bus_rate=INF)._bypass
+    Switch(env, "s", latency=0.0)
+    Gateway(env, "g", per_packet=0.0)

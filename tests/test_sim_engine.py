@@ -1,8 +1,10 @@
 """Tests for the discrete-event kernel: environment, events, processes."""
 
+import random
+
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, Interrupt, Lane, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -434,3 +436,117 @@ def test_determinism_two_identical_runs():
         return trace
 
     assert build() == build()
+
+
+# -- lanes ----------------------------------------------------------------------
+
+def _lane_script(use_lane: bool):
+    """A seeded script interleaving lane entries with plain ``call_at``
+    entries, all on a half-second grid so same-instant ties abound; each
+    dispatched entry may schedule more of both kinds.  With
+    ``use_lane=False`` the lane's entries go through ``call_at`` too."""
+    env = Environment()
+    lane = Lane(env) if use_lane else None
+    rng = random.Random(7)
+    log = []
+    last = [0.0]
+
+    def on_lane(tag):
+        last[0] = max(last[0], env.now) + rng.choice((0.0, 0.0, 0.5, 1.0))
+        (lane.call_at if lane else env.call_at)(last[0], fire, tag)
+
+    def fire(tag):
+        log.append((env.now, tag, env.scheduled_count))
+        if len(log) < 400:
+            for _ in range(rng.randrange(1, 3)):
+                if rng.random() < 0.6:
+                    on_lane(f"lane-{len(log)}")
+                else:
+                    when = env.now + rng.choice((0.0, 0.5, 1.0, 1.5))
+                    env.call_at(when, fire, f"plain-{len(log)}")
+
+    for i in range(6):
+        on_lane(f"lane-start-{i}")
+        env.call_at(rng.choice((0.0, 0.5, 1.0)), fire, f"plain-start-{i}")
+    env.run()
+    return log
+
+
+def test_lane_dispatches_like_call_at():
+    """Same script, lane or plain ``call_at``: the same entries fire in
+    the same order at the same times, with the same serials taken."""
+    with_lane = _lane_script(use_lane=True)
+    assert len(with_lane) >= 400
+    assert with_lane == _lane_script(use_lane=False)
+
+
+def test_lane_holds_count_as_scheduled_and_pending():
+    env = Environment()
+    lane = Lane(env)
+    got = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        lane.call_at(t, got.append, t)
+    env.call_at(2.5, got.append, "plain")
+    assert env.scheduled_count == 5
+    assert env.queue_depth == 5
+    assert env.heap_depth == 2  # the lane's head and the plain entry
+    env.run(until=2.7)
+    assert got == [1.0, 2.0, "plain"]
+    assert env.scheduled_count - env.queue_depth == len(got)
+    assert env.queue_depth == 2 and env.heap_depth == 1
+    env.run()
+    assert got == [1.0, 2.0, "plain", 3.0, 4.0]
+    assert env.queue_depth == 0
+
+
+@pytest.mark.parametrize(
+    "when, armed",
+    [(0.5, False), (NAN, False), (1.5, True), (NAN, True)],
+    ids=["past", "nan", "decreasing", "nan_behind_head"],
+)
+def test_lane_rejects_bad_times_and_stays_usable(when, armed):
+    env = Environment(initial_time=1.0)
+    lane = Lane(env)
+    got = []
+    if armed:
+        lane.call_at(2.0, got.append, "head")
+    before = env.scheduled_count
+    with pytest.raises(SimulationError, match=str(when)):
+        lane.call_at(when, got.append, "bad")
+    assert env.scheduled_count == before
+    lane.call_at(2.0, got.append, "next")
+    env.run()
+    assert got == (["head", "next"] if armed else ["next"])
+    assert env.now == 2.0
+
+
+def test_lane_entry_scheduled_at_its_predecessors_instant_fires():
+    env = Environment()
+    lane = Lane(env)
+    got = []
+
+    def first():
+        got.append(("first", env.now))
+        lane.call_at(env.now, got.append, ("same instant", env.now))
+
+    lane.call_at(1.0, first)
+    env.run()
+    assert got == [("first", 1.0), ("same instant", 1.0)]
+    assert env.queue_depth == 0
+
+
+def test_lane_raising_callback_does_not_strand_its_successor():
+    env = Environment()
+    lane = Lane(env)
+    got = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    lane.call_at(1.0, boom)
+    lane.call_at(2.0, got.append, "after")
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert env.now == 1.0 and env.queue_depth == 1
+    env.run()
+    assert got == ["after"]
