@@ -170,6 +170,8 @@ class FluidEngine:
         ip: Optional[ClassicalIP] = None,
         window_bytes: float = INF,
     ):
+        if not window_bytes > 0:
+            raise ValueError(f"window_bytes must be positive, got {window_bytes!r}")
         self.net = net
         self.ip = ip or ClassicalIP()
         self.window_bytes = window_bytes
@@ -204,11 +206,11 @@ class FluidEngine:
         self, at: float, name: str, src: str, dst: str, nbytes: int
     ) -> None:
         """Queue one future arrival (``at`` must be finite and not in the
-        past, ``nbytes`` positive)."""
+        past, ``nbytes`` positive and finite)."""
         if not self.now <= at < INF:
             raise ValueError(f"arrival at {at} is not finite or before {self.now}")
-        if not nbytes > 0:
-            raise ValueError(f"flow size must be positive, got {nbytes}")
+        if not 0 < nbytes < INF:
+            raise ValueError(f"flow size must be positive and finite, got {nbytes}")
         heapq.heappush(
             self._pending, (at, self._pending_seq, name, src, dst, nbytes)
         )
@@ -264,7 +266,11 @@ class FluidEngine:
         key = (src, dst, cap)
         cls = self._classes.get(key)
         if cls is None:
-            cls = self._classes[key] = _PathClass(key, _per_bit_costs(char), cap)
+            costs = _per_bit_costs(char)
+            cls = self._classes[key] = _PathClass(key, costs, cap)
+            # Seeded so that advance_to() accumulates with a plain +=.
+            for r in costs:
+                self._util_integral.setdefault(r, 0.0)
             self._prune_stale = True
         return cls
 
@@ -303,22 +309,24 @@ class FluidEngine:
     def _resolve(self) -> None:
         if self._prune_stale:
             self._prune()
+        # Keyed by the class object: its hash is its identity, where a
+        # (src, dst, cap) tuple would be re-hashed at every lookup.
         costs: dict[Any, dict[str, float]] = {}
         caps: dict[Any, float] = {}
         counts: dict[Any, int] = {}
-        for key, cls in self._classes.items():
+        for cls in self._classes.values():
             if cls.heap:
-                costs[key] = cls.solve_costs
-                caps[key] = cls.cap
-                counts[key] = len(cls.heap)
+                costs[cls] = cls.solve_costs
+                caps[cls] = cls.cap
+                counts[cls] = len(cls.heap)
         for name, demand in self._static.items():
             if demand.costs is not None:  # else no route now: silent
                 costs[name] = demand.solve_costs
                 caps[name] = demand.cap
                 counts[name] = 1
         rates = max_min_rates(costs, caps, counts) if costs else {}
-        for key, cls in self._classes.items():
-            cls.rate = rates.get(key, 0.0) if cls.heap else 0.0
+        for cls in self._classes.values():
+            cls.rate = rates.get(cls, 0.0)
         self.resolves += 1
         if self.probe is not None:
             self.probe.on_resolve(self)
@@ -348,14 +356,18 @@ class FluidEngine:
     def next_event_time(self) -> float:
         """Earliest pending arrival or completion (``inf`` when idle)."""
         t = self._pending[0][0] if self._pending else INF
+        now = self.now
         for cls in self._classes.values():
             if not cls.heap:
                 continue
-            if cls.rate == INF:
-                return self.now
-            if cls.rate > 0:
-                dt = (cls.heap[0][0] - cls.drained) / cls.rate
-                t = min(t, self.now + max(0.0, dt))
+            rate = cls.rate
+            if rate == INF:
+                return now
+            if rate > 0:
+                dt = (cls.heap[0][0] - cls.drained) / rate
+                done = now + dt if dt > 0.0 else now
+                if done < t:
+                    t = done
         return t
 
     def advance_to(self, t: float) -> bool:
@@ -366,15 +378,14 @@ class FluidEngine:
             raise ValueError(f"cannot advance backwards to {t} from {self.now}")
         dt = t - self.now
         if dt > 0:
+            util = self._util_integral
             for cls in self._classes.values():
                 if not cls.heap or cls.rate <= 0:
                     continue
                 cls.drained += cls.rate * dt
                 total = len(cls.heap) * cls.rate * dt
                 for r, c in cls.costs.items():
-                    self._util_integral[r] = (
-                        self._util_integral.get(r, 0.0) + total * c
-                    )
+                    util[r] += total * c
             self._active_integral += self._active * dt
             self.now = t
         changed = self._harvest()
@@ -386,10 +397,12 @@ class FluidEngine:
     def _harvest(self) -> bool:
         changed = False
         for cls in self._classes.values():
+            if not cls.heap:
+                continue
             if cls.rate == INF:
                 while cls.heap:
                     self._finish(heapq.heappop(cls.heap)[2], cls)
-                    changed = True
+                changed = True
                 continue
             # A remainder the clock cannot traverse (finishing within one
             # ulp of `now`) is done *now* — without the rate-scaled term a

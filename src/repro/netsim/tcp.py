@@ -196,30 +196,34 @@ def max_min_rates(
     separately so event-driven callers can cache the expensive
     path-characterization step and re-solve on every flow event.
 
-    Raises :class:`ValueError` naming the demand for a negative or NaN
-    cost or cap, a count below 1, a demand without a cap, or a count
-    for a name not in ``costs``.  A zero cap with no costs is valid: it
-    parks the demand at rate 0.
+    Raises :class:`ValueError` naming the demand for a negative, NaN or
+    infinite cost, a negative or NaN cap, a count below 1 or not
+    finite, a demand without a cap, or a count for a name not in
+    ``costs``.  A zero cap with no costs is valid: it parks the demand
+    at rate 0.
     """
+    inf = float("inf")
     n_of = counts or {}
-    # Demands are indexed by position: names may be tuples (the fluid
-    # engine's path-class keys), which would be re-hashed at every
-    # lookup.  ``limit`` is the rate at which a capped demand freezes.
+    # Demands are indexed by position: names may be tuples, which would
+    # be re-hashed at every lookup.  ``limit`` is the rate at which a
+    # capped demand freezes.
     cap_of: list[float] = []
     limit: list[float] = []
-    # Per resource, its users (index, count, cost) in ``costs`` order.
-    # Every sum below runs over the same terms, in the same order and
-    # through the same builtin ``sum()`` as a scan of ``costs`` would, so
-    # the rates equal that scan's bit for bit and do not depend on the
+    mult: list[int] = []
+    uses: list[Mapping[str, float]] = []
+    # Per resource, its users (index, count × cost, cost) in ``costs``
+    # order.  Every sum below runs over the same terms, in the same order
+    # and through the same builtin ``sum()`` as a scan of ``costs`` would,
+    # so the rates equal that scan's bit for bit and do not depend on the
     # string hash seed.
-    users: dict[str, list[tuple[int, int, float]]] = {}
+    users: dict[str, list[tuple[int, float, float]]] = {}
     counted = 0
     for i, (n, c) in enumerate(costs.items()):
         m = n_of.get(n, 1)
         if n in n_of:
             counted += 1
-        if not m >= 1:
-            raise ValueError(f"demand {n!r}: count {m!r} is below 1")
+        if not 1 <= m < inf:
+            raise ValueError(f"demand {n!r}: count {m!r} is below 1 or not finite")
         try:
             cap = caps[n]
         except KeyError:
@@ -227,58 +231,79 @@ def max_min_rates(
         if not cap >= 0.0:
             raise ValueError(f"demand {n!r}: cap {cap!r} is negative or NaN")
         cap_of.append(cap)
-        limit.append(cap - 1e-9 * max(1.0, cap) if cap != float("inf") else cap)
+        limit.append(cap - 1e-9 * max(1.0, cap) if cap != inf else cap)
+        mult.append(m)
+        uses.append(c)
         for r, x in c.items():
-            if not x >= 0.0:
+            # An infinite cost would make a ``0 × inf`` NaN load.
+            if not 0.0 <= x < inf:
                 raise ValueError(
-                    f"demand {n!r}: cost {x!r} on {r!r} is negative or NaN"
+                    f"demand {n!r}: cost {x!r} on {r!r} is negative, NaN or infinite"
                 )
-            users.setdefault(r, []).append((i, m, x))
+            users.setdefault(r, []).append((i, m * x, x))
     if counted != len(n_of):
         extra = next(n for n in n_of if n not in costs)
         raise ValueError(f"count given for {extra!r}, which has no costs")
+    # Every live demand starts at 0.0 and gets the same deltas in the
+    # same order, so its rate is exactly ``level``; a frozen one keeps
+    # the level it froze at.  ``ml`` is count × rate.
+    level = 0.0
     rates = [0.0] * len(costs)
-    # Each resource's load at the current rates.  Rates only change
-    # between a delta pass and the saturation pass after it, so the loads
-    # that pass computes serve the next delta pass.
-    load = {r: sum([m * rates[i] * x for i, m, x in us]) for r, us in users.items()}
+    ml = [0.0] * len(costs)
     live = set(range(len(costs)))
+    # Each resource's load at the current rates; all rates start at 0.0.
+    load = dict.fromkeys(users, 0.0)
+    # Each resource's live demand: the load that one bit/s more on every
+    # live flow adds.  A zero demand never changes the load, so that
+    # resource never saturates and is left out.
+    demand = {}
+    for r, us in users.items():
+        d = sum([mx for _, mx, _ in us])
+        if d > 0:
+            demand[r] = d
+    cap_min = min(cap_of, default=inf)
     while live:
-        # Each live resource's demand: the load that one bit/s more on
-        # every live flow adds.  A resource with no live user is dropped.
-        demand = {}
-        for r, us in users.items():
-            terms = [m * x for i, m, x in us if i in live]
-            if terms:
-                demand[r] = sum(terms)
-        # Tightest constraint over live flows: resource slack shared by
-        # everyone using it, or a live flow's distance to its own cap.
-        delta = float("inf")
+        # Tightest constraint over live flows.  Float subtraction rounds
+        # monotonically, so ``cap_min - level`` is the least per-demand
+        # distance to a cap.
+        delta = cap_min - level
         for r, d in demand.items():
-            if d > 0:  # zero-cost resources constrain nothing
-                slack = 1.0 - load[r]
-                step = (slack if slack > 0.0 else 0.0) / d
-                if step < delta:
-                    delta = step
-        for i in live:
-            step = cap_of[i] - rates[i]
+            slack = 1.0 - load[r]
+            step = (slack if slack > 0.0 else 0.0) / d
             if step < delta:
                 delta = step
-        if delta == float("inf"):
+        if delta == inf:
             # No finite constraint left (free paths, uncapped flows).
-            for i in live:
-                rates[i] = float("inf")
+            level = inf
             break
+        level += delta
         for i in live:
-            rates[i] += delta
-        frozen = {i for i in live if rates[i] >= limit[i]}
+            ml[i] = mult[i] * level
+        frozen = {i for i in live if level >= limit[i]}
         for r in demand:
-            ld = load[r] = sum([m * rates[i] * x for i, m, x in users[r]])
-            if ld >= 1.0 - 1e-9:  # saturated: freeze every user
-                frozen.update([i for i, _, _ in users[r]])
+            # Each term is (count × rate) × cost, as in a per-demand scan.
+            us = users[r]
+            ld = load[r] = sum([ml[i] * x for i, _, x in us])
+            if ld >= 1.0 - 1e-9:  # saturated: freeze every live user
+                frozen.update([i for i, _, _ in us if i in live])
         if not frozen:  # numerical stall guard: never loop forever
             break
         live -= frozen
+        for i in frozen:
+            rates[i] = level
+        # A resource that no frozen demand uses keeps the same live terms
+        # in the same order, so its demand is unchanged.
+        for r in {r for i in frozen for r in uses[i]}:
+            if r in demand:
+                d = sum([mx for i, mx, _ in users[r] if i in live])
+                if d > 0:
+                    demand[r] = d
+                else:
+                    del demand[r]
+        if live:
+            cap_min = min([cap_of[i] for i in live])
+    for i in live:
+        rates[i] = level
     return dict(zip(costs, rates))
 
 

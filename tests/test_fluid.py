@@ -258,8 +258,14 @@ class TestFluidEngine:
 
     @pytest.mark.parametrize(
         "at, nbytes",
-        [(math.nan, 1024), (math.inf, 1024), (1.0, math.nan), (1.0, -1)],
-        ids=["nan-arrival", "inf-arrival", "nan-size", "negative-size"],
+        [
+            (math.nan, 1024),
+            (math.inf, 1024),
+            (1.0, math.nan),
+            (1.0, -1),
+            (1.0, math.inf),
+        ],
+        ids=["nan-arrival", "inf-arrival", "nan-size", "negative-size", "inf-size"],
     )
     def test_rejects_non_finite_arrival_and_bad_size(self, at, nbytes):
         """A NaN arrival used to be queued and then hang ``run()``; bad
@@ -268,6 +274,15 @@ class TestFluidEngine:
         with pytest.raises(ValueError):
             eng.schedule_flow(at, "bad", "t3e-600", "sp2", nbytes)
         assert eng.next_event_time() == math.inf
+
+    @pytest.mark.parametrize(
+        "window", [0, -1, math.nan], ids=["zero", "negative", "nan"]
+    )
+    def test_rejects_bad_window(self, window):
+        """A zero window used to park every flow at rate 0, and a negative
+        or NaN one to fail only at the first re-solve."""
+        with pytest.raises(ValueError, match="window_bytes"):
+            FluidEngine(build_testbed().net, window_bytes=window)
 
     def test_fct_stats_shape(self):
         tb = build_testbed()
@@ -598,18 +613,29 @@ class TestMaxMinRates:
         [
             ({"a": {"r": -1e-9}}, {"a": math.inf}, None, "'a'.*negative"),
             ({"a": {"r": math.nan}}, {"a": math.inf}, None, "'a'.*NaN"),
+            (
+                {"a": {"r1": math.inf}, "b": {"r2": 1e-8}},
+                {"a": math.inf, "b": math.inf},
+                None,
+                "'a'.*infinite",
+            ),
             ({"a": {"r": 1e-9}}, {"a": -1.0}, None, "'a'.*negative"),
             ({"a": {"r": 1e-9}}, {"a": math.nan}, None, "'a'.*NaN"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": 0}, "'a'.*below 1"),
+            ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": math.inf}, "'a'.*not finite"),
+            ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": math.nan}, "'a'.*not finite"),
             ({"a": {}, "b": {"r": 1e-9}}, {"a": 0.0}, None, "'b' has no cap"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"ghost": 2}, "'ghost'"),
         ],
         ids=[
             "negative-cost",
             "nan-cost",
+            "infinite-cost",
             "negative-cap",
             "nan-cap",
             "count-below-1",
+            "infinite-count",
+            "nan-count",
             "missing-cap",
             "count-without-costs",
         ],
@@ -702,12 +728,13 @@ class TestDominatedResources:
         engine solves only the busy classes of its universe), the rates
         without the dominated resources equal the full solve's by
         ``repr``.  Python 3.12 made ``sum()`` compensated, where the
-        monotone-rounding argument is unproven: this corpus pins it."""
+        monotone-rounding argument is unproven: this corpus pins it.
+        An infinite cost is never pruned, so both solves reject it."""
         from repro.fluid.engine import _dominated
         from repro.netsim.tcp import max_min_rates
 
         rng = random.Random(17)
-        dropped = 0
+        dropped = rejected = 0
         for costs, caps, counts in _dominance_corpus():
             drop = _dominated(list(costs.values()))
             dropped += len(drop)
@@ -716,10 +743,17 @@ class TestDominatedResources:
             for keep in (names, subset):
                 full = {n: costs[n] for n in keep}
                 n_of = None if counts is None else {n: counts[n] for n in keep}
+                if any(math.inf in c.values() for c in full.values()):
+                    for case in (full, _without(full, drop)):
+                        with pytest.raises(ValueError, match="infinite"):
+                            max_min_rates(case, caps, n_of)
+                    rejected += 1
+                    continue
                 want = max_min_rates(full, caps, n_of)
                 got = max_min_rates(_without(full, drop), caps, n_of)
                 assert repr(got) == repr(want), (costs, caps, counts, drop)
         assert dropped > 3000  # the corpus exercises the rule
+        assert rejected > 0
 
     def test_identical_resources_keep_the_first(self):
         from repro.fluid.engine import _dominated
@@ -783,11 +817,6 @@ class TestDominatedResources:
         over every class's and demand's full costs."""
         from repro.netsim.tcp import max_min_rates
 
-        tb = build_testbed()
-        pairs = [(a, b) for a in tb.juelich_hosts for b in tb.gmd_hosts]
-        pairs += [(b, a) for a, b in pairs]
-        eng = FluidEngine(tb.net, window_bytes=8 * MB)
-        eng.add_static_demand("packet", "t3e-600", "sp2", 50e6)
         seen = {"solves": 0, "pruned": 0}
 
         def check(eng):
@@ -806,27 +835,105 @@ class TestDominatedResources:
                     assert repr(cls.rate) == repr(full[key]), key
             seen["solves"] += 1
 
-        eng.on_rates_changed = check
-        schedule = WorkloadGenerator(
-            pairs,
-            n_sessions=300,
-            session_rate=50.0,
-            seed=11,
-            sizes=BoundedPareto(shape=1.3, lo=256 * 1024, hi=16 * MB),
-        ).schedule()
-        eng.offer(schedule)
-        t_end = schedule[-1].at
-        access = tb.net.links["t90--hippi-sw-juelich"]
-        eng.run(until=t_end / 3)
-        access.set_up(False)
-        eng.invalidate_paths()
-        eng.run(until=2 * t_end / 3)
-        access.set_up(True)
-        eng.invalidate_paths()
-        eng.run()
+        eng = _cut_and_repair_day(check)
         assert len(eng.completed) == 300
         assert seen["solves"] == eng.resolves
         assert seen["pruned"] > 0
+
+
+def _cut_and_repair_day(on_rates_changed=None):
+    """A 300-session heavy-tailed day over the 30 cross-site pairs with a
+    static demand, an access link cut at a third of the day and repaired
+    at two thirds; returns the finished engine."""
+    tb = build_testbed()
+    pairs = [(a, b) for a in tb.juelich_hosts for b in tb.gmd_hosts]
+    pairs += [(b, a) for a, b in pairs]
+    eng = FluidEngine(tb.net, window_bytes=8 * MB)
+    eng.add_static_demand("packet", "t3e-600", "sp2", 50e6)
+    eng.on_rates_changed = on_rates_changed
+    schedule = WorkloadGenerator(
+        pairs,
+        n_sessions=300,
+        session_rate=50.0,
+        seed=11,
+        sizes=BoundedPareto(shape=1.3, lo=256 * 1024, hi=16 * MB),
+    ).schedule()
+    eng.offer(schedule)
+    t_end = schedule[-1].at
+    access = tb.net.links["t90--hippi-sw-juelich"]
+    eng.run(until=t_end / 3)
+    access.set_up(False)
+    eng.invalidate_paths()
+    eng.run(until=2 * t_end / 3)
+    access.set_up(True)
+    eng.invalidate_paths()
+    eng.run()
+    return eng
+
+
+# -- exactness goldens -------------------------------------------------------
+
+#: SHA-256 of ``max_min_rates`` over the finite cases of
+#: ``_dominance_corpus()`` (path-shaped inputs with multi-iteration
+#: fills and cap freezes), recorded with the solver that updated every
+#: demand's rate on its own.  One pin per interpreter line, like
+#: ``_SOLVER_CORPUS_SHA``.
+_PATH_CORPUS_SHA = (
+    "3166163e62c1cd30ca5fc4a563391a2665b0c948696031963c6132b65817403e"
+    if sys.version_info >= (3, 12)
+    else "5b6158ce951314ab4502d7f7b06d0827394c0402ed587715d6bf0f131f28d947"
+)
+
+#: SHA-256 of everything ``_cut_and_repair_day()`` reports, recorded
+#: with the same solver and the engine that keyed its solve by tuple.
+_DAY_SHA = (
+    "86bd38865b68c06d696fdd3cbab5092bc03ed0d891bd330b272abb6de4c89f04"
+    if sys.version_info >= (3, 12)
+    else "448c8bc1267cc4a981d583d61a80e173145d12f25a0d94e87fe8a07cbe2a51a3"
+)
+
+
+def _path_corpus_digest():
+    from repro.netsim.tcp import max_min_rates
+
+    h = hashlib.sha256()
+    for costs, caps, counts in _dominance_corpus():
+        if any(math.inf in c.values() for c in costs.values()):
+            continue
+        h.update(repr(sorted(max_min_rates(costs, caps, counts).items())).encode())
+    return h.hexdigest()
+
+
+def _day_digest():
+    eng = _cut_and_repair_day()
+    # Utilization of every resource that carried load: a resource that
+    # never did reads 0.0 whether or not the engine holds a key for it.
+    util = {}
+    for r in sorted(eng._util_integral):
+        u = eng.mean_utilization(r)
+        if u != 0.0:
+            util[r] = u
+    report = (
+        eng.completed,
+        eng.fct_stats(),
+        eng.resolves,
+        eng.mean_active(),
+        util,
+    )
+    return hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+class TestExactnessGoldens:
+    def test_path_corpus_digest(self):
+        """Multi-iteration fills over shared path prefixes, with cap and
+        saturation freezes, pinned bit for bit."""
+        assert _path_corpus_digest() == _PATH_CORPUS_SHA
+
+    def test_cut_and_repair_day_digest(self):
+        """Completions, FCT statistics, re-solves, mean activity and
+        every resource's utilization over a day with a cut and a repair,
+        pinned bit for bit."""
+        assert _day_digest() == _DAY_SHA
 
 
 def _outputs_under_hash_seeds(script):
