@@ -2,9 +2,8 @@
 
 Two angles on the same machinery:
 
-* raw scheduling rates, measured directly: a process yielding timeouts
-  (the event form) against a self-rescheduling ``call_later`` callback
-  chain (the allocation-free form);
+* the raw scheduling rate, measured directly: a self-rescheduling
+  ``call_later`` callback chain (the kernel's one scheduling form);
 * the packet pipeline end to end: the committed ``kernel_bench`` sweep
   runs a WAN bulk transfer (SP2 -> T3E-600, 64 KByte MTU) and the
   regression gate pins its deterministic kernel-work counters exactly.
@@ -36,20 +35,6 @@ def sweep():
     return runner.run(sweep_specs("kernel_bench", quick=QUICK), name="kernel_bench")
 
 
-def _timeout_loop_rate(n: int) -> float:
-    """Events/sec for a process yielding back-to-back timeouts."""
-    env = Environment()
-
-    def ticker():
-        for _ in range(n):
-            yield env.timeout(1e-6)
-
-    proc = env.process(ticker())
-    t0 = time.perf_counter()
-    env.run(proc)
-    return n / (time.perf_counter() - t0)
-
-
 def _callback_chain_rate(n: int) -> float:
     """Callbacks/sec for a self-rescheduling ``call_later`` chain."""
     env = Environment()
@@ -68,21 +53,12 @@ def _callback_chain_rate(n: int) -> float:
 
 def test_scheduling_rate_report(report, benchmark):
     benchmark.pedantic(lambda: _callback_chain_rate(10_000), rounds=1, iterations=1)
-    event_rate = _timeout_loop_rate(N_EVENTS)
     callback_rate = _callback_chain_rate(N_EVENTS)
-    rows = [
-        f"{'timeout loop (event form)':<30} {event_rate:>12,.0f} entries/s",
-        f"{'call_later chain (callback)':<30} {callback_rate:>12,.0f} entries/s",
-        f"{'callback speedup':<30} {callback_rate / event_rate:>12.2f} x",
-    ]
-    report.add("E-kernel: raw scheduling throughput", "\n".join(rows))
+    row = f"{'call_later chain (callback)':<30} {callback_rate:>12,.0f} entries/s"
+    report.add("E-kernel: raw scheduling throughput", row)
 
-    # Sanity floors only — wall-clock rates are machine-dependent.
-    assert event_rate > 10_000
+    # Sanity floor only — wall-clock rates are machine-dependent.
     assert callback_rate > 10_000
-    # The callback form skips the Event/Timeout allocation and the
-    # generator resume, so it must not be slower than the event form.
-    assert callback_rate > event_rate
 
 
 def test_sweep_regression_gate(report, sweep):

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from repro.machines.t3e_model import REF_VOXELS, T3EPerformanceModel, default_model
-from repro.sim import Environment, Store
 
 #: Bytes per voxel of the raw image (16-bit) and of the result maps.
 RAW_BYTES_PER_VOXEL = 2
@@ -156,7 +155,14 @@ class PipelineReport:
 
 
 class FirePipeline:
-    """Discrete-event model of the scanner→T3E→display loop."""
+    """Timing model of the scanner→T3E→display loop.
+
+    The loop talks to nothing else, so it needs no event queue: each
+    stage is a FIFO server, and an image starts at a stage when both the
+    image and the stage are ready (``max(arrival, free)``) and leaves
+    ``busy`` seconds later.  A wait is added to the clock as
+    ``now + (target - now)``, the sum a scheduled wake-up would compute.
+    """
 
     def __init__(
         self,
@@ -184,107 +190,67 @@ class FirePipeline:
     # -- sequential: the published FIRE behaviour -------------------------
     def _run_sequential(self) -> PipelineReport:
         cfg = self.config
-        env = Environment()
         records: list[ImageRecord] = []
         up, down = cfg.comm_legs()
-
+        now = 0.0
         last_scan = 0
-
-        def client():
-            nonlocal last_scan
-            for k in range(cfg.n_images):
-                # Take the most recent completed scan (the free-running
-                # scanner buffers; the client may skip scans if it lags),
-                # but never re-process one already displayed.
-                request = env.now
-                scan_index = max(
-                    int(np.floor(request / cfg.repetition_time)),
-                    1,
-                    last_scan + 1,
+        for k in range(cfg.n_images):
+            # Take the most recent completed scan (the free-running
+            # scanner buffers; the client may skip scans if it lags),
+            # but never re-process one already displayed.
+            scan_index = max(
+                int(np.floor(now / cfg.repetition_time)), 1, last_scan + 1
+            )
+            last_scan = scan_index
+            scan_time = scan_index * cfg.repetition_time
+            server_time = scan_time + cfg.delivery_delay
+            if server_time > now:
+                now += server_time - now
+            now += up
+            t3e_start = now
+            now += self.t3e_time
+            t3e_end = now
+            now += down
+            now += cfg.display_time
+            records.append(
+                ImageRecord(
+                    index=k,
+                    scan_time=scan_time,
+                    server_time=server_time,
+                    t3e_start=t3e_start,
+                    t3e_end=t3e_end,
+                    display_time=now,
                 )
-                last_scan = scan_index
-                scan_time = scan_index * cfg.repetition_time
-                server_time = scan_time + cfg.delivery_delay
-                if server_time > env.now:
-                    yield env.timeout(server_time - env.now)
-                yield env.timeout(up)
-                t3e_start = env.now
-                yield env.timeout(self.t3e_time)
-                t3e_end = env.now
-                yield env.timeout(down)
-                yield env.timeout(cfg.display_time)
-                records.append(
-                    ImageRecord(
-                        index=k,
-                        scan_time=scan_time,
-                        server_time=server_time,
-                        t3e_start=t3e_start,
-                        t3e_end=t3e_end,
-                        display_time=env.now,
-                    )
-                )
-
-        env.process(client())
-        env.run()
+            )
         return PipelineReport(cfg, records, self.t3e_time)
 
     # -- pipelined: the improvement the paper points out --------------------
     def _run_pipelined(self) -> PipelineReport:
         cfg = self.config
-        env = Environment()
         up, down = cfg.comm_legs()
-        q_up, q_t3e, q_down, q_disp = (Store(env) for _ in range(4))
+        stages = (up, self.t3e_time, down, cfg.display_time)
+        free = [0.0] * len(stages)  # when each stage finishes its last image
         records: list[ImageRecord] = []
-        meta: dict[int, dict] = {}
-
-        def scanner():
-            for k in range(cfg.n_images):
-                scan_time = (k + 1) * cfg.repetition_time
-                if scan_time > env.now:
-                    yield env.timeout(scan_time - env.now)
-                env.process(deliver(k, scan_time))
-            return None
-
-        def deliver(k, scan_time):
-            yield env.timeout(cfg.delivery_delay)
-            meta[k] = {"scan": scan_time, "server": env.now}
-            q_up.put(k)
-
-        def stage(src: Store, dst, busy: float, mark: Optional[str] = None):
-            def worker():
-                while True:
-                    k = yield src.get()
-                    if mark == "t3e_start":
-                        meta[k]["t3e_start"] = env.now
-                    yield env.timeout(busy)
-                    if mark == "t3e_start":
-                        meta[k]["t3e_end"] = env.now
-                    dst(k)
-
-            return worker
-
-        env.process(scanner())
-        env.process(stage(q_up, q_t3e.put, up)())
-        env.process(stage(q_t3e, q_down.put, self.t3e_time, mark="t3e_start")())
-        env.process(stage(q_down, q_disp.put, down)())
-
-        def display():
-            for _ in range(cfg.n_images):
-                k = yield q_disp.get()
-                yield env.timeout(cfg.display_time)
-                m = meta[k]
-                records.append(
-                    ImageRecord(
-                        index=k,
-                        scan_time=m["scan"],
-                        server_time=m["server"],
-                        t3e_start=m["t3e_start"],
-                        t3e_end=m["t3e_end"],
-                        display_time=env.now,
-                    )
+        now = 0.0  # the scanner's clock
+        for k in range(cfg.n_images):
+            scan_time = (k + 1) * cfg.repetition_time
+            if scan_time > now:
+                now += scan_time - now
+            server_time = now + cfg.delivery_delay
+            t = server_time
+            spans = []
+            for i, busy in enumerate(stages):
+                start = max(t, free[i])
+                t = free[i] = start + busy
+                spans.append((start, t))
+            records.append(
+                ImageRecord(
+                    index=k,
+                    scan_time=scan_time,
+                    server_time=server_time,
+                    t3e_start=spans[1][0],
+                    t3e_end=spans[1][1],
+                    display_time=t,
                 )
-
-        env.process(display())
-        env.run()
-        records.sort(key=lambda r: r.index)
+            )
         return PipelineReport(cfg, records, self.t3e_time)

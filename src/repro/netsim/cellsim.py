@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.netsim.atm import AAL5Frame, AAL5Reassembler, ATM_CELL_BYTES, Cell
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 @dataclass
@@ -29,7 +29,9 @@ class CellLink:
 
     Cells from all VCs share one transmitter in FIFO order; each cell
     occupies the line for ``424 / rate`` seconds and arrives after the
-    propagation delay.
+    propagation delay.  A cell sent to an idle transmitter starts at
+    once; one sent while it is busy waits in a deque, and each completed
+    cell starts the next.
     """
 
     def __init__(self, env: Environment, rate: float, propagation: float = 0.0):
@@ -39,35 +41,40 @@ class CellLink:
         self.rate = rate
         self.propagation = propagation
         self.cell_time = ATM_CELL_BYTES * 8 / rate
-        self._queue: Store = Store(env)
+        self._queue: deque[Cell] = deque()
+        self._busy = False
         self.delivered: list[CellLog] = []
         self.reassembler = AAL5Reassembler()
         self.pdu_complete_times: dict[int, float] = {}
-        env.process(self._transmitter())
 
     def send_cell(self, cell: Cell) -> None:
         """Queue one cell for transmission."""
-        self._queue.put(cell)
+        if self._busy:
+            self._queue.append(cell)
+        else:
+            self._busy = True
+            self.env.call_later(self.cell_time, self._sent, cell)
 
     def send_frame(self, frame: AAL5Frame) -> None:
         """Queue a whole AAL5 frame (all its cells, in order)."""
         for cell in frame.segment():
             self.send_cell(cell)
 
-    def _transmitter(self):
-        while True:
-            cell = yield self._queue.get()
-            yield self.env.timeout(self.cell_time)
-            self.env.process(self._deliver(cell))
-
-    def _deliver(self, cell: Cell):
+    def _sent(self, cell: Cell) -> None:
         if self.propagation:
-            yield self.env.timeout(self.propagation)
+            self.env.call_later(self.propagation, self._arrive, cell)
+        else:
+            self._arrive(cell)
+        if self._queue:
+            self.env.call_later(self.cell_time, self._sent, self._queue.popleft())
+        else:
+            self._busy = False
+
+    def _arrive(self, cell: Cell) -> None:
         self.delivered.append(CellLog(time=self.env.now, cell=cell))
         done = self.reassembler.push(cell)
         if done is not None:
             self.pdu_complete_times[done] = self.env.now
-        return None
 
 
 def transfer_time_cell_exact(

@@ -24,19 +24,31 @@ Three fault classes:
   down so routing stops selecting paths through it.
 
 All times are relative to the simulation clock at the moment the fault is
-scheduled.  Every state change is appended to :attr:`FaultInjector.log`
-as ``(time, description)`` for benchmark reports.
+scheduled, and are checked there: a start or duration that is negative,
+NaN or infinite raises :class:`ValueError` at the call site.  Every
+state change is appended to :attr:`FaultInjector.log` as
+``(time, description)`` for benchmark reports.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.netsim.core import Gateway, Link, Network
 
 LinkRef = Union[Link, str, "tuple[str, str]"]
+
+
+def _check_window(start_name: str, start: float, duration: Optional[float]) -> None:
+    """Reject a window start or duration that is negative, NaN or
+    infinite (a ``None`` duration means "never ends")."""
+    if not 0.0 <= start < math.inf:
+        raise ValueError(f"{start_name} must be finite and >= 0: {start}")
+    if duration is not None and not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0 or None: {duration}")
 
 
 class FaultInjector:
@@ -59,6 +71,33 @@ class FaultInjector:
     # -- plumbing ---------------------------------------------------------
     def _record(self, what: str) -> None:
         self.log.append((self.env.now, what))
+
+    def _window(
+        self,
+        at: float,
+        duration: Optional[float],
+        begin: Callable[[], None],
+        end: Callable[[], None],
+    ) -> None:
+        """Call ``begin()`` ``at`` seconds from now and ``end()``
+        ``duration`` seconds after that (never, for ``None``).
+
+        The zero-delay start entry keeps a window with ``at=0`` behind
+        every entry already queued for the current instant."""
+        env = self.env
+
+        def opened() -> None:
+            begin()
+            if duration is not None:
+                env.call_later(duration, end)
+
+        def start() -> None:
+            if at > 0:
+                env.call_later(at, opened)
+            else:
+                opened()
+
+        env.call_later(0.0, start)
 
     def _child_rng(self, *identity: object) -> random.Random:
         """A child RNG seeded from the injector seed and a fault identity.
@@ -93,20 +132,18 @@ class FaultInjector:
     ) -> Link:
         """Take ``link`` down ``at`` seconds from now; restore it after
         ``duration`` seconds (``None`` leaves it down forever)."""
+        _check_window("at", at, duration)
         target = self.resolve_link(link)
 
-        def window():
-            if at > 0:
-                yield self.env.timeout(at)
+        def down() -> None:
             target.set_up(False)
             self._record(f"link {target.name} down")
-            if duration is not None:
-                yield self.env.timeout(duration)
-                target.set_up(True)
-                self._record(f"link {target.name} up")
-            return None
 
-        self.env.process(window())
+        def up() -> None:
+            target.set_up(True)
+            self._record(f"link {target.name} up")
+
+        self._window(at, duration, down, up)
         return target
 
     def outage_schedule(
@@ -135,10 +172,17 @@ class FaultInjector:
         targets = [self.resolve_link(ref) for ref in links]
         if not targets:
             raise ValueError("outage_schedule needs at least one link")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite: {horizon}")
         if max_duration is None:
             max_duration = horizon / 4.0
+        # Check the whole duration range before scheduling any window,
+        # so a bad range cannot leave a partial schedule behind.
+        if not 0.0 <= min_duration <= max_duration < math.inf:
+            raise ValueError(
+                "durations need 0 <= min_duration <= max_duration < inf: "
+                f"{min_duration}, {max_duration}"
+            )
         rng = self._child_rng(
             "outage-schedule",
             ",".join(sorted(t.name for t in targets)),
@@ -175,6 +219,7 @@ class FaultInjector:
             # Validate now, not when the scheduled window opens: a bad
             # rate should fail at the call site, not mid-simulation.
             raise ValueError(f"loss probability must be in [0, 1): {probability}")
+        _check_window("start", start, duration)
         target = self.resolve_link(link)
         directions = (
             [direction] if direction else [target.a.name, target.b.name]
@@ -190,20 +235,17 @@ class FaultInjector:
             for d in directions
         }
 
-        def window():
-            if start > 0:
-                yield self.env.timeout(start)
+        def lossy() -> None:
             for d in directions:
                 target.set_loss(probability, direction=d, rng=children[d])
             self._record(f"link {target.name} loss p={probability}")
-            if duration is not None:
-                yield self.env.timeout(duration)
-                for d in directions:
-                    target.set_loss(0.0, direction=d)
-                self._record(f"link {target.name} loss cleared")
-            return None
 
-        self.env.process(window())
+        def clear() -> None:
+            for d in directions:
+                target.set_loss(0.0, direction=d)
+            self._record(f"link {target.name} loss cleared")
+
+        self._window(start, duration, lossy, clear)
         return target
 
     # -- gateway faults ---------------------------------------------------
@@ -216,24 +258,22 @@ class FaultInjector:
         The crash flushes the gateway's forwarding queue and takes its
         attached links down, so routing (and the metampi WAN-cost cache,
         via invalidation) stops using paths through it."""
+        _check_window("at", at, duration)
         gw = self.net.nodes[name]
         if not isinstance(gw, Gateway):
             raise TypeError(f"{name!r} is not a Gateway")
 
-        def window():
-            if at > 0:
-                yield self.env.timeout(at)
+        def crash() -> None:
             gw.crash()
             for link in gw.links:
                 link.set_up(False)
             self._record(f"gateway {name} crashed")
-            if duration is not None:
-                yield self.env.timeout(duration)
-                gw.restart()
-                for link in gw.links:
-                    link.set_up(True)
-                self._record(f"gateway {name} restarted")
-            return None
 
-        self.env.process(window())
+        def restart() -> None:
+            gw.restart()
+            for link in gw.links:
+                link.set_up(True)
+            self._record(f"gateway {name} restarted")
+
+        self._window(at, duration, crash, restart)
         return gw

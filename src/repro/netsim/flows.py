@@ -18,12 +18,13 @@ _ACK_BYTES = IP_HEADER + TCP_HEADER
 def _burst_departures(t0: float, interval: float, n: int) -> list[float]:
     """The ``n + 1`` departure instants of a fixed-interval burst.
 
-    Computed as one vectorized prefix sum instead of ``n`` generator
-    resumes.  ``np.add.accumulate`` applies float64 adds sequentially
+    Computed as one vectorized prefix sum instead of ``n`` scheduled
+    steps.  ``np.add.accumulate`` applies float64 adds sequentially
     (each partial sum is an output element), so every instant is
-    bit-identical to the chained ``now + interval`` a timeout-driven
-    sender would produce; the values convert back to Python floats so
-    no ``np.float64`` leaks into the event queue's time comparisons.
+    bit-identical to the chained ``now + interval`` of a sender that
+    re-schedules itself every ``interval``; the values convert back to
+    Python floats so no ``np.float64`` leaks into the event queue's
+    time comparisons.
     The extra final entry is the post-burst instant (drain/deadline
     anchor).
     """
@@ -64,6 +65,14 @@ class BulkTransfer:
     Under zero loss the event sequence is identical to the classic
     sliding-window sender, so :func:`repro.netsim.tcp.tcp_steady_throughput`
     remains the closed-form reference.
+
+    The sender and the retransmission timer are callback chains, each
+    started by a zero-delay entry at construction: the sender sends
+    while the window allows and, once it is full, waits for an advancing
+    ACK to schedule it again; the timer re-arms at each RTO deadline and
+    sleeps while nothing is in flight until a transmission schedules it.
+    An exception raised in either (from a probe hook, say) propagates
+    out of ``env.run``.
     """
 
     _ids = 0
@@ -116,7 +125,8 @@ class BulkTransfer:
         # sender state
         self._acked = 0
         self._cwnd = self.ip.max_segment if slow_start else window_bytes
-        self._window_open = self.env.event()
+        self._next_seq = 0  # first segment the sender has not sent
+        self._sender_blocked = False  # waiting for the window to open
         self._payloads = list(self.ip.segments(nbytes))
         ends: list[int] = []
         total = 0
@@ -132,7 +142,7 @@ class BulkTransfer:
         self._rttvar = 0.0
         self._rto = initial_rto
         self._timer_epoch = 0.0
-        self._flight_event = self.env.event()
+        self._timer_idle = False  # nothing in flight: woken by _transmit
         self._dup_acks = 0
         self._consecutive_timeouts = 0
         # Timeout recovery (go-back-N): everything past the loss point is
@@ -150,24 +160,32 @@ class BulkTransfer:
         self._dst_host = net.host(dst)
         self._src_host.register_sink(self.name, self._on_ack)
         self._dst_host.register_sink(self.name, self._on_data)
-        self.env.process(self._sender())
-        self.env.process(self._retransmit_timer())
+        self.env.call_later(0.0, self._start)
+        self.env.call_later(0.0, self._timer)
 
     # -- sender --------------------------------------------------------------
-    def _sender(self):
+    def _start(self) -> None:
         self.start_time = self.env.now
-        for seq, payload in enumerate(self._payloads):
-            while (
-                self._sent_bytes - self._acked + payload
-                > min(self._cwnd, self.window_bytes)
+        self._send_more()
+
+    def _send_more(self) -> None:
+        """Send segments in order while the window allows; when it is
+        full, block until an advancing ACK calls again."""
+        if self.done.triggered:
+            return  # transfer failed (TransferStalled)
+        payloads = self._payloads
+        seq = self._next_seq
+        while seq < len(payloads):
+            payload = payloads[seq]
+            if self._sent_bytes - self._acked + payload > min(
+                self._cwnd, self.window_bytes
             ):
-                self._window_open = self.env.event()
-                yield self._window_open
-                if self.done.triggered:
-                    return None  # transfer failed (TransferStalled)
+                self._sender_blocked = True
+                break
             self._transmit(seq)
             self._sent_bytes += payload
-        return None
+            seq += 1
+        self._next_seq = seq
 
     def _transmit(self, seq: int, retransmit: bool = False, kind: str = "rto") -> None:
         if retransmit:
@@ -190,8 +208,9 @@ class BulkTransfer:
                 seq=seq,
             )
         )
-        if not self._flight_event.triggered:
-            self._flight_event.succeed()
+        if self._timer_idle:
+            self._timer_idle = False
+            self.env.call_later(0.0, self._timer)
 
     def _route_alive(self) -> bool:
         """Whether routing currently resolves a live path both ways.
@@ -224,18 +243,19 @@ class BulkTransfer:
             self._rexmitted.discard(self._prune_next)
             self._prune_next += 1
 
-    def _retransmit_timer(self):
-        """RTO process: retransmit the oldest unacked segment on expiry."""
+    def _timer(self) -> None:
+        """Retransmission timer: retransmit the oldest unacked segment on
+        expiry, then re-arm at the next deadline."""
+        env = self.env
         while self._acked < self.nbytes and not self.done.triggered:
             if self._acked >= self._sent_bytes:
                 # Nothing in flight: sleep until the sender transmits.
-                self._flight_event = self.env.event()
-                yield self._flight_event
-                continue
+                self._timer_idle = True
+                return
             deadline = self._timer_epoch + self._rto
-            if self.env.now < deadline:
-                yield self.env.timeout(deadline - self.env.now)
-                continue
+            if env.now < deadline:
+                env.call_later(deadline - env.now, self._timer)
+                return
             self.timeouts += 1
             self._consecutive_timeouts += 1
             if self.probe is not None:
@@ -254,17 +274,16 @@ class BulkTransfer:
                     self._consecutive_timeouts = 0
                     self.failovers += 1
                 else:
-                    if not self.done.triggered:
-                        if self.probe is not None:
-                            self.probe.on_stall(self)
-                        self.done.fail(
-                            TransferStalled(
-                                f"{self.name}: no progress after "
-                                f"{self.timeouts} retransmission timeouts "
-                                f"({self.src} -> {self.dst})"
-                            )
+                    if self.probe is not None:
+                        self.probe.on_stall(self)
+                    self.done.fail(
+                        TransferStalled(
+                            f"{self.name}: no progress after "
+                            f"{self.timeouts} retransmission timeouts "
+                            f"({self.src} -> {self.dst})"
                         )
-                    return None
+                    )
+                    return
             # Exponential backoff; collapse the window to one segment and
             # arm go-back-N: all in-flight data is presumed lost, so the
             # ack-driven recovery in ``_on_ack`` re-streams it.
@@ -276,8 +295,7 @@ class BulkTransfer:
             if first < len(self._payloads):
                 self._transmit(first, retransmit=True)
             self._rexmit_next = first + 1
-            self._timer_epoch = self.env.now
-        return None
+            self._timer_epoch = env.now
 
     # -- receiver side ---------------------------------------------------------
     def _on_data(self, packet: Packet, now: float) -> None:
@@ -331,8 +349,9 @@ class BulkTransfer:
                 ):
                     self._transmit(self._rexmit_next, retransmit=True, kind="gbn")
                     self._rexmit_next += 1
-            if not self._window_open.triggered:
-                self._window_open.succeed()
+            if self._sender_blocked:
+                self._sender_blocked = False
+                self.env.call_later(0.0, self._send_more)
             if self._acked >= self.nbytes and not self.done.triggered:
                 self.end_time = now
                 self.done.succeed(self.throughput)
@@ -454,8 +473,7 @@ class CbrFlow:
         net.host(dst).register_sink(self.name, self._on_segment)
         # Burst chain: departure instants are precomputed as one
         # vectorized prefix sum, and each frame is emitted by a bare
-        # callback — no generator resumes, no per-frame Timeout
-        # allocation.  Packets come from the arena.  An empty stream
+        # callback.  Packets come from the arena.  An empty stream
         # goes straight to its drain check.
         self._host = net.host(src)
         self._payloads = [

@@ -19,8 +19,8 @@ Design constraints, in order:
   service order is plain FIFO, so every existing single-flow scenario
   (and the exactly-pinned ``kernel_bench`` baselines) is unchanged.
 * **Queue-like surface.**  ``put_nowait`` / ``clear`` / ``__len__``
-  read like :class:`repro.sim.Store`'s, but nothing ever blocks on the
-  scheduler: ``put_nowait`` always enqueues.
+  read like a FIFO queue's, but nothing ever blocks on the scheduler:
+  ``put_nowait`` always enqueues.
 * **One decision per service start.**  Every transmitter dequeues one
   packet when it goes idle; no caller pre-commits a run of decisions,
   so a weight change or a competing arrival simply takes effect at the

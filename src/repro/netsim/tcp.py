@@ -197,8 +197,8 @@ def max_min_rates(
     path-characterization step and re-solve on every flow event.
 
     Raises :class:`ValueError` naming the demand for a negative, NaN or
-    infinite cost, a negative or NaN cap, a count below 1 or not
-    finite, a demand without a cap, or a count for a name not in
+    infinite cost, a negative or NaN cap, a count below 1, not finite
+    or not a whole number, a demand without a cap, or a count for a name not in
     ``costs``.  A zero cap with no costs is valid: it parks the demand
     at rate 0.
     """
@@ -224,6 +224,8 @@ def max_min_rates(
             counted += 1
         if not 1 <= m < inf:
             raise ValueError(f"demand {n!r}: count {m!r} is below 1 or not finite")
+        if m % 1:
+            raise ValueError(f"demand {n!r}: count {m!r} is not a whole number")
         try:
             cap = caps[n]
         except KeyError:

@@ -1,30 +1,21 @@
 """A from-scratch discrete-event simulation kernel.
 
-Provides the coroutine-process model the network simulator and the FIRE
-pipeline run on: an :class:`Environment` with a time-ordered event queue,
-generator-based :class:`Process` es, :class:`Timeout` s, triggerable
-:class:`Event` s, FIFO :class:`Store` s and capacity :class:`Resource` s.
-
-The design follows the SimPy process-interaction style (implemented from
-scratch; no external dependency): a process is a generator that ``yield`` s
-events; the kernel resumes it when the event fires, passing the event's
-value back into the generator.
+An :class:`Environment` holds the simulated clock and a time-ordered
+queue of callbacks: model code schedules ``fn(*args)`` with
+``call_later``/``call_at`` and keeps whatever state a wait needs in its
+own attributes, so one kind of heap entry carries all the work.  A
+:class:`Lane` holds a stage's pre-scheduled completions behind one heap
+entry.  Triggerable :class:`Event` s mark completions a caller runs
+until (``env.run(until=flow.done)``) or joins with :class:`AllOf`.
 """
 
-from repro.sim.engine import Environment, Interrupt, Lane, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Environment, Lane, SimulationError
+from repro.sim.events import AllOf, Event
 
 __all__ = [
     "Environment",
     "Lane",
     "Event",
-    "Process",
-    "Timeout",
     "AllOf",
-    "AnyOf",
-    "Store",
-    "Resource",
-    "Interrupt",
     "SimulationError",
 ]

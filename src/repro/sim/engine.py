@@ -1,14 +1,14 @@
 """The event loop of the discrete-event kernel.
 
-The queue holds bare 4-slot lists ``[time, serial, obj, args]`` — no
-wrapper object per entry.  ``args is None`` marks an
-:class:`~repro.sim.events.Event` to fire; anything else is a plain
-callable scheduled with :meth:`Environment.call_at` /
-:meth:`Environment.call_later`, invoked as ``obj(*args)``.  Both forms
-share one monotonically increasing serial, so entries scheduled for the
-same simulated time fire in scheduling (FIFO) order regardless of which
-form they used.  :meth:`Environment.call_at_after` is the one exception:
-it slots an entry in right behind a given pending one.
+The queue holds bare 4-slot lists ``[time, serial, fn, args]`` — no
+wrapper object per entry — and dispatching one calls ``fn(*args)``.
+Entries come from :meth:`Environment.call_at` /
+:meth:`Environment.call_later`; triggering an
+:class:`~repro.sim.events.Event` schedules its ``_fire`` the same way.
+Every entry takes the next value of one monotonically increasing
+serial, so entries scheduled for the same simulated time fire in
+scheduling (FIFO) order.  :meth:`Environment.call_at_after` is the one
+exception: it slots an entry in right behind a given pending one.
 
 Every pending entry sits in the heap, except those held behind the
 head of a :class:`Lane` (a FIFO of entries due in non-decreasing time
@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable
 
 from repro.sim import events as _ev
-from repro.sim.errors import Interrupt as Interrupt  # noqa: F401  (re-export)
 from repro.sim.errors import SimulationError as SimulationError
 
 _heappush = heapq.heappush
@@ -47,24 +46,19 @@ class Environment:
 
     Entries scheduled at equal times fire in scheduling order (FIFO),
     which makes simulations deterministic.  Model code has one scheduling
-    form: bare callbacks for per-packet work, events and processes where
-    something must wait; ``tests/delivery_goldens.json`` pins the
-    resulting delivery order exactly.
+    form, the callback: a model that waits keeps its state in attributes
+    and schedules the step that continues it, and an :class:`Event` marks
+    a completion (a flow's ``done``) that callers run until or join with
+    :meth:`all_of`.  ``tests/delivery_goldens.json`` pins the resulting
+    delivery order exactly.
     """
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_eid",
-        "_active_proc",
-        "_lanes",
-    )
+    __slots__ = ("_now", "_queue", "_eid", "_lanes")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[list] = []
         self._eid = 0
-        self._active_proc: Optional[_ev.Process] = None
         self._lanes: list[Lane] = []
 
     @property
@@ -73,13 +67,8 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional["_ev.Process"]:
-        """The process currently being resumed (None outside callbacks)."""
-        return self._active_proc
-
-    @property
     def scheduled_count(self) -> int:
-        """Total queue entries ever scheduled (events + callbacks, lane
+        """Total queue entries ever scheduled (event fires and lane
         entries included).
 
         A deterministic proxy for kernel work done — the benchmark
@@ -94,23 +83,12 @@ class Environment:
         return self._eid
 
     # -- scheduling ------------------------------------------------------
-    def schedule(self, event: "_ev.Event", delay: float = 0.0) -> list:
-        """Queue a triggered event to fire ``delay`` seconds from now."""
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._eid = eid = self._eid + 1
-        entry = [self._now + delay, eid, event, None]
-        _heappush(self._queue, entry)
-        return entry
-
     def call_later(self, delay: float, fn: Callable, *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
-        The callback fast path: one bare heap entry, no :class:`Event`
-        allocated, nothing to wait on.  Use it for fire-and-forget model
-        work (packet delivery, switch forwarding); use :meth:`timeout`
-        when a process must yield on the delay.  Returns the live entry
-        (see :meth:`cancel`).
+        One bare heap entry, no :class:`Event` allocated.  A model that
+        must wait ``delay`` schedules the step that continues it here.
+        Returns the live entry (see :meth:`cancel`).
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -162,36 +140,19 @@ class Environment:
         entry[2] = _noop
         entry[3] = ()
 
-    # -- event/process factories -----------------------------------------
+    # -- events -----------------------------------------------------------
     def event(self) -> "_ev.Event":
         """A fresh, untriggered event."""
         return _ev.Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> "_ev.Timeout":
-        """An event that fires ``delay`` seconds from now with ``value``."""
-        return _ev.Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> "_ev.Process":
-        """Start a process running ``generator`` immediately."""
-        return _ev.Process(self, generator)
 
     def all_of(self, evts) -> "_ev.AllOf":
         """An event that fires once every event in ``evts`` has fired."""
         return _ev.AllOf(self, list(evts))
 
-    def any_of(self, evts) -> "_ev.AnyOf":
-        """An event that fires when the first event in ``evts`` fires."""
-        return _ev.AnyOf(self, list(evts))
-
     # -- running ----------------------------------------------------------
     def _dispatch(self, entry: list) -> None:
         self._now = entry[0]
-        obj = entry[2]
-        args = entry[3]
-        if args is None:
-            obj._fire()
-        else:
-            obj(*args)
+        entry[2](*entry[3])
 
     def step(self) -> None:
         """Process the next queued entry (advancing the clock to it)."""
@@ -217,12 +178,7 @@ class Environment:
             while queue:
                 entry = pop(queue)
                 self._now = entry[0]
-                obj = entry[2]
-                args = entry[3]
-                if args is None:
-                    obj._fire()
-                else:
-                    obj(*args)
+                entry[2](*entry[3])
             return None
 
         if isinstance(until, _ev.Event):
@@ -234,12 +190,7 @@ class Environment:
                     )
                 entry = pop(queue)
                 self._now = entry[0]
-                obj = entry[2]
-                args = entry[3]
-                if args is None:
-                    obj._fire()
-                else:
-                    obj(*args)
+                entry[2](*entry[3])
             if sentinel._ok is False:
                 raise sentinel._value
             return sentinel._value
@@ -250,12 +201,7 @@ class Environment:
         while queue and queue[0][0] <= horizon:
             entry = pop(queue)
             self._now = entry[0]
-            obj = entry[2]
-            args = entry[3]
-            if args is None:
-                obj._fire()
-            else:
-                obj(*args)
+            entry[2](*entry[3])
         self._now = horizon
         return None
 

@@ -1,27 +1,14 @@
 """Kernel exception types.
 
-These live in their own dependency-free module so both the event layer
+They live in their own dependency-free module so both the event layer
 (:mod:`repro.sim.events`) and the event loop (:mod:`repro.sim.engine`)
 can raise them without importing each other.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class SimulationError(RuntimeError):
-    """Raised for kernel misuse: double-triggering an event, interrupting
-    a finished process, running an empty queue, scheduling into the past.
+    """Raised for kernel misuse: double-triggering an event, running an
+    empty queue, scheduling into the past.
     """
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    ``cause`` carries an arbitrary payload from the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause

@@ -1,6 +1,6 @@
 """Sim-clock-driven sampling of registry series into ring buffers.
 
-The :class:`Sampler` is a discrete-event process on the simulation
+The :class:`Sampler` is a self-rescheduling callback on the simulation
 :class:`~repro.sim.Environment`: every ``interval`` simulated seconds it
 snapshots each counter and gauge in the registry into a bounded
 :class:`RingBuffer`, then notifies its tick listeners (the
@@ -99,34 +99,33 @@ class Sampler:
         self._other_pairs: list[tuple] = []
         self._seen_series = -1
         self._listeners: list[Callable[[float], None]] = []
-        self._running = False
-        self._stopped = False
+        self._next: Optional[list] = None  # pending tick entry while running
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "Sampler":
-        """Begin sampling (idempotent); returns self for chaining."""
-        if not self._running:
-            self._running = True
-            self._stopped = False
+        """Begin sampling now (idempotent); returns self for chaining."""
+        if self._next is None:
             # Allocate buffers for everything registered so far up front:
             # buffer creation and label keying are setup cost, not
             # something the first tick should pay mid-run.
             if len(self.registry) != self._seen_series:
                 self._rescan()
-            self.env.process(self._run())
+            self._next = self.env.call_later(0.0, self._tick)
         return self
 
     def stop(self) -> None:
-        """Stop sampling after the current tick; the process unwinds at
-        its next wakeup without scheduling further events."""
-        self._stopped = True
-        self._running = False
+        """Stop sampling (idempotent): the pending tick is cancelled, so
+        a later :meth:`start` runs the only sampling loop."""
+        if self._next is not None:
+            self.env.cancel(self._next)
+            self._next = None
 
-    def _run(self):
-        while not self._stopped:
-            self.sample_once()
-            yield self.env.timeout(self.interval)
-        return None
+    def _tick(self) -> None:
+        entry = self._next
+        self.sample_once()
+        # A listener may have stopped (or restarted) the sampler.
+        if self._next is entry:
+            self._next = self.env.call_later(self.interval, self._tick)
 
     # -- sampling ----------------------------------------------------------
     def add_listener(self, fn: Callable[[float], None]) -> None:

@@ -55,7 +55,7 @@ def test_matches_golden(name):
 def test_lossy_wan_crossing_costs_one_arrival_entry():
     """A delivered WAN crossing on a lossy direction costs its
     completion judgement plus one arrival entry."""
-    assert ds.run_contended(loss=0.01)["scheduled"] == 1_468
+    assert ds.run_contended(loss=0.01)["scheduled"] == 1_461
 
 
 def test_heavy_mix_golden_independent_of_hash_seed():

@@ -624,6 +624,12 @@ class TestMaxMinRates:
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": 0}, "'a'.*below 1"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": math.inf}, "'a'.*not finite"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"a": math.nan}, "'a'.*not finite"),
+            (
+                {"a": {"r": 1e-9}, "b": {"r": 2e-9}},
+                {"a": math.inf, "b": math.inf},
+                {"a": 2, "b": 7.5},
+                "'b'.*7.5 is not a whole number",
+            ),
             ({"a": {}, "b": {"r": 1e-9}}, {"a": 0.0}, None, "'b' has no cap"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"ghost": 2}, "'ghost'"),
         ],
@@ -636,6 +642,7 @@ class TestMaxMinRates:
             "count-below-1",
             "infinite-count",
             "nan-count",
+            "fractional-count",
             "missing-cap",
             "count-without-costs",
         ],

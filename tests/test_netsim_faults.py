@@ -113,6 +113,22 @@ class TestBulkTransferRecovery:
         with pytest.raises(TransferStalled):
             bt.run()
 
+    def test_timer_error_propagates_out_of_run(self):
+        """A probe hook that raises in the retransmission timer stops the
+        run with its exception."""
+
+        class RaisingProbe:
+            def on_timeout(self, flow):
+                raise RuntimeError("probe failed")
+
+        net = two_hosts()
+        FaultInjector(net).link_down("a--b", at=0.0)
+        bt = BulkTransfer(net, "a", "b", nbytes=1_000_000, ip=IP64K)
+        bt.probe = RaisingProbe()
+        with pytest.raises(RuntimeError, match="probe failed"):
+            bt.run()
+        assert bt.timeouts == 1 and not bt.done.triggered
+
     def test_fast_retransmit_on_single_drop(self):
         """One mid-stream drop with traffic behind it triggers dup-ACK
         fast retransmit, not (only) an RTO."""
@@ -289,6 +305,95 @@ class TestNetworkFailureAwareness:
             "gateway gw-e5000 crashed",
             "gateway gw-e5000 restarted",
         ]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFaultWindows:
+    """Window times are checked where the fault is scheduled, and a
+    fault window's errors reach the caller of ``env.run``."""
+
+    BAD_TIMES = [
+        pytest.param({"at": NAN}, "at", id="nan-at"),
+        pytest.param({"at": -1.0}, "at", id="negative-at"),
+        pytest.param({"at": INF}, "at", id="infinite-at"),
+        pytest.param({"duration": -1.0}, "duration", id="negative-duration"),
+        pytest.param({"duration": NAN}, "duration", id="nan-duration"),
+        pytest.param({"duration": INF}, "duration", id="infinite-duration"),
+    ]
+
+    @staticmethod
+    def _rejected(net, schedule, match):
+        before = net.env.scheduled_count
+        with pytest.raises(ValueError, match=match):
+            schedule(FaultInjector(net))
+        assert net.env.scheduled_count == before  # nothing scheduled
+
+    @pytest.mark.parametrize("kw, match", BAD_TIMES)
+    def test_link_down_rejects_bad_times(self, kw, match):
+        self._rejected(two_hosts(), lambda fi: fi.link_down("a--b", **kw), match)
+
+    @pytest.mark.parametrize("kw, match", BAD_TIMES)
+    def test_random_loss_rejects_bad_times(self, kw, match):
+        kw = {("start" if k == "at" else k): v for k, v in kw.items()}
+        match = "start" if match == "at" else match
+        self._rejected(
+            two_hosts(), lambda fi: fi.random_loss("a--b", 0.1, **kw), match
+        )
+
+    @pytest.mark.parametrize("kw, match", BAD_TIMES)
+    def test_gateway_crash_rejects_bad_times(self, kw, match):
+        self._rejected(
+            build_testbed().net, lambda fi: fi.gateway_crash("gw-e5000", **kw), match
+        )
+
+    @pytest.mark.parametrize("horizon", [NAN, INF, 0.0, -1.0])
+    def test_outage_schedule_rejects_bad_horizon(self, horizon):
+        fi = FaultInjector(two_hosts())
+        with pytest.raises(ValueError, match="horizon"):
+            fi.outage_schedule(["a--b"], horizon=horizon)
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(-0.5, 0.5), (0.5, 0.1), (0.0, INF), (NAN, 0.1)],
+        ids=["negative-min", "min-above-max", "infinite-max", "nan-min"],
+    )
+    def test_outage_schedule_rejects_bad_durations(self, low, high):
+        """Checked before any window is drawn: no partial schedule."""
+        self._rejected(
+            two_hosts(),
+            lambda fi: fi.outage_schedule(
+                ["a--b"], horizon=1.0, outages=6, min_duration=low, max_duration=high
+            ),
+            "duration",
+        )
+
+    def test_zero_times_and_open_duration_accepted(self):
+        net = two_hosts()
+        fi = FaultInjector(net)
+        fi.link_down("a--b", at=0.0, duration=0.0)
+        fi.random_loss("a--b", 0.1, start=0.5, duration=None)
+        net.env.run(until=1.0)
+        assert [what for _, what in fi.log] == [
+            "link a--b down",
+            "link a--b up",
+            "link a--b loss p=0.1",
+        ]
+
+    def test_window_error_propagates_out_of_run(self):
+        """A raising invalidation listener stops the run at the fault
+        instead of leaving the link down for good."""
+        tb = build_testbed()
+
+        def listener():
+            raise RuntimeError("listener failed")
+
+        tb.net.add_invalidation_listener(listener)
+        FaultInjector(tb.net).link_down(tb.wan_link, at=0.01, duration=0.1)
+        with pytest.raises(RuntimeError, match="listener failed"):
+            tb.env.run(until=1.0)
+        assert tb.env.now == 0.01
 
 
 class TestTransportFailures:

@@ -244,7 +244,7 @@ class TestRerouteDelay:
         # Established route still points at the dead link until the
         # delayed invalidation fires.
         assert net.route_link("a", "d") is primary
-        env.run(until=env.timeout(0.1))
+        env.run(until=env.event().succeed(delay=0.1))
         assert net.route_link("a", "d").name == "a--c"
         assert net.reroutes >= 1
 

@@ -11,7 +11,7 @@ import pytest
 from repro.harness.runner import SweepRunner
 from repro.harness.sweeps import demo_specs
 from repro.netsim.core import Packet
-from repro.sim import Environment, Event, Store
+from repro.sim import Environment, Event, Lane
 from tests import delivery_scenarios as ds
 
 
@@ -35,22 +35,11 @@ def test_hot_path_classes_have_no_instance_dict():
     hot = [
         env,
         Event(env),
-        env.timeout(0.0),
-        Store(env),
+        env.all_of([]),
+        Lane(env),
         Packet(flow="f", src="a", dst="b", ip_bytes=1500, payload_bytes=1448),
     ]
     for obj in hot:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         with pytest.raises(AttributeError):
             obj.arbitrary_new_attribute = 1
-
-
-def test_process_is_slotted():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(0.0)
-
-    p = env.process(proc())
-    assert not hasattr(p, "__dict__")
-    env.run()

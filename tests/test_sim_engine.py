@@ -1,10 +1,10 @@
-"""Tests for the discrete-event kernel: environment, events, processes."""
+"""Tests for the discrete-event kernel: environment, callbacks, events, lanes."""
 
 import random
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Lane, SimulationError
+from repro.sim import Environment, Lane, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -18,44 +18,40 @@ def test_clock_custom_start():
 
 
 def test_timeout_advances_clock():
+    """A timeout is an event triggered with a delay."""
     env = Environment()
-
-    def proc():
-        yield env.timeout(2.5)
-        return env.now
-
-    p = env.process(proc())
+    evt = env.event().succeed(delay=2.5)
     env.run()
-    assert p.value == 2.5
+    assert evt.processed
     assert env.now == 2.5
 
 
 def test_timeout_value_passthrough():
     env = Environment()
-
-    def proc():
-        got = yield env.timeout(1.0, value="payload")
-        return got
-
-    p = env.process(proc())
-    env.run()
-    assert p.value == "payload"
+    evt = env.event().succeed("payload", delay=1.0)
+    assert env.run(until=evt) == "payload"
+    assert env.now == 1.0
 
 
 def test_negative_timeout_rejected():
     env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
+    evt = env.event()
+    with pytest.raises(SimulationError):
+        evt.succeed(delay=-1.0)
+    # The rejected trigger leaves the event pending and usable.
+    assert not evt.triggered
+    evt.succeed(delay=1.0)
+    env.run()
+    assert evt.processed
 
 
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
-    def proc():
-        while True:
-            yield env.timeout(1.0)
+    def tick():
+        env.call_later(1.0, tick)
 
-    env.process(proc())
+    env.call_later(1.0, tick)
     env.run(until=3.5)
     assert env.now == 3.5
 
@@ -63,12 +59,7 @@ def test_run_until_time_stops_clock_exactly():
 def test_run_until_event_returns_value():
     env = Environment()
     evt = env.event()
-
-    def trigger():
-        yield env.timeout(2.0)
-        evt.succeed(42)
-
-    env.process(trigger())
+    env.call_later(2.0, evt.succeed, 42)
     assert env.run(until=evt) == 42
     assert env.now == 2.0
 
@@ -83,13 +74,10 @@ def test_run_until_never_fired_event_raises():
 def test_events_fire_in_fifo_order_at_same_time():
     env = Environment()
     order = []
-
-    def proc(tag):
-        yield env.timeout(1.0)
-        order.append(tag)
-
     for tag in ("a", "b", "c"):
-        env.process(proc(tag))
+        evt = env.event()
+        evt.add_callback(lambda _e, t=tag: order.append(t))
+        evt.succeed(delay=1.0)
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -107,16 +95,13 @@ def test_event_double_trigger_rejected():
 def test_event_fail_raises_in_waiter():
     env = Environment()
     evt = env.event()
-
-    def waiter():
-        with pytest.raises(ValueError, match="boom"):
-            yield evt
-        return "handled"
-
-    p = env.process(waiter())
-    evt.fail(ValueError("boom"))
-    env.run()
-    assert p.value == "handled"
+    seen = []
+    evt.add_callback(seen.append)
+    env.call_later(1.0, evt.fail, ValueError("boom"))
+    with pytest.raises(ValueError, match="boom"):
+        env.run(until=evt)
+    assert seen == [evt] and evt.failed
+    assert env.now == 1.0
 
 
 def test_fail_requires_exception_instance():
@@ -125,150 +110,69 @@ def test_fail_requires_exception_instance():
         env.event().fail("not an exception")
 
 
-def test_process_waits_on_other_process():
+def test_callback_exception_propagates_out_of_run():
+    """A raising callback stops ``run`` with its exception; the clock
+    stands at its entry and later entries stay queued."""
     env = Environment()
+    got = []
 
-    def child():
-        yield env.timeout(3.0)
-        return "child-result"
+    def boom():
+        raise RuntimeError("callback failed")
 
-    def parent():
-        result = yield env.process(child())
-        return (env.now, result)
-
-    p = env.process(parent())
+    env.call_later(1.0, boom)
+    env.call_later(2.0, got.append, "after")
+    with pytest.raises(RuntimeError, match="callback failed"):
+        env.run(until=5.0)
+    assert env.now == 1.0 and got == []
     env.run()
-    assert p.value == (3.0, "child-result")
+    assert got == ["after"]
 
 
-def test_process_exception_propagates_to_waiter():
-    env = Environment()
-
-    def child():
-        yield env.timeout(1.0)
-        raise RuntimeError("child failed")
-
-    def parent():
-        try:
-            yield env.process(child())
-        except RuntimeError as exc:
-            return str(exc)
-
-    p = env.process(parent())
-    env.run()
-    assert p.value == "child failed"
-
-
-def test_yield_already_fired_event_resumes_immediately():
+def test_add_callback_on_fired_event_runs_immediately():
     env = Environment()
     evt = env.event()
     evt.succeed("early")
+    got = []
 
-    def proc():
-        yield env.timeout(1.0)
-        got = yield evt  # fired long ago
-        return (env.now, got)
+    def later():
+        evt.add_callback(lambda e: got.append((env.now, e.value)))
 
-    p = env.process(proc())
+    env.call_later(1.0, later)
     env.run()
-    assert p.value == (1.0, "early")
+    assert got == [(1.0, "early")]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def attacker(v):
-        yield env.timeout(2.0)
-        v.interrupt(cause="stop now")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert v.value == ("interrupted", "stop now", 2.0)
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0.1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError, match="finished"):
-        p.interrupt()
-
-
-def test_interrupt_self_rejected():
-    env = Environment()
-
-    def proc():
-        env.active_process.interrupt()
-        yield env.timeout(1.0)
-
-    p = env.process(proc())
-    env.run()
-    assert isinstance(p.value, SimulationError)
-
-
-def test_interrupt_detaches_without_disturbing_other_waiters():
+def test_event_fire_is_a_plain_callback_entry():
+    """Triggering an event queues its ``_fire`` like any callback, so
+    the heap holds one kind of entry."""
     env = Environment()
     evt = env.event()
-    order = []
-
-    def waiter(tag):
-        try:
-            yield evt
-            order.append(tag)
-        except Interrupt:
-            order.append(f"{tag}-interrupted")
-
-    procs = [env.process(waiter(t)) for t in ("a", "b", "c")]
-
-    def attacker():
-        yield env.timeout(1.0)
-        procs[1].interrupt()
-        yield env.timeout(1.0)
-        evt.succeed()
-
-    env.process(attacker())
-    env.run()
-    # The tombstoned slot neither resumes the victim nor shifts the
-    # remaining waiters out of FIFO order.
-    assert order == ["b-interrupted", "a", "c"]
+    evt.succeed(delay=1.0)
+    (entry,) = env._queue
+    assert entry[2] == evt._fire and entry[3] == ()
 
 
 def test_all_of_collects_values():
     env = Environment()
-    evts = [env.timeout(i + 1.0, value=i * 10) for i in range(3)]
-
-    def proc():
-        got = yield env.all_of(evts)
-        return (env.now, got)
-
-    p = env.process(proc())
-    env.run()
-    assert p.value == (3.0, {0: 0, 1: 10, 2: 20})
+    evts = [env.event().succeed(i * 10, delay=i + 1.0) for i in range(3)]
+    got = env.run(until=env.all_of(evts))
+    assert (env.now, got) == (3.0, {0: 0, 1: 10, 2: 20})
 
 
-def test_any_of_fires_on_first():
+def test_all_of_fails_with_first_failure():
     env = Environment()
-    slow = env.timeout(10.0, value="slow")
-    fast = env.timeout(1.0, value="fast")
+    ok, bad = env.event(), env.event()
+    ok.succeed(delay=1.0)
+    bad.fail(KeyError("lost"), delay=2.0)
+    with pytest.raises(KeyError, match="lost"):
+        env.run(until=env.all_of([ok, bad]))
+    assert env.now == 2.0
 
-    def proc():
-        got = yield env.any_of([slow, fast])
-        return (env.now, got)
 
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == (1.0, {1: "fast"})
+def test_all_of_empty_fires_at_once():
+    env = Environment(initial_time=3.0)
+    assert env.run(until=env.all_of([])) == {}
+    assert env.now == 3.0
 
 
 def test_step_empty_queue_raises():
@@ -279,7 +183,7 @@ def test_step_empty_queue_raises():
 
 def test_peek_reports_next_event_time():
     env = Environment()
-    env.timeout(4.0)
+    env.call_later(4.0, lambda: None)
     assert env.peek() == 4.0
 
 
@@ -356,8 +260,11 @@ NAN = float("nan")
             ),
             SimulationError,
         ),
-        (lambda env: env.schedule(env.event(), NAN), SimulationError),
-        (lambda env: env.timeout(NAN), ValueError),
+        (
+            lambda env: env.event().fail(RuntimeError("late"), delay=NAN),
+            SimulationError,
+        ),
+        (lambda env: env.event().succeed(delay=NAN), SimulationError),
         (lambda env: env.run(until=NAN), SimulationError),
     ],
     ids=["call_later", "call_at", "call_at_after", "schedule", "timeout", "run"],
@@ -402,9 +309,10 @@ def test_callbacks_and_events_share_fifo_order():
 
 
 def test_scheduled_count_counts_both_forms():
+    """Event fires and bare callbacks each take one entry."""
     env = Environment()
     base = env.scheduled_count
-    env.timeout(1.0)
+    env.event().succeed(delay=1.0)
     env.call_later(1.0, lambda: None)
     env.call_at(2.0, lambda: None)
     assert env.scheduled_count == base + 3
@@ -425,13 +333,13 @@ def test_determinism_two_identical_runs():
         env = Environment()
         trace = []
 
-        def proc(tag, dt):
-            for _ in range(5):
-                yield env.timeout(dt)
-                trace.append((env.now, tag))
+        def tick(tag, dt, left):
+            trace.append((env.now, tag))
+            if left:
+                env.call_later(dt, tick, tag, dt, left - 1)
 
-        env.process(proc("x", 0.3))
-        env.process(proc("y", 0.5))
+        env.call_later(0.3, tick, "x", 0.3, 4)
+        env.call_later(0.5, tick, "y", 0.5, 4)
         env.run()
         return trace
 

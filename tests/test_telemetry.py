@@ -161,12 +161,12 @@ class TestSampler:
         reg = MetricsRegistry()
         g = reg.gauge("level")
 
-        def source():
-            for i in range(10):
-                g.set(i)
-                yield env.timeout(1.0)
+        def source(i):
+            g.set(i)
+            if i < 9:
+                env.call_later(1.0, source, i + 1)
 
-        env.process(source())
+        env.call_later(0.0, source, 0)
         sampler = Sampler(env, reg, interval=1.0).start()
         env.run(until=5.5)
         sampler.stop()
@@ -185,6 +185,38 @@ class TestSampler:
         env.run()  # must terminate: no further sampler events scheduled
         assert env.peek() == math.inf
 
+    def test_stop_then_start_runs_one_sampling_loop(self):
+        env = Environment()
+        sampler = Sampler(env, MetricsRegistry(), interval=1.0)
+        ticks = []
+        sampler.add_listener(ticks.append)
+        sampler.start()
+        env.run(until=0.5)
+        sampler.stop()
+        sampler.start()
+        env.run(until=3.5)
+        sampler.stop()
+        env.run()
+        assert ticks == [0.0, 0.5, 1.5, 2.5, 3.5]
+
+    def test_listener_can_stop_or_restart_the_sampler(self):
+        env = Environment()
+        sampler = Sampler(env, MetricsRegistry(), interval=1.0)
+        ticks = []
+
+        def listener(now):
+            ticks.append(now)
+            if len(ticks) == 3:
+                sampler.stop()
+                sampler.start()  # restarts now: one tick at 2.0 again
+            elif len(ticks) == 6:
+                sampler.stop()
+
+        sampler.add_listener(listener)
+        sampler.start()
+        env.run()
+        assert ticks == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
+
     def test_listener_called_each_tick(self):
         env = Environment()
         sampler = Sampler(env, MetricsRegistry(), interval=1.0)
@@ -199,12 +231,7 @@ class TestSampler:
     def test_series_created_mid_run_picked_up(self):
         env = Environment()
         reg = MetricsRegistry()
-
-        def late():
-            yield env.timeout(2.0)
-            reg.counter("late").inc()
-
-        env.process(late())
+        env.call_later(2.0, lambda: reg.counter("late").inc())
         sampler = Sampler(env, reg, interval=1.0).start()
         env.run(until=4.5)
         sampler.stop()
