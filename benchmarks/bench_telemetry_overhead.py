@@ -2,22 +2,29 @@
 
 The telemetry subsystem promises that observation never perturbs the
 experiment: a :class:`~repro.telemetry.NullRegistry` must leave the
-packet/ack hot paths untouched (no probe objects installed at all), and
-full instrumentation — per-link counters, drop reasons, flow recovery
-events, callback gauges, a periodic sampler — must stay below 5 % of the
+packet/ack hot paths untouched (no probe objects installed at all, and
+not one extra event dispatched — an exact gate), and full
+instrumentation — per-link counters, drop reasons, flow recovery events,
+callback gauges, a periodic sampler — must stay below 5 % of the
 uninstrumented wall-clock time for the standard 40 MByte T3E-600 → SP2
 WAN transfer.
 
-Set ``REPRO_BENCH_QUICK=1`` for a reduced-rounds run (CI smoke mode).
-The transfer size is the same in both modes: with the callback fast
-path the 40 MByte run finishes in tens of milliseconds, and anything
-smaller is too short to resolve a 5 % budget above scheduler jitter.
+The 5 % gates are on medians of per-round ratios: each round runs the
+uninstrumented, the NullRegistry and the fully instrumented transfer back
+to back, in an order that reverses every round, so the host's speed drift
+(tens of percent over seconds on a shared machine) cancels within a round
+and a noise burst moves one round, not the verdict.  A minimum over
+separate runs per tier does not resolve 5 % on such a host.
+
+Set ``REPRO_BENCH_QUICK=1`` for fewer rounds (CI smoke mode).  The
+transfer size is the same in both modes: the 40 MByte run finishes in
+tens of milliseconds, and anything smaller is too short to time.
 """
 
 import gc
 import json
-import math
 import os
+import statistics
 import time
 
 from repro.netsim import BulkTransfer, ClassicalIP, build_testbed
@@ -35,7 +42,7 @@ from repro.util.units import MBYTE
 IP64K = ClassicalIP(TESTBED_MTU)
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 NBYTES = 40 * MBYTE
-ROUNDS = 7 if QUICK else 9
+ROUNDS = 61 if QUICK else 121
 MAX_OVERHEAD = 0.05
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -73,19 +80,16 @@ TIERS = (
 
 
 def measure(rounds=ROUNDS):
-    """Min-of-N wall-clock per tier, rounds interleaved so slow drift
-    (thermal, page cache) hits every tier equally.  The workload is
-    deterministic, so scheduler noise is purely additive and the
-    minimum converges on the true cost of each tier."""
+    """Per round, each tier's wall clock, run back to back in an order
+    that reverses every round."""
     wan_transfer(None)  # warmup: imports, allocator pools, branch caches
-    best = {key: math.inf for key, _, _ in TIERS}
-    for _ in range(rounds):
-        for key, factory, sample in TIERS:
+    times = {key: [] for key, _, _ in TIERS}
+    for i in range(rounds):
+        for key, factory, sample in TIERS[:: -1 if i % 2 else 1]:
             registry = factory() if factory is not None else None
             gc.collect()
-            _, _, elapsed = wan_transfer(registry, sample=sample)
-            best[key] = min(best[key], elapsed)
-    return best
+            times[key].append(wan_transfer(registry, sample=sample)[2])
+    return times
 
 
 def test_overhead_report(report, benchmark):
@@ -93,33 +97,46 @@ def test_overhead_report(report, benchmark):
         wan_transfer, kwargs={"registry": MetricsRegistry(), "sample": True},
         rounds=1, iterations=1,
     )
-    # Noisy-neighbour guard: if a load burst lands on one tier's rounds,
-    # measure again (bounded) and keep the per-tier minima.
-    best = measure()
-    for _ in range(2):
-        if max(best["null"], best["full"]) / best["base"] - 1.0 < MAX_OVERHEAD:
-            break
-        again = measure()
-        best = {key: min(best[key], again[key]) for key in best}
-    t_base, t_null, t_full = best["base"], best["null"], best["full"]
-    null_ovh = t_null / t_base - 1.0
-    full_ovh = t_full / t_base - 1.0
-    rows = [
-        f"{'uninstrumented':<28} {t_base * 1e3:>8.1f} ms",
-        f"{'NullRegistry (default)':<28} {t_null * 1e3:>8.1f} ms "
-        f"({null_ovh:+7.2%})",
-        f"{'full registry + sampler':<28} {t_full * 1e3:>8.1f} ms "
-        f"({full_ovh:+7.2%})",
-        f"(min of {ROUNDS}, {NBYTES // MBYTE} MByte T3E-600 -> SP2"
-        f"{', quick mode' if QUICK else ''})",
-    ]
+    times = measure()
+    base = times["base"]
+    rows = [f"{'uninstrumented':<28} {statistics.median(base) * 1e3:>8.1f} ms"]
+    overhead = {}
+    for key, label in (
+        ("null", "NullRegistry (default)"),
+        ("full", "full registry + sampler"),
+    ):
+        ratios = [t / b for b, t in zip(base, times[key])]
+        q1, med, q3 = statistics.quantiles(ratios, n=4)
+        overhead[key] = med - 1.0
+        rows.append(
+            f"{label:<28} {statistics.median(times[key]) * 1e3:>8.1f} ms "
+            f"({med - 1.0:+7.2%}, round quartiles {q1 - 1.0:+.2%} .. {q3 - 1.0:+.2%})"
+        )
+    rows.append(
+        f"(medians of {ROUNDS} rounds in alternating order, {NBYTES // MBYTE} "
+        f"MByte T3E-600 -> SP2{', quick mode' if QUICK else ''})"
+    )
     report.add("E-telemetry: instrumentation overhead on the WAN transfer",
                "\n".join(rows))
 
     # NullRegistry is indistinguishable from no telemetry at all; the
     # full registry stays within the 5 % budget.
-    assert null_ovh < MAX_OVERHEAD
-    assert full_ovh < MAX_OVERHEAD
+    assert overhead["null"] < MAX_OVERHEAD
+    assert overhead["full"] < MAX_OVERHEAD
+
+
+def test_null_registry_installs_nothing():
+    """NullRegistry is no telemetry at all, exactly: no probe anywhere
+    and the same number of scheduled kernel entries as the uninstrumented
+    run (the wall clock cannot resolve a zero cost; the entry count can)."""
+    tb_base, bt_base, _ = wan_transfer(None)
+    tb_null, bt_null, _ = wan_transfer(NullRegistry(), sample=True)
+    net = tb_null.net
+    assert net.env.scheduled_count == tb_base.net.env.scheduled_count
+    assert net.env.now == tb_base.net.env.now
+    assert bt_null.probe is None and net.probe is None
+    for obj in [*net.links.values(), *net.nodes.values()]:
+        assert getattr(obj, "probe", None) is None, obj.name
 
 
 def test_instrumentation_does_not_change_results():

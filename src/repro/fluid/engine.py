@@ -9,7 +9,7 @@ advances time analytically in between.  A 10,000-session heavy-tailed
 day on the testbed is ~20,000 events instead of tens of millions of
 packets.
 
-Three tricks keep the event loop cheap at scale:
+Four tricks keep the event loop cheap at scale:
 
 * **Path classes** — concurrent flows between the same endpoints (and
   rate cap) face identical constraints, so they always share one rate.
@@ -24,6 +24,14 @@ Three tricks keep the event loop cheap at scale:
   another resource at a per-bit cost at least as large can never be the
   first to bind, so the solver never sees it (see :func:`_dominated`).
   The drop set is rebuilt only when a class or static demand appears.
+* **Busy list** — a class stays in ``_classes`` after its last flow
+  leaves, so the per-event walks (next event, drain, harvest, re-solve,
+  loads) go over ``_busy``, the non-empty classes only.  It keeps
+  creation order, because that is the order the solver sums in: a class
+  that empties drops out with its rate reset to 0.0, one that fills
+  again is put back in its creation slot, and ``invalidate_paths``
+  rebuilds the list, so every rate stays bit for bit what a walk over
+  all classes gives.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -35,7 +43,9 @@ background load.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable, Optional
 
 from repro.netsim.core import Network
@@ -129,10 +139,13 @@ class _Flow:
 class _PathClass:
     """All active flows sharing one (src, dst, cap) constraint set."""
 
-    __slots__ = ("key", "costs", "solve_costs", "cap", "rate", "drained", "heap", "seq")
+    __slots__ = (
+        "key", "slot", "costs", "solve_costs", "cap", "rate", "drained", "heap", "seq"
+    )
 
-    def __init__(self, key, costs: dict[str, float], cap: float):
+    def __init__(self, key, slot: int, costs: dict[str, float], cap: float):
         self.key = key
+        self.slot = slot  # creation order: the class's place in the solve
         self.costs = costs  # resource -> seconds per payload bit
         self.solve_costs = costs  # costs minus the dominated resources
         self.cap = cap
@@ -182,6 +195,9 @@ class FluidEngine:
         self.probe: Optional[Any] = None
         self.on_rates_changed: Optional[Any] = None
         self._classes: dict[tuple, _PathClass] = {}
+        # The non-empty classes in ``_classes`` (creation) order, which is
+        # the solver's summation order: the only classes any event reads.
+        self._busy: list[_PathClass] = []
         self._char_cache: dict[tuple[str, str], Any] = {}
         self._static: dict[str, _Static] = {}
         self._prune_stale = False  # the drop set predates a new demand
@@ -258,7 +274,7 @@ class FluidEngine:
             key = (src, dst, 0.0)
             cls = self._classes.get(key)
             if cls is None:
-                cls = self._classes[key] = _PathClass(key, {}, 0.0)
+                cls = self._classes[key] = _PathClass(key, len(self._classes), {}, 0.0)
             return cls
         cap = INF
         if self.window_bytes != INF and char.rtt > 0:
@@ -267,7 +283,7 @@ class FluidEngine:
         cls = self._classes.get(key)
         if cls is None:
             costs = _per_bit_costs(char)
-            cls = self._classes[key] = _PathClass(key, costs, cap)
+            cls = self._classes[key] = _PathClass(key, len(self._classes), costs, cap)
             # Seeded so that advance_to() accumulates with a plain +=.
             for r in costs:
                 self._util_integral.setdefault(r, 0.0)
@@ -280,7 +296,7 @@ class FluidEngine:
         over; rates change from *now* on (piecewise-constant coupling).
         """
         carried: list[tuple[_Flow, float]] = []
-        for cls in self._classes.values():
+        for cls in self._busy:
             for key, _, flow in cls.heap:
                 carried.append((flow, max(0.0, key - cls.drained)))
         self._classes.clear()
@@ -290,6 +306,7 @@ class FluidEngine:
                 self._finish(flow, None)
             else:
                 self._class_for(flow.src, flow.dst).add(flow, remaining_bits)
+        self._busy = [cls for cls in self._classes.values() if cls.heap]
         for demand in self._static.values():
             self._static_costs(demand)
         self._resolve()
@@ -314,19 +331,18 @@ class FluidEngine:
         costs: dict[Any, dict[str, float]] = {}
         caps: dict[Any, float] = {}
         counts: dict[Any, int] = {}
-        for cls in self._classes.values():
-            if cls.heap:
-                costs[cls] = cls.solve_costs
-                caps[cls] = cls.cap
-                counts[cls] = len(cls.heap)
+        for cls in self._busy:
+            costs[cls] = cls.solve_costs
+            caps[cls] = cls.cap
+            counts[cls] = len(cls.heap)
         for name, demand in self._static.items():
             if demand.costs is not None:  # else no route now: silent
                 costs[name] = demand.solve_costs
                 caps[name] = demand.cap
                 counts[name] = 1
         rates = max_min_rates(costs, caps, counts) if costs else {}
-        for cls in self._classes.values():
-            cls.rate = rates.get(cls, 0.0)
+        for cls in self._busy:
+            cls.rate = rates[cls]
         self.resolves += 1
         if self.probe is not None:
             self.probe.on_resolve(self)
@@ -339,8 +355,8 @@ class FluidEngine:
         background shares.  Static (packet-side) demands are excluded:
         their packets occupy the links physically already."""
         loads: dict[str, float] = {}
-        for cls in self._classes.values():
-            if not cls.heap or cls.rate <= 0:
+        for cls in self._busy:
+            if cls.rate <= 0:
                 continue
             total = len(cls.heap) * cls.rate
             for r, c in cls.costs.items():
@@ -357,9 +373,7 @@ class FluidEngine:
         """Earliest pending arrival or completion (``inf`` when idle)."""
         t = self._pending[0][0] if self._pending else INF
         now = self.now
-        for cls in self._classes.values():
-            if not cls.heap:
-                continue
+        for cls in self._busy:
             rate = cls.rate
             if rate == INF:
                 return now
@@ -379,8 +393,8 @@ class FluidEngine:
         dt = t - self.now
         if dt > 0:
             util = self._util_integral
-            for cls in self._classes.values():
-                if not cls.heap or cls.rate <= 0:
+            for cls in self._busy:
+                if cls.rate <= 0:
                     continue
                 cls.drained += cls.rate * dt
                 total = len(cls.heap) * cls.rate * dt
@@ -395,23 +409,26 @@ class FluidEngine:
         return changed
 
     def _harvest(self) -> bool:
-        changed = False
-        for cls in self._classes.values():
-            if not cls.heap:
-                continue
+        changed = emptied = False
+        for cls in self._busy:
             if cls.rate == INF:
                 while cls.heap:
                     self._finish(heapq.heappop(cls.heap)[2], cls)
                 changed = True
-                continue
-            # A remainder the clock cannot traverse (finishing within one
-            # ulp of `now`) is done *now* — without the rate-scaled term a
-            # sub-ulp residue stalls the event loop forever.
-            eps = max(_DRAIN_EPS, cls.rate * self.now * 4e-16)
-            limit = cls.drained + eps
-            while cls.heap and cls.heap[0][0] <= limit:
-                self._finish(heapq.heappop(cls.heap)[2], cls)
-                changed = True
+            else:
+                # A remainder the clock cannot traverse (finishing within
+                # one ulp of `now`) is done *now* — without the rate-scaled
+                # term a sub-ulp residue stalls the event loop forever.
+                eps = max(_DRAIN_EPS, cls.rate * self.now * 4e-16)
+                limit = cls.drained + eps
+                while cls.heap and cls.heap[0][0] <= limit:
+                    self._finish(heapq.heappop(cls.heap)[2], cls)
+                    changed = True
+            if not cls.heap:
+                cls.rate = 0.0
+                emptied = True
+        if emptied:
+            self._busy = [cls for cls in self._busy if cls.heap]
         return changed
 
     def _finish(self, flow: _Flow, cls: Optional[_PathClass]) -> None:
@@ -440,7 +457,10 @@ class FluidEngine:
                 arrived=self.now,
                 finish_key=0.0,
             )
-            self._class_for(src, dst).add(flow)
+            cls = self._class_for(src, dst)
+            if not cls.heap:  # back into its creation slot
+                insort(self._busy, cls, key=attrgetter("slot"))
+            cls.add(flow)
             self._active += 1
             self.arrived += 1
             self.peak_active = max(self.peak_active, self._active)

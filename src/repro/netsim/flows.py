@@ -56,7 +56,8 @@ class BulkTransfer:
     * multiplicative congestion-window reduction on loss (halved on fast
       retransmit, collapsed to one segment on timeout);
     * ``retransmits`` / ``timeouts`` / ``fast_retransmits`` counters for
-      the benchmarks.
+      the benchmarks, and ``duplicate_segments``: segments the receiver
+      already held, so a retransmission that was not needed.
 
     A transfer whose path stays dead fails its ``done`` event with
     :class:`TransferStalled` after ``max_consecutive_timeouts`` unanswered
@@ -116,6 +117,8 @@ class BulkTransfer:
         self.retransmits = 0
         self.timeouts = 0
         self.fast_retransmits = 0
+        #: Segments the receiver got again after it already had them.
+        self.duplicate_segments = 0
         #: Times the stall budget was waived because routing still
         #: resolved a live path (failover onto an alternate route).
         self.failovers = 0
@@ -305,6 +308,8 @@ class BulkTransfer:
             while self._rx_next in self._rx_segments:
                 self._received += self._rx_segments.pop(self._rx_next)
                 self._rx_next += 1
+        else:
+            self.duplicate_segments += 1
         # Always acknowledge — duplicates included — with the cumulative
         # reassembly point; duplicate ACKs drive fast retransmit.
         ack = Packet(

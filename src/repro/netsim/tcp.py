@@ -293,6 +293,8 @@ def max_min_rates(
         live -= frozen
         for i in frozen:
             rates[i] = level
+        if not live:  # nothing reads the demands or the cap minimum now
+            break
         # A resource that no frozen demand uses keeps the same live terms
         # in the same order, so its demand is unchanged.
         for r in {r for i in frozen for r in uses[i]}:
@@ -302,8 +304,7 @@ def max_min_rates(
                     demand[r] = d
                 else:
                     del demand[r]
-        if live:
-            cap_min = min([cap_of[i] for i in live])
+        cap_min = min([cap_of[i] for i in live])
     for i in live:
         rates[i] = level
     return dict(zip(costs, rates))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -189,19 +190,22 @@ def instrument_network(net, registry: MetricsRegistry, flows=()):
             # The sampler reads these every tick; the counters they
             # mirror are ints, which sample identically — skipping the
             # float() wrap keeps the per-tick cost down (direct reads
-            # via Gauge.value still coerce in the property).
+            # via Gauge.value still coerce in the property), and so does
+            # reading the direction's own record rather than building
+            # the link's {direction: value} view on every read.
+            st = link._dir[end]
             registry.gauge(
                 "netsim.link.tx_bytes", link=link.name, direction=end
-            ).set_function(lambda l=link, d=end: l.tx_bytes[d])
+            ).set_function(lambda st=st: st.txb)
             registry.gauge(
                 "netsim.link.tx_packets", link=link.name, direction=end
-            ).set_function(lambda l=link, d=end: l.tx_packets[d])
+            ).set_function(lambda st=st: st.txp)
             registry.gauge(
                 "netsim.link.utilization", link=link.name, direction=end
-            ).set_function(lambda l=link, d=end: l.utilization(d))
+            ).set_function(partial(link.utilization, end))
             registry.gauge(
                 "netsim.link.queue_depth", link=link.name, direction=end
-            ).set_function(lambda l=link, d=end: len(l._queues[d]))
+            ).set_function(partial(len, link._queues[end]))
             for flow in flows:
                 registry.gauge(
                     "netsim.link.flow_tx_bytes",

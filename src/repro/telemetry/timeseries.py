@@ -17,6 +17,7 @@ helper — need no special care).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from repro.sim import Environment
@@ -26,36 +27,27 @@ from repro.telemetry.metrics import MetricsRegistry, _label_key
 class RingBuffer:
     """A bounded series of ``(time, value)`` samples (oldest evicted)."""
 
-    __slots__ = ("capacity", "_data", "_start")
+    __slots__ = ("capacity", "_data")
 
     def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ValueError("ring buffer capacity must be >= 1")
         self.capacity = capacity
-        self._data: list[tuple[float, float]] = []
-        self._start = 0  # index of the oldest sample (circular)
+        self._data: deque[tuple[float, float]] = deque(maxlen=capacity)
 
     def append(self, t: float, value: float) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append((t, value))
-        else:
-            self._data[self._start] = (t, value)
-            self._start = (self._start + 1) % self.capacity
+        self._data.append((t, value))
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __iter__(self):
-        n = len(self._data)
-        for i in range(n):
-            yield self._data[(self._start + i) % n]
+        return iter(self._data)
 
     @property
     def last(self) -> Optional[tuple[float, float]]:
         """Most recent ``(time, value)`` sample, or ``None`` if empty."""
-        if not self._data:
-            return None
-        return self._data[(self._start - 1) % len(self._data)]
+        return self._data[-1] if self._data else None
 
     def times(self) -> list[float]:
         return [t for t, _ in self]
@@ -143,11 +135,11 @@ class Sampler:
             buf = self._buffers.get(key)
             if buf is None:
                 buf = self._buffers[key] = RingBuffer(self.capacity)
-            # Bind the append once per series, not once per tick.
+            # Bind the deque's append once per series, not once per tick.
             if series.kind == "gauge":
-                gauge_pairs.append((buf.append, series))
+                gauge_pairs.append((buf._data.append, series))
             else:
-                other_pairs.append((buf.append, series))
+                other_pairs.append((buf._data.append, series))
         self._gauge_pairs = gauge_pairs
         self._other_pairs = other_pairs
         self._seen_series = len(self.registry)
@@ -159,9 +151,9 @@ class Sampler:
             self._rescan()
         for append, gauge in self._gauge_pairs:
             fn = gauge._fn
-            append(now, fn() if fn is not None else gauge._value)
+            append((now, fn() if fn is not None else gauge._value))
         for append, series in self._other_pairs:
-            append(now, series.value)
+            append((now, series.value))
         self.samples_taken += 1
         for fn in self._listeners:
             fn(now)

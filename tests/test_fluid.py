@@ -226,6 +226,50 @@ class TestFluidEngine:
         assert done.fct == pytest.approx(32 * MB * 8 / rate, rel=1e-6)
         assert done.nbytes == 32 * MB  # original size survives the rebuild
 
+    def test_refilled_class_takes_back_its_creation_slot(self):
+        """A class whose last flow leaves drops out of the busy list with
+        rate 0.0; a later arrival puts it back in front of the classes
+        created after it, which is the solver's summation order."""
+        tb = build_testbed()
+        eng = FluidEngine(tb.net, window_bytes=8 * MB)
+        eng.schedule_flow(0.0, "a1", "t3e-600", "sp2", MB)
+        eng.schedule_flow(0.0, "b", "t90", "onyx2-gmd", 64 * MB)
+        eng.schedule_flow(0.0, "c", "t3e-1200", "sp2", 64 * MB)
+        eng.schedule_flow(0.5, "a2", "t3e-600", "sp2", MB)
+        eng.run(until=0.4)
+        a, b, c = eng._classes.values()
+        assert [f.name for f in eng.completed] == ["a1"]
+        assert eng._busy == [b, c]
+        assert a.rate == 0.0
+        eng.run(until=0.5)
+        assert eng._busy == [a, b, c]
+        assert [cls.slot for cls in eng._busy] == [0, 1, 2]
+        assert a.rate > 0.0
+        eng.run()
+        assert sorted(f.name for f in eng.completed) == ["a1", "a2", "b", "c"]
+        assert eng._busy == []
+
+    def test_unconstrained_class_finishes_every_flow_at_once(self):
+        """A path with no finite resource or cap solves to an infinite
+        rate: every flow of the class finishes at the instant it arrives,
+        and the emptied class comes back for a later arrival."""
+        env = Environment()
+        net = Network(env)
+        net.add(Host(env, "a"))
+        net.add(Host(env, "b"))
+        net.link("a", "b", math.inf, 1e-3)
+        eng = FluidEngine(net)
+        for i in range(3):
+            eng.schedule_flow(1.0, f"f{i}", "a", "b", 1000 * (i + 1))
+        eng.schedule_flow(2.0, "g", "a", "b", 5)
+        eng.run(until=1.0)
+        (cls,) = eng._classes.values()
+        assert eng._busy == [] and cls.rate == 0.0
+        eng.run()
+        done = [(f.name, f.completed) for f in eng.completed]
+        assert done == [("f0", 1.0), ("f1", 1.0), ("f2", 1.0), ("g", 2.0)]
+        assert eng.active == 0 and eng.resolves == 4
+
     def test_mean_utilization_single_bottleneck(self):
         env = Environment()
         net = Network(env)
@@ -822,30 +866,39 @@ class TestDominatedResources:
         demand, a cut access link and its repair: at every re-solve the
         engine's rates (solved without dominated resources) equal a solve
         over every class's and demand's full costs."""
-        from repro.netsim.tcp import max_min_rates
-
         seen = {"solves": 0, "pruned": 0}
 
         def check(eng):
-            costs, caps, counts = {}, {}, {}
-            for key, cls in eng._classes.items():
-                if cls.heap:
-                    costs[key], caps[key] = cls.costs, cls.cap
-                    counts[key] = len(cls.heap)
-                    seen["pruned"] += len(cls.costs) - len(cls.solve_costs)
-            for name, demand in eng._static.items():
-                if demand.costs is not None:
-                    costs[name], caps[name], counts[name] = demand.costs, demand.cap, 1
-            full = max_min_rates(costs, caps, counts) if costs else {}
-            for key, cls in eng._classes.items():
-                if cls.heap:
-                    assert repr(cls.rate) == repr(full[key]), key
+            assert_rates_equal_full_solve(eng)
+            for cls in eng._busy:
+                seen["pruned"] += len(cls.costs) - len(cls.solve_costs)
             seen["solves"] += 1
 
         eng = _cut_and_repair_day(check)
         assert len(eng.completed) == 300
         assert seen["solves"] == eng.resolves
         assert seen["pruned"] > 0
+
+
+def assert_rates_equal_full_solve(eng):
+    """The engine's busy list is its non-empty classes in creation order,
+    their rates (solved without dominated resources) equal a solve over
+    every busy class's and routable demand's full costs, and every empty
+    class reads rate 0.0."""
+    from repro.netsim.tcp import max_min_rates
+
+    assert eng._busy == [cls for cls in eng._classes.values() if cls.heap]
+    costs, caps, counts = {}, {}, {}
+    for key, cls in eng._classes.items():
+        if cls.heap:
+            costs[key], caps[key], counts[key] = cls.costs, cls.cap, len(cls.heap)
+    for name, demand in eng._static.items():
+        if demand.costs is not None:
+            costs[name], caps[name], counts[name] = demand.costs, demand.cap, 1
+    full = max_min_rates(costs, caps, counts) if costs else {}
+    for key, cls in eng._classes.items():
+        want = full[key] if cls.heap else 0.0
+        assert repr(cls.rate) == repr(want), key
 
 
 def _cut_and_repair_day(on_rates_changed=None):

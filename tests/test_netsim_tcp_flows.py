@@ -1,6 +1,8 @@
 """Tests for the TCP model and traffic flows, including agreement between
 the closed-form prediction and the discrete-event measurement."""
 
+import random
+
 import pytest
 
 from repro.netsim import build_testbed
@@ -16,6 +18,7 @@ from repro.netsim.tcp import (
     tcp_steady_throughput,
 )
 from repro.sim import Environment
+from repro.util.units import KBYTE, MBYTE
 
 
 def two_hosts(rate=1e9, propagation=1e-3, **host_kw):
@@ -87,6 +90,71 @@ class TestBulkTransfer:
         bt = BulkTransfer(net, "a", "b", nbytes=1000)
         with pytest.raises(RuntimeError):
             _ = bt.throughput
+
+
+def _app_mix_bulks(seed=0):
+    """The perfbench ``app_mix`` job: 8 MB windows both ways between the
+    supercomputers over CLIP, the D1 video and a ping probe, with wire
+    loss Juelich -> Sankt Augustin; returns its four bulk transfers after
+    each has run."""
+    rng = random.Random(seed)
+    tb = build_testbed()
+    net = tb.net
+    ip = ClassicalIP(9180)
+    pairs = [
+        (tb.T3E_600, tb.SP2),
+        (tb.SP2, tb.T3E_600),
+        (tb.T3E_1200, tb.E500_GMD),
+        (tb.E500_GMD, tb.T3E_1200),
+    ]
+    bulks = [
+        BulkTransfer(
+            net,
+            src,
+            dst,
+            8 * MBYTE + rng.randrange(64 * KBYTE),
+            ip=ip,
+            window_bytes=8 * MBYTE,
+            name=f"bulk-{src}",
+        )
+        for src, dst in pairs
+    ]
+    CbrFlow(
+        net,
+        tb.ONYX2_JUELICH,
+        tb.ONYX2_GMD,
+        frame_bytes=1_350_000,
+        interval=0.04,
+        n_frames=25,
+        ip=ip,
+        name="d1-video",
+    )
+    PingFlow(net, tb.FRONTEND, tb.E500_GMD, count=40, interval=0.025, name="ping")
+    tb.wan_link.set_loss(
+        1e-3, direction=tb.SW_JUELICH, rng=random.Random(rng.getrandbits(64))
+    )
+    for bt in bulks:
+        net.env.run(until=bt.done)
+    return bulks
+
+
+class TestDuplicateSegments:
+    def test_lossless_transfer_counts_none(self):
+        bt = BulkTransfer(two_hosts(), "a", "b", nbytes=1_000_000)
+        bt.run()
+        assert bt.retransmits == 0
+        assert bt.duplicate_segments == 0
+
+    def test_app_mix_reverse_bulks_count_spurious_resends(self):
+        """The reverse bulks' wire is lossless, but their first ACKs queue
+        behind the peer's 8 MB window, so the initial RTO fires and
+        go-back-N re-sends segments the receiver already holds.  A segment
+        arrives twice only if it was sent twice."""
+        bulks = {bt.name: bt for bt in _app_mix_bulks()}
+        for bt in bulks.values():
+            assert 0 <= bt.duplicate_segments <= bt.retransmits, bt.name
+        for name in ("bulk-sp2", "bulk-e500-gmd"):
+            assert bulks[name].duplicate_segments > 0, name
 
 
 class TestCharacterization:
