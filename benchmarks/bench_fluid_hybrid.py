@@ -21,8 +21,7 @@ import pytest
 
 from repro.fluid import BoundedPareto, FluidEngine, WorkloadGenerator
 from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
-from repro.netsim import CbrFlow, ClassicalIP, PingFlow, build_testbed
-from repro.netsim.core import packet_pool
+from repro.netsim import ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -95,60 +94,6 @@ def test_fluid_flows_per_sec_report(report):
     assert wall < WALL_BUDGET_S, (
         f"{N_SESSIONS} sessions took {wall:.1f}s wall (budget {WALL_BUDGET_S}s)"
     )
-
-
-def test_arena_reuse_report(report):
-    """Arena payoff on the packet side of the hybrid: a CBR/ping flow
-    mix where the Packet free list runs at steady state.  Reports the
-    allocation reduction."""
-    tb = build_testbed()
-    env = tb.env
-    allocs0, reuses0 = packet_pool.allocs, packet_pool.reuses
-    flows = [
-        CbrFlow(
-            tb.net,
-            "sp2",
-            "t3e-600",
-            frame_bytes=64 * 1024,
-            interval=2e-3,
-            n_frames=200,
-            ip=ClassicalIP(TESTBED_MTU),
-            name="arena-cbr-fwd",
-            drain_timeout=1.0,
-        ),
-        CbrFlow(
-            tb.net,
-            "t3e-1200",
-            "e500-gmd",
-            frame_bytes=64 * 1024,
-            interval=2e-3,
-            n_frames=200,
-            ip=ClassicalIP(TESTBED_MTU),
-            name="arena-cbr-rev",
-            drain_timeout=1.0,
-        ),
-        PingFlow(tb.net, "t90", "onyx2-gmd", count=400, interval=1e-3),
-    ]
-    t0 = time.perf_counter()
-    env.run(until=env.all_of([f.done for f in flows]))
-    wall = time.perf_counter() - t0
-    pkt_allocs = packet_pool.allocs - allocs0
-    pkt_reuses = packet_pool.reuses - reuses0
-    pkt_total = pkt_allocs + pkt_reuses
-    rows = [
-        f"{'packet acquires':<28} {pkt_total:>12,d}",
-        f"{'  constructed':<28} {pkt_allocs:>12,d}",
-        f"{'  recycled':<28} {pkt_reuses:>12,d} "
-        f"({pkt_reuses / pkt_total:.0%})" if pkt_total else "",
-        f"{'wall clock':<28} {wall:>11.2f}s",
-    ]
-    report.add(
-        "E-fluid-c: arena reuse, packet-side flow mix", "\n".join(rows)
-    )
-
-    # The arena must actually absorb the steady-state churn: most
-    # packets come back recycled, not freshly built.
-    assert pkt_total > 0 and pkt_reuses > pkt_allocs
 
 
 def test_fluid_run_is_deterministic(report):

@@ -54,7 +54,7 @@ def wan_transfer(registry=None, sample=False):
     a one-time O(links) setup cost, not hot-path overhead.
     """
     tb = build_testbed()
-    bt = BulkTransfer(tb.net, "t3e-600", "sp2", NBYTES, ip=IP64K)
+    bt = BulkTransfer(tb.net, "t3e-600", "sp2", NBYTES, ip=IP64K, name="wan-bulk")
     sampler = None
     if registry is not None:
         instrument_network(tb.net, registry)

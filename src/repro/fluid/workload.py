@@ -13,7 +13,7 @@ Determinism contract
 --------------------
 
 The schedule must be bit-identical for a given seed across serial and
-pooled harness runs and across Python versions (3.10–3.12 are in CI).
+process-pool harness runs and across Python versions (3.10–3.12 are in CI).
 Two measures enforce that:
 
 * only ``random.Random.random()`` draws are consumed (the Mersenne

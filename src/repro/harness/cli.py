@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=300.0,
-        help="per-scenario timeout in pooled mode (seconds)",
+        help="per-scenario timeout in process-pool mode (seconds)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -6,7 +6,7 @@ against the :class:`ResultCache`, fans the misses out over a
 returns a :class:`SweepResult` whose flattened metrics feed the
 baseline comparator and the JSONL exporter.
 
-Scenario functions are deterministic given ``spec.seed``, so pooled and
+Scenario functions are deterministic given ``spec.seed``, so process-pool and
 serial execution produce identical metrics — the executors differ only
 in wall-clock time.
 """
@@ -172,7 +172,7 @@ class SweepRunner:
     number of pending scenarios); ``serial=True`` — or a single CPU, or
     ``REPRO_SWEEP_SERIAL=1``, or a pool start-up failure — runs inline
     in the parent instead.  ``timeout`` bounds each scenario's result
-    wait in pooled mode; a blown deadline records a ``timeout`` error
+    wait in process-pool mode; a blown deadline records a ``timeout`` error
     for that scenario and the pool is torn down afterwards rather than
     joined, so a hung worker cannot wedge the sweep.
     """

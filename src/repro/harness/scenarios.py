@@ -429,7 +429,7 @@ def fluid_wan(spec: ScenarioSpec) -> dict[str, Any]:
 
     ``schedule_sha`` pins the workload generator's determinism contract
     (same seed ⇒ bit-identical schedule across Python versions and
-    serial/pooled runs); FCT statistics, mean/peak concurrency, WAN
+    serial/process-pool runs); FCT statistics, mean/peak concurrency, WAN
     utilization and the re-solve count are pure functions of the spec.
     ``wall_s`` / ``flows_per_sec`` are machine-dependent and gated with
     infinite tolerance.

@@ -17,10 +17,9 @@ Performance-relevant host effects of 1999 hardware are first-class:
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.netsim.atm import aal5_wire_bytes
@@ -29,8 +28,6 @@ from repro.netsim.ip import LLC_SNAP_HEADER
 from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment, Lane
 from repro.util.units import check_rate, check_seconds
-
-_packet_ids = itertools.count()
 
 #: Reference datagram size (bytes) for the serialization term of the
 #: routing cost metric (:func:`route_cost`) — a typical full Ethernet
@@ -66,14 +63,16 @@ def _count_by_flow(packets) -> dict[str, int]:
     return counts
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Packet:
     """One IP datagram in flight.
 
     ``ip_bytes`` includes IP/TCP headers; link framing (cells, bursts) is
-    added per hop by the link's :class:`Framing`.  Slotted: millions are
-    allocated per run, and no simulator attaches ad-hoc attributes
-    (``meta`` is the extension point).
+    added per hop by the link's :class:`Framing`.  A plain slotted
+    record, built fresh by each source and never reused, so a sink may
+    keep a delivered packet.  ``acked`` is the cumulative byte count a
+    :class:`~repro.netsim.flows.BulkTransfer` ACK carries.  Packets
+    compare by identity (``eq=False``).
     """
 
     flow: str
@@ -84,90 +83,7 @@ class Packet:
     kind: str = "data"
     seq: int = 0
     created: float = 0.0
-    meta: dict = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    hops: int = 0
-    #: True while the packet is owned by a :class:`PacketPool` cycle;
-    #: the delivering host returns it to the pool after the sink runs.
-    pooled: bool = False
-
-
-class PacketPool:
-    """Arena-style reuse of :class:`Packet` objects.
-
-    High-rate sources (CBR video frames, ping trains — thousands of
-    flows in the hybrid runs) acquire packets here instead of
-    constructing them; the delivering :class:`Host` returns each packet
-    to the pool after its sink callback finishes, because the canonical
-    consumers (flow sinks, delivery recording) copy scalars out and
-    never retain the object.  Dropped or lost packets simply fall to the
-    garbage collector — only clean deliveries recycle.
-
-    Every acquire resets all fields and assigns a *fresh* ``uid``, so a
-    recycled object is indistinguishable from a newly constructed one.
-    ``allocs``/``reuses`` quantify the allocation pressure saved (the
-    hybrid benchmark reports them).
-    """
-
-    __slots__ = ("_free", "limit", "allocs", "reuses")
-
-    def __init__(self, limit: int = 4096):
-        self._free: list[Packet] = []
-        self.limit = limit
-        self.allocs = 0
-        self.reuses = 0
-
-    def acquire(
-        self,
-        flow: str,
-        src: str,
-        dst: str,
-        ip_bytes: int,
-        payload_bytes: int,
-        kind: str = "data",
-        seq: int = 0,
-    ) -> Packet:
-        """A packet with the given header fields, recycled if possible."""
-        free = self._free
-        if free:
-            self.reuses += 1
-            p = free.pop()
-            p.flow = flow
-            p.src = src
-            p.dst = dst
-            p.ip_bytes = ip_bytes
-            p.payload_bytes = payload_bytes
-            p.kind = kind
-            p.seq = seq
-            p.created = 0.0
-            if p.meta:
-                p.meta.clear()
-            p.uid = next(_packet_ids)
-            p.hops = 0
-            p.pooled = True
-            return p
-        self.allocs += 1
-        return Packet(
-            flow=flow,
-            src=src,
-            dst=dst,
-            ip_bytes=ip_bytes,
-            payload_bytes=payload_bytes,
-            kind=kind,
-            seq=seq,
-            pooled=True,
-        )
-
-    def release(self, packet: Packet) -> None:
-        """Return a delivered packet to the arena (host-side seam)."""
-        packet.pooled = False
-        if len(self._free) < self.limit:
-            self._free.append(packet)
-
-
-#: The shared arena used by pool-aware flows (one per process is fine:
-#: acquire/release only ever run inside the simulation loop).
-packet_pool = PacketPool()
+    acked: int = 0
 
 
 class Framing:
@@ -248,7 +164,7 @@ class _DirState:
     """
 
     __slots__ = (
-        "q",          # DrrScheduler (same object as Link._queues[d])
+        "q",          # DrrScheduler
         "dst",        # far Node of this direction
         "fold",       # far switch latency folded into arrivals, or None
         "eff",        # effective serialization rate (background load)
@@ -356,11 +272,6 @@ class Link:
         #: memoized :func:`route_cost` (rate/framing/propagation are fixed
         #: for the link's lifetime)
         self._route_cost: Optional[float] = None
-        wire_cost = self._wire_cost
-        self._queues = {
-            a.name: DrrScheduler(cost=wire_cost),
-            b.name: DrrScheduler(cost=wire_cost),
-        }
         self.drops = {a.name: 0, b.name: 0}
         self.lost = {a.name: 0, b.name: 0}
         self.drop_reasons: dict[str, int] = {}
@@ -394,7 +305,7 @@ class Link:
         for me, far in ((a, b), (b, a)):
             fold = far.latency if type(far) is Switch and far.latency > 0.0 else None
             self._dir[me.name] = _DirState(
-                self._queues[me.name], far, fold, rate
+                DrrScheduler(cost=self._wire_cost), far, fold, rate
             )
         a.attach(self)
         b.attach(self)
@@ -443,8 +354,8 @@ class Link:
 
     def set_flow_weight(self, flow: str, weight: float) -> None:
         """Scale ``flow``'s DRR share on both directions (default 1.0)."""
-        for q in self._queues.values():
-            q.set_weight(flow, weight)
+        for st in self._dir.values():
+            st.q.set_weight(flow, weight)
 
     def set_background_load(self, direction: str, share: float) -> None:
         """Reserve ``share`` of one direction's capacity for fluid flows.
@@ -565,9 +476,9 @@ class Link:
         if not up:
             for d, st in self._dir.items():
                 self._judge_inflight(d, st)
-            for direction, q in self._queues.items():
-                for flow, count in _count_by_flow(q.clear()).items():
-                    self._drop(direction, "link_down", count, flow=flow)
+            for d, st in self._dir.items():
+                for flow, count in _count_by_flow(st.q.clear()).items():
+                    self._drop(d, "link_down", count, flow=flow)
         if self.probe is not None:
             self.probe.on_state(self, up)
         if self.network is not None:
@@ -666,14 +577,12 @@ class Link:
         # Lazy pre-scheduled arrival.  No staleness check: an arrival
         # invalidated by a fault had its heap entry cancelled in place
         # (Environment.cancel), so only live entries reach here.
-        packet.hops += 1
         dst.receive(packet, self)
 
     def _sw_arrive(self, sw: "Node", packet: Packet) -> None:
         # Folded form of arrive-at-switch + switch latency + forward,
         # with the route-cache hit inlined (the overwhelmingly common
         # case on a stable topology) to skip one call per switch hop.
-        packet.hops += 1
         link = sw._fwd.get(packet.dst)
         if link is not None:
             link.send(sw, packet)
@@ -991,10 +900,6 @@ class Host(Node):
         sink = self._sinks.get(packet.flow)
         if sink is not None:
             sink(packet, self.env.now)
-        # Delivery is the end of a packet's life: sinks read scalars and
-        # return, so a pooled packet can rejoin the arena right away.
-        if packet.pooled:
-            packet_pool.release(packet)
 
     # -- API for flows -------------------------------------------------------
     def send(self, packet: Packet) -> None:
@@ -1187,7 +1092,6 @@ class Network:
         #: different link than before the last invalidation (failovers
         #: onto an alternate path, and reversions after repair).
         self.reroutes = 0
-        self._routes: dict[tuple[str, str], str] = {}
         #: Last link each (node, dst) pair resolved to — survives
         #: invalidation on purpose: it is the memory that makes a
         #: re-resolution recognizable as a reroute.
@@ -1250,7 +1154,6 @@ class Network:
 
     def invalidate_routes(self) -> None:
         """Flush cached routes and notify listeners of a topology change."""
-        self._routes.clear()
         for node in self.nodes.values():
             node._fwd.clear()
         for listener in self._invalidation_listeners:
@@ -1280,12 +1183,9 @@ class Network:
 
     def next_hop(self, src: str, dst: str) -> str:
         """First hop node on the routed path from ``src`` to ``dst``."""
-        key = (src, dst)
-        hop = self._routes.get(key)
-        if hop is None:
-            self._resolve(src, dst)
-            hop = self._routes[key]
-        return hop
+        if src not in self.nodes:
+            raise ValueError(f"no route from {src} to {dst}")
+        return self.route_link(src, dst).other(self.nodes[src]).name
 
     def route_link(self, src: str, dst: str) -> Link:
         """The link ``src`` forwards on towards ``dst`` (parallel-link
@@ -1313,7 +1213,6 @@ class Network:
             raise ValueError(f"no route from {src} to {dst}")
         for i, ln in enumerate(links):
             u = path[i]
-            self._routes[(u, dst)] = path[i + 1]
             self.nodes[u]._fwd[dst] = ln
             pin = (u, dst)
             prev = self._last_link.get(pin)

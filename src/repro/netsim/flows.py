@@ -5,33 +5,12 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-import numpy as np
-
-from repro.netsim.core import Network, Packet, packet_pool
+from repro.netsim.core import Network, Packet
 from repro.netsim.ip import ClassicalIP, IP_HEADER, TCP_HEADER
 from repro.sim import Environment, Event
 from repro.util.stats import RunningStats
 
 _ACK_BYTES = IP_HEADER + TCP_HEADER
-
-
-def _burst_departures(t0: float, interval: float, n: int) -> list[float]:
-    """The ``n + 1`` departure instants of a fixed-interval burst.
-
-    Computed as one vectorized prefix sum instead of ``n`` scheduled
-    steps.  ``np.add.accumulate`` applies float64 adds sequentially
-    (each partial sum is an output element), so every instant is
-    bit-identical to the chained ``now + interval`` of a sender that
-    re-schedules itself every ``interval``; the values convert back to
-    Python floats so no ``np.float64`` leaks into the event queue's
-    time comparisons.
-    The extra final entry is the post-burst instant (drain/deadline
-    anchor).
-    """
-    arr = np.empty(n + 1)
-    arr[0] = t0
-    arr[1:] = interval
-    return [float(t) for t in np.add.accumulate(arr)]
 
 
 class TransferStalled(RuntimeError):
@@ -320,13 +299,13 @@ class BulkTransfer:
             payload_bytes=0,
             kind="ack",
             seq=packet.seq,
-            meta={"acked": self._received},
+            acked=self._received,
         )
         self._dst_host.send(ack)
 
     # -- ack handling -------------------------------------------------------
     def _on_ack(self, packet: Packet, now: float) -> None:
-        acked = packet.meta["acked"]
+        acked = packet.acked
         if acked > self._acked:
             self._acked = acked
             self._dup_acks = 0
@@ -476,19 +455,17 @@ class CbrFlow:
         self._last_segment_time: Optional[float] = None
         self._segments_per_frame = len(self.ip.segments(frame_bytes))
         net.host(dst).register_sink(self.name, self._on_segment)
-        # Burst chain: departure instants are precomputed as one
-        # vectorized prefix sum, and each frame is emitted by a bare
-        # callback.  Packets come from the arena.  An empty stream
+        # Burst chain: each frame is emitted by a bare callback that
+        # schedules the next one ``interval`` later.  An empty stream
         # goes straight to its drain check.
         self._host = net.host(src)
         self._payloads = [
             (p, self.ip.datagram_bytes(p)) for p in self.ip.segments(frame_bytes)
         ]
-        self._dep = _burst_departures(self.env.now, self.interval, n_frames)
         if n_frames > 0:
             self.env.call_later(0.0, self._emit_frame, 0)
         else:
-            self.env.call_at(self._dep[0], self._begin_drain)
+            self.env.call_later(0.0, self._begin_drain)
 
     def _path_rtt_estimate(self) -> float:
         """Zero-load round trip of one full segment, for the drain window."""
@@ -503,23 +480,20 @@ class CbrFlow:
     def _emit_frame(self, frame: int) -> None:
         """Emit every segment of ``frame``, then arm the next departure.
 
-        One heap entry per frame.  The next entry is scheduled *after*
-        this frame's segments are injected, at the precomputed departure
-        instant, which matches chained ``now + interval`` float adds bit
-        for bit.
+        One heap entry per frame, scheduled *after* this frame's segments
+        are injected.
         """
         host = self._host
         name = self.name
         src = self.src
         dst = self.dst
-        acquire = packet_pool.acquire
         for payload, ip_bytes in self._payloads:
-            host.send(acquire(name, src, dst, ip_bytes, payload, "data", frame))
+            host.send(Packet(name, src, dst, ip_bytes, payload, "data", frame))
         nxt = frame + 1
         if nxt < self.n_frames:
-            self.env.call_at(self._dep[nxt], self._emit_frame, nxt)
+            self.env.call_later(self.interval, self._emit_frame, nxt)
         else:
-            self.env.call_at(self._dep[nxt], self._begin_drain)
+            self.env.call_later(self.interval, self._begin_drain)
 
     def _begin_drain(self) -> None:
         """Start the drain phase, one interval past the last frame (at
@@ -641,20 +615,18 @@ class PingFlow:
         self._dst_host = net.host(dst)
         self._dst_host.register_sink(self.name, self._echo)
         self._src_host.register_sink(self.name + ".reply", self._pong)
-        # Burst chain (see CbrFlow): precomputed departures, one callback
-        # per ping, arena packets.  An empty probe only waits out its
-        # deadline.
-        self._dep = _burst_departures(self.env.now, interval, count)
+        # Burst chain (see CbrFlow): one callback per ping.  An empty
+        # probe only waits out its deadline.
         if count > 0:
             self.env.call_later(0.0, self._send_ping, 0)
         else:
-            self.env.call_at(self._dep[0], self._arm_deadline)
+            self.env.call_later(0.0, self._arm_deadline)
 
     # -- the burst chain -----------------------------------------------------
     def _send_ping(self, i: int) -> None:
         self._sent_at[i] = self.env._now
         self._src_host.send(
-            packet_pool.acquire(
+            Packet(
                 self.name,
                 self.src,
                 self.dst,
@@ -666,9 +638,9 @@ class PingFlow:
         )
         nxt = i + 1
         if nxt < self.count:
-            self.env.call_at(self._dep[nxt], self._send_ping, nxt)
+            self.env.call_later(self.interval, self._send_ping, nxt)
         else:
-            self.env.call_at(self._dep[nxt], self._arm_deadline)
+            self.env.call_later(self.interval, self._arm_deadline)
 
     def _arm_deadline(self) -> None:
         # Deadline one interval after the last send: echoes lost to drops
@@ -683,10 +655,8 @@ class PingFlow:
             self.done.succeed(self.rtt.mean)
 
     def _echo(self, packet: Packet, now: float) -> None:
-        # The request packet is released by the delivering host after
-        # this sink returns, so only scalars are copied into the reply.
         self._dst_host.send(
-            packet_pool.acquire(
+            Packet(
                 self.name + ".reply",
                 self.dst,
                 self.src,

@@ -91,7 +91,7 @@ def weather_map(net, title: str = "testbed weather map") -> str:
             util = 100.0 * link.utilization(d)
             lines.append(
                 f"{link.name:<28} {d + ' ->':<18} {rate:>8.1f} {util:>6.1f} "
-                f"{len(link._queues[d]):>5d} {link.tx_packets[d]:>7d} "
+                f"{len(link._dir[d].q):>5d} {link.tx_packets[d]:>7d} "
                 f"{link.drops[d]:>6d} {link.lost[d]:>5d}  "
                 f"{'UP' if link.up else 'DOWN'}"
             )

@@ -205,7 +205,7 @@ def instrument_network(net, registry: MetricsRegistry, flows=()):
             ).set_function(partial(link.utilization, end))
             registry.gauge(
                 "netsim.link.queue_depth", link=link.name, direction=end
-            ).set_function(partial(len, link._queues[end]))
+            ).set_function(partial(len, st.q))
             for flow in flows:
                 registry.gauge(
                     "netsim.link.flow_tx_bytes",
@@ -220,9 +220,7 @@ def instrument_network(net, registry: MetricsRegistry, flows=()):
                     link=link.name,
                     direction=end,
                     flow=flow,
-                ).set_function(
-                    lambda l=link, d=end, f=flow: l._queues[d].depth(f)
-                )
+                ).set_function(lambda q=st.q, f=flow: q.depth(f))
         registry.gauge("netsim.link.up", link=link.name).set_function(
             lambda l=link: 1.0 if l.up else 0.0
         )

@@ -134,6 +134,9 @@ def test_no_route_raises():
     net.add(Host(env, "b"))
     with pytest.raises(ValueError):
         net.shortest_path("a", "b")
+    for src, dst in (("a", "b"), ("a", "zz"), ("zz", "b")):
+        with pytest.raises(ValueError):
+            net.next_hop(src, dst)
 
 
 def test_duplicate_node_rejected():
@@ -201,10 +204,11 @@ def test_host_forwards_transit_packets():
     net.link("a", "m", 1e9, framing=PlainFraming(0))
     net.link("m", "b", 1e9, framing=PlainFraming(0))
     got = []
-    net.host("b").register_sink("f", lambda p, t: got.append(p.hops))
-    net.host("a").send(mkpkt())
+    net.host("b").register_sink("f", lambda p, t: got.append(p.seq))
+    net.host("a").send(mkpkt(seq=3))
     env.run()
-    assert got == [2]
+    assert got == [3]
+    assert net.links["m--b"].tx_packets["m"] == 1  # relayed through m
 
 
 # -- link transmit counters ---------------------------------------------------

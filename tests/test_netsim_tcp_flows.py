@@ -320,6 +320,44 @@ class TestPingFlow:
         assert flow.rtt.n == 8
 
 
+class TestRetainedPackets:
+    def test_sinks_may_keep_delivered_packets(self):
+        """Each source builds a fresh packet, so a sink that keeps what it
+        was handed still holds distinct, unchanged packets after the run
+        (a recycled packet would show up twice, rewritten)."""
+        tb = build_testbed()
+        ip = ClassicalIP(TESTBED_MTU)
+        cbr = CbrFlow(
+            tb.net,
+            "sp2",
+            "t3e-600",
+            frame_bytes=64 * KBYTE,
+            interval=2e-3,
+            n_frames=10,
+            ip=ip,
+            name="video",
+            drain_timeout=1.0,
+        )
+        ping = PingFlow(
+            tb.net, "t90", "onyx2-gmd", count=10, interval=1e-3, name="ping"
+        )
+        kept = []
+        for host, flow in (("t3e-600", "video"), ("t90", "ping.reply")):
+            node = tb.net.host(host)
+            sink = node._sinks[flow]
+
+            def keep(packet, now, sink=sink):
+                kept.append((packet, (packet.flow, packet.seq)))
+                sink(packet, now)
+
+            node.register_sink(flow, keep)
+        tb.env.run(until=tb.env.all_of([cbr.done, ping.done]))
+        assert cbr.frames_received == 10 and ping.rtt.n == 10
+        assert len(kept) == 10 * len(ip.segments(64 * KBYTE)) + 10
+        assert len({id(p) for p, _ in kept}) == len(kept)
+        assert [(p.flow, p.seq) for p, _ in kept] == [seen for _, seen in kept]
+
+
 class TestEmptySources:
     """A source with nothing to send completes on its burst chain at the
     instants the retired generator senders gave: an empty CBR stream at
