@@ -4,9 +4,10 @@ The paper's requirement for the MPI library: "the communication both
 inside and between the machines that form the metacomputer should be
 efficient."  Two angles:
 
-* the legacy boolean ablation: virtual elapsed time of a broadcast +
-  reduce pattern with topology-aware trees vs flat binomial trees that
-  cross the WAN indiscriminately;
+* the two-strategy ablation: virtual elapsed time of a broadcast +
+  reduce pattern with topology-aware trees (``strategy="hierarchical"``)
+  vs flat binomial trees (``strategy="flat"``) that cross the WAN
+  indiscriminately;
 * the full strategy ablation via the committed ``collectives`` sweep:
   every :data:`~repro.metampi.STRATEGIES` entry runs the coupled-model
   exchange patterns (allreduce / coupler / TRACE boundary exchange) on
@@ -23,7 +24,7 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.machines import CRAY_T3E_600, IBM_SP2
 from repro.metampi import STRATEGIES, MetaMPI, SUM
 
@@ -35,11 +36,11 @@ PATTERNS = ("allreduce", "coupler", "trace")
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("collectives", quick=QUICK), name="collectives")
 
 
-def run_collectives(hierarchical: bool, payload_kb: int = 512, rounds: int = 3):
+def run_collectives(strategy: str, payload_kb: int = 512, rounds: int = 3):
     payload = bytes(payload_kb * 1024)
 
     def main(comm):
@@ -48,7 +49,7 @@ def run_collectives(hierarchical: bool, payload_kb: int = 512, rounds: int = 3):
             comm.reduce(len(data), op=SUM, root=0)
         comm.barrier()
 
-    mc = MetaMPI(wallclock_timeout=60, hierarchical=hierarchical)
+    mc = MetaMPI(wallclock_timeout=60, strategy=strategy)
     mc.add_machine(CRAY_T3E_600, ranks=8)
     mc.add_machine(IBM_SP2, ranks=8)
     mc.run(main)
@@ -57,10 +58,14 @@ def run_collectives(hierarchical: bool, payload_kb: int = 512, rounds: int = 3):
 
 def test_hierarchical_collectives_win(report, benchmark):
     benchmark.pedantic(
-        run_collectives, args=(True,), kwargs={"rounds": 1}, rounds=1, iterations=1
+        run_collectives,
+        args=("hierarchical",),
+        kwargs={"rounds": 1},
+        rounds=1,
+        iterations=1,
     )
-    flat = run_collectives(hierarchical=False)
-    hier = run_collectives(hierarchical=True)
+    flat = run_collectives("flat")
+    hier = run_collectives("hierarchical")
     report.add(
         "Ablation: topology-aware collectives",
         (
@@ -77,20 +82,20 @@ def test_gain_grows_with_island_size(report, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     lines = [f"{'ranks/machine':>14} {'flat (ms)':>10} {'aware (ms)':>11} {'gain':>6}"]
     for n in (2, 4, 8):
-        def run(hierarchical, n=n):
+        def run(strategy, n=n):
             payload = bytes(256 * 1024)
 
             def main(comm):
                 comm.bcast(payload if comm.rank == 0 else None, root=0)
                 comm.barrier()
 
-            mc = MetaMPI(wallclock_timeout=60, hierarchical=hierarchical)
+            mc = MetaMPI(wallclock_timeout=60, strategy=strategy)
             mc.add_machine(CRAY_T3E_600, ranks=n)
             mc.add_machine(IBM_SP2, ranks=n)
             mc.run(main)
             return mc.elapsed
 
-        flat, hier = run(False), run(True)
+        flat, hier = run("flat"), run("hierarchical")
         lines.append(
             f"{n:>14} {flat * 1e3:>10.2f} {hier * 1e3:>11.2f} "
             f"{flat / hier:>5.1f}x"
@@ -100,7 +105,7 @@ def test_gain_grows_with_island_size(report, benchmark):
 
 def test_benchmark_hierarchical_bcast(benchmark):
     result = benchmark.pedantic(
-        run_collectives, args=(True,), kwargs={"rounds": 1},
+        run_collectives, args=("hierarchical",), kwargs={"rounds": 1},
         rounds=3, iterations=1,
     )
     assert result > 0

@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.netsim import BulkTransfer, ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
 from repro.netsim.tcp import fair_share_throughputs
@@ -32,7 +32,7 @@ MBYTES = 8 if QUICK else 24
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("contention", quick=QUICK), name="contention")
 
 

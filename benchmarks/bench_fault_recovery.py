@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.harness.sweeps import LOSS_AXIS, LOSS_AXIS_QUICK
 from repro.netsim import ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
@@ -34,7 +34,7 @@ OUTAGE_LEN = 1.0  #: seconds of WAN downtime in the outage scenario
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(
         sweep_specs("fault_recovery", quick=QUICK), name="fault_recovery"
     )

@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.netsim import BulkTransfer, ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
 from repro.netsim.tcp import tcp_steady_throughput
@@ -33,7 +33,7 @@ MBYTES = 10 if QUICK else 40
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("fig1_network", quick=QUICK), name="fig1_network")
 
 
@@ -95,15 +95,6 @@ def test_sweep_regression_gate(report, sweep):
     gate = check_sweep(sweep, MODE, directory=BASELINES)
     report.add("E2c: fig1_network regression gate", gate.format())
     assert gate.passed, gate.format()
-
-
-def test_sweep_rerun_hits_cache(sweep):
-    """A repeated run must complete from cache: zero re-executions."""
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
-    again = runner.run(sweep_specs("fig1_network", quick=QUICK), name="fig1_network")
-    assert again.executed == 0
-    assert again.from_cache == len(again.results)
-    assert again.metrics() == sweep.metrics()
 
 
 def test_benchmark_wan_transfer(benchmark):

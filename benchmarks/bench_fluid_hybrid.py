@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.fluid import BoundedPareto, FluidEngine, WorkloadGenerator
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.netsim import ClassicalIP, build_testbed
 from repro.netsim.ip import TESTBED_MTU
 
@@ -42,7 +42,7 @@ PAIRS = [
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("hybrid", quick=QUICK), name="hybrid")
 
 

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 MODE = "quick" if QUICK else "full"
@@ -28,7 +28,7 @@ BASELINES = os.path.join(os.path.dirname(__file__), "results", "baselines")
 
 @pytest.fixture(scope="module")
 def availability():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(
         sweep_specs("availability", quick=QUICK), name="availability"
     )
@@ -36,7 +36,7 @@ def availability():
 
 @pytest.fixture(scope="module")
 def grid():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("grid", quick=QUICK), name="grid")
 
 

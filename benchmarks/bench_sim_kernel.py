@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.sim import Environment
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -31,7 +31,7 @@ N_EVENTS = 100_000
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=300.0)
+    runner = SweepRunner(timeout=300.0)
     return runner.run(sweep_specs("kernel_bench", quick=QUICK), name="kernel_bench")
 
 

@@ -20,7 +20,7 @@ from repro.fire.modules import (
     median_filter3d,
     rvo_raster,
 )
-from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
+from repro.harness import SweepRunner, check_sweep, sweep_specs
 from repro.machines.t3e_model import REF_VOXELS, TABLE1, TABLE1_PES
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -31,7 +31,7 @@ BIG_VOXELS = 8 * REF_VOXELS  # 128 x 128 x 32
 
 @pytest.fixture(scope="module")
 def sweep():
-    runner = SweepRunner(cache=open_cache(), timeout=120.0)
+    runner = SweepRunner(timeout=120.0)
     return runner.run(sweep_specs("table1_t3e", quick=QUICK), name="table1_t3e")
 
 

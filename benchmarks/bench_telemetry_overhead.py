@@ -165,6 +165,6 @@ def test_export_metrics_jsonl(report):
     assert "netsim.link.tx_bytes" in names
     assert "netsim.flow.goodput_bps" in names
     report.add(
-        "E-telemetry: exported metrics",
+        "E-telemetry-b: exported metrics",
         f"{n} series -> {os.path.relpath(path, os.path.dirname(RESULTS_DIR))}",
     )

@@ -60,21 +60,18 @@ class Metacomputer:
         layout: dict[str, int],
         wallclock_timeout: float = 60.0,
         tracer=None,
-        hierarchical: bool = True,
         strategy=None,
     ) -> MetaMPI:
         """A MetaMPI session with ``layout`` = {machine name: ranks}.
 
         Message timing between machines follows the testbed network.
         ``strategy`` selects the collective algorithm family by name
-        ("naive"/"flat"/"ring"/"hierarchical"); when omitted, the legacy
-        ``hierarchical`` boolean decides between hierarchical and flat.
+        ("naive"/"flat"/"ring"/"hierarchical"; default hierarchical).
         """
         mc = MetaMPI(
             testbed=self.testbed,
             wallclock_timeout=wallclock_timeout,
             tracer=tracer,
-            hierarchical=hierarchical,
             strategy=strategy,
         )
         for name, ranks in layout.items():

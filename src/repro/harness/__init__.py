@@ -1,13 +1,13 @@
-"""repro.harness — parallel experiment sweeps with cached, gated results.
+"""repro.harness — parallel experiment sweeps with gated results.
 
 The paper's results are sweeps (throughput vs. MTU, Table-1 scaling,
 goodput vs. loss rate); this package declares those grids as hashable
-:class:`ScenarioSpec` points, executes them in parallel with a result
-cache, and gates summaries against committed baselines:
+:class:`ScenarioSpec` points, executes them over a process pool, and
+gates summaries against committed baselines:
 
-    from repro.harness import SweepRunner, open_cache, sweep_specs
+    from repro.harness import SweepRunner, check_sweep, sweep_specs
 
-    runner = SweepRunner(cache=open_cache())
+    runner = SweepRunner()
     result = runner.run(sweep_specs("fig1_network", quick=True),
                         name="fig1_network")
     report = check_sweep(result, mode="quick")
@@ -26,7 +26,6 @@ from repro.harness.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.harness.cache import ResultCache, code_fingerprint, open_cache
 from repro.harness.registry import available, get_scenario, scenario
 from repro.harness.runner import ScenarioResult, SweepResult, SweepRunner
 from repro.harness.spec import ParameterGrid, ScenarioSpec, make_spec
@@ -36,7 +35,6 @@ __all__ = [
     "Deviation",
     "ParameterGrid",
     "RegressionReport",
-    "ResultCache",
     "SWEEPS",
     "ScenarioResult",
     "ScenarioSpec",
@@ -46,14 +44,12 @@ __all__ = [
     "available",
     "baseline_path",
     "check_sweep",
-    "code_fingerprint",
     "compare",
     "demo_specs",
     "get_scenario",
     "get_sweep",
     "load_baseline",
     "make_spec",
-    "open_cache",
     "scenario",
     "sweep_specs",
     "write_baseline",

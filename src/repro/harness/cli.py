@@ -5,8 +5,8 @@ The CI ``sweep-regression`` job runs::
     python -m repro.harness --quick --check \
         --export benchmarks/results/sweeps.jsonl
 
-which executes every baselined sweep in quick mode (pool execution,
-disk cache) and exits non-zero if any metric regresses beyond its
+which executes every baselined sweep in quick mode over a process pool
+and exits non-zero if any metric regresses beyond its
 committed tolerance.  ``--write-baselines`` regenerates the baseline
 files after an intentional behavior change.
 """
@@ -17,15 +17,15 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.harness.baseline import check_sweep, write_baseline
-from repro.harness.cache import open_cache
 from repro.harness.runner import SweepResult, SweepRunner
 from repro.harness.sweeps import SWEEPS, get_sweep
+from repro.util.jsonl import write_jsonl
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Run experiment sweeps with caching and regression gates.",
+        description="Run experiment sweeps with regression gates.",
     )
     parser.add_argument(
         "--sweep",
@@ -45,24 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="CI-sized transfers and grids"
     )
     parser.add_argument(
-        "--serial", action="store_true", help="run inline, no process pool"
-    )
-    parser.add_argument(
-        "--processes", type=int, default=None, help="pool size (default: CPUs)"
+        "--processes",
+        type=int,
+        default=None,
+        help="pool size (default: CPUs; 1 runs inline)",
     )
     parser.add_argument(
         "--timeout",
         type=float,
         default=300.0,
         help="per-scenario timeout in process-pool mode (seconds)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache root (default: $REPRO_SWEEP_CACHE or .sweep-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
         "--check",
@@ -99,8 +91,8 @@ def run_profile(args) -> int:
     """The ``--profile`` path: one scenario, inline, under cProfile.
 
     Profiles the first scenario of the selected sweep (``--sweep`` to
-    choose, ``--quick`` for the CI-sized variant) in this process — no
-    pool, no cache — so the profile shows the simulator's own hot path,
+    choose, ``--quick`` for the CI-sized variant) in this process, with
+    no pool, so the profile shows the simulator's own hot path,
     and prints the top 25 functions by cumulative time.  Perf work
     starts from this data, not from guesses.
     """
@@ -236,15 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     names = args.sweeps or sorted(SWEEPS)
     mode = "quick" if args.quick else "full"
-    cache = None
-    if not args.no_cache:
-        cache = open_cache(args.cache_dir)
-    runner = SweepRunner(
-        processes=args.processes,
-        timeout=args.timeout,
-        cache=cache,
-        serial=args.serial,
-    )
+    runner = SweepRunner(processes=args.processes, timeout=args.timeout)
 
     results: list[SweepResult] = []
     reports = []
@@ -280,12 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_summary(results, reports))
 
     if args.export:
-        import json
-
-        rows = [row for r in results for row in r.rows()]
-        with open(args.export, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        print(f"exported {len(rows)} metric rows to {args.export}")
+        n = write_jsonl(args.export, (row for r in results for row in r.rows()))
+        print(f"exported {n} metric rows to {args.export}")
 
     return 2 if failed_gate else 0

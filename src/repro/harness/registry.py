@@ -7,9 +7,8 @@ picklable and serializable — can reference its code by a string, and so
 pool workers can resolve the function after a bare import.
 
 Scenario functions must be deterministic given ``spec.seed``: the
-harness asserts (in tests) that serial and process-pool execution produce
-identical metrics, and the result cache assumes re-running a spec is
-pointless while the code fingerprint is unchanged.
+harness asserts (in tests) that inline and process-pool execution
+produce identical metrics.
 """
 
 from __future__ import annotations

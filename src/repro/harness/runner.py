@@ -1,50 +1,26 @@
-"""Sweep execution: process pool with serial fallback and timeouts.
+"""Sweep execution: a process pool with an inline fallback and timeouts.
 
-The runner takes a list of :class:`ScenarioSpec` points, resolves each
-against the :class:`ResultCache`, fans the misses out over a
-``multiprocessing`` pool (or runs them inline in serial mode), and
-returns a :class:`SweepResult` whose flattened metrics feed the
+The runner takes a list of :class:`ScenarioSpec` points, fans them out
+over a ``multiprocessing`` pool (or runs them inline in the parent),
+and returns a :class:`SweepResult` whose flattened metrics feed the
 baseline comparator and the JSONL exporter.
 
-Scenario functions are deterministic given ``spec.seed``, so process-pool and
-serial execution produce identical metrics — the executors differ only
+Scenario functions are deterministic given ``spec.seed``, so pooled and
+inline execution produce identical metrics — the executors differ only
 in wall-clock time.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.harness.cache import ResultCache
 from repro.harness.registry import get_scenario
 from repro.harness.spec import ScenarioSpec
-
-#: Serial fallback trigger for constrained environments.
-SERIAL_ENV = "REPRO_SWEEP_SERIAL"
-
-
-def _execute(spec: ScenarioSpec) -> dict[str, Any]:
-    """Run one scenario; the pool entry point (must stay module-level
-    so it pickles under every start method)."""
-    start = time.perf_counter()
-    try:
-        metrics = dict(get_scenario(spec.scenario)(spec))
-        return {
-            "metrics": metrics,
-            "elapsed": time.perf_counter() - start,
-            "error": None,
-        }
-    except Exception:
-        return {
-            "metrics": {},
-            "elapsed": time.perf_counter() - start,
-            "error": traceback.format_exc(limit=8),
-        }
+from repro.util.jsonl import write_jsonl
 
 
 @dataclass
@@ -54,7 +30,6 @@ class ScenarioResult:
     spec: ScenarioSpec
     metrics: dict[str, Any] = field(default_factory=dict)
     elapsed: float = 0.0
-    cached: bool = False
     error: Optional[str] = None
 
     @property
@@ -62,15 +37,27 @@ class ScenarioResult:
         return self.error is None
 
 
+def _execute(spec: ScenarioSpec) -> ScenarioResult:
+    """Run one scenario; the pool entry point (must stay module-level
+    so it pickles under every start method)."""
+    start = time.perf_counter()
+    try:
+        metrics = dict(get_scenario(spec.scenario)(spec))
+        error = None
+    except Exception:
+        metrics, error = {}, traceback.format_exc(limit=8)
+    return ScenarioResult(
+        spec, metrics, elapsed=time.perf_counter() - start, error=error
+    )
+
+
 @dataclass
 class SweepResult:
-    """All scenario outcomes of one sweep, plus execution accounting."""
+    """All scenario outcomes of one sweep and its wall time."""
 
     name: str
     results: list[ScenarioResult]
     wall_time: float
-    executed: int
-    from_cache: int
 
     @property
     def failed(self) -> int:
@@ -101,17 +88,6 @@ class SweepResult:
                 flat[f"{label}/{key}"] = value
         return flat
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "sweep": self.name,
-            "scenarios": len(self.results),
-            "executed": self.executed,
-            "from_cache": self.from_cache,
-            "failed": self.failed,
-            "wall_time_s": round(self.wall_time, 4),
-            "metrics": self.metrics(),
-        }
-
     def rows(self) -> list[dict[str, Any]]:
         """Per-metric rows in the telemetry JSONL shape: one object per
         series with ``kind``/``name``/``labels``/``value`` keys, so sweep
@@ -129,30 +105,22 @@ class SweepResult:
                         "name": key,
                         "labels": labels,
                         "value": value,
-                        "cached": r.cached,
                         "elapsed_s": round(r.elapsed, 6),
                     }
                 )
         return rows
 
     def to_jsonl(self, path: str) -> int:
-        """Append-free JSONL dump; returns the row count."""
-        import json
-
-        rows = self.rows()
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        return len(rows)
+        """Write :meth:`rows` as JSONL; returns the row count."""
+        return write_jsonl(path, self.rows())
 
     def format_table(self) -> str:
         lines = [
             f"sweep {self.name}: {len(self.results)} scenarios, "
-            f"{self.executed} executed, {self.from_cache} cached, "
             f"{self.failed} failed, {self.wall_time:.2f} s wall",
         ]
         for r in self.results:
-            state = "cache" if r.cached else f"{r.elapsed:6.2f}s"
+            state = f"{r.elapsed:6.2f}s"
             if not r.ok:
                 first = r.error.strip().splitlines()[-1] if r.error else "?"
                 lines.append(f"  FAIL {r.spec.label()}  [{state}]  {first}")
@@ -166,124 +134,63 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Execute sweeps against an optional result cache.
+    """Execute sweeps, pooled or inline.
 
     ``processes`` defaults to the machine's CPU count (capped at the
-    number of pending scenarios); ``serial=True`` — or a single CPU, or
-    ``REPRO_SWEEP_SERIAL=1``, or a pool start-up failure — runs inline
-    in the parent instead.  ``timeout`` bounds each scenario's result
-    wait in process-pool mode; a blown deadline records a ``timeout`` error
-    for that scenario and the pool is torn down afterwards rather than
-    joined, so a hung worker cannot wedge the sweep.
+    number of scenarios); one process — or a single scenario, or a pool
+    start-up failure — runs inline in the parent instead.  ``timeout``
+    bounds each scenario's result wait in process-pool mode; a blown
+    deadline records a ``timeout`` error for that scenario and the pool
+    is torn down afterwards rather than joined, so a hung worker cannot
+    wedge the sweep.
     """
 
     def __init__(
-        self,
-        processes: Optional[int] = None,
-        timeout: Optional[float] = None,
-        cache: Optional[ResultCache] = None,
-        serial: bool = False,
+        self, processes: Optional[int] = None, timeout: Optional[float] = None
     ) -> None:
         self.processes = processes
         self.timeout = timeout
-        self.cache = cache
-        self.serial = serial or bool(os.environ.get(SERIAL_ENV))
 
     def run(
         self, specs: Sequence[ScenarioSpec], name: str = "sweep"
     ) -> SweepResult:
         start = time.perf_counter()
-        results: dict[int, ScenarioResult] = {}
-        pending: list[tuple[int, ScenarioSpec]] = []
-
-        for i, spec in enumerate(specs):
-            payload = self.cache.get(spec) if self.cache is not None else None
-            if payload is not None:
-                results[i] = ScenarioResult(
-                    spec=spec,
-                    metrics=payload["metrics"],
-                    elapsed=payload.get("elapsed", 0.0),
-                    cached=True,
-                )
-            else:
-                pending.append((i, spec))
-
-        nproc = self._effective_processes(len(pending))
-        if pending:
-            if nproc <= 1:
-                executed = self._run_serial(pending)
-            else:
-                executed = self._run_pool(pending, nproc)
-            results.update(executed)
-
-        if self.cache is not None:
-            for i, _ in pending:
-                r = results[i]
-                if r.ok:
-                    self.cache.put(r.spec, r.metrics, r.elapsed)
-
-        ordered = [results[i] for i in range(len(specs))]
+        nproc = min(self.processes or multiprocessing.cpu_count(), len(specs))
+        if nproc <= 1:
+            results = self._run_serial(specs)
+        else:
+            results = self._run_pool(specs, nproc)
         return SweepResult(
-            name=name,
-            results=ordered,
-            wall_time=time.perf_counter() - start,
-            executed=len(pending),
-            from_cache=len(specs) - len(pending),
+            name=name, results=results, wall_time=time.perf_counter() - start
         )
 
-    def _effective_processes(self, n_pending: int) -> int:
-        if self.serial or n_pending <= 1:
-            return 1
-        limit = self.processes or multiprocessing.cpu_count()
-        return max(1, min(limit, n_pending))
-
-    def _run_serial(
-        self, pending: Sequence[tuple[int, ScenarioSpec]]
-    ) -> dict[int, ScenarioResult]:
-        out = {}
-        for i, spec in pending:
-            payload = _execute(spec)
-            out[i] = ScenarioResult(
-                spec=spec,
-                metrics=payload["metrics"],
-                elapsed=payload["elapsed"],
-                error=payload["error"],
-            )
-        return out
+    def _run_serial(self, specs: Sequence[ScenarioSpec]) -> list[ScenarioResult]:
+        return [_execute(spec) for spec in specs]
 
     def _run_pool(
-        self, pending: Sequence[tuple[int, ScenarioSpec]], nproc: int
-    ) -> dict[int, ScenarioResult]:
+        self, specs: Sequence[ScenarioSpec], nproc: int
+    ) -> list[ScenarioResult]:
         try:
             pool = multiprocessing.Pool(processes=nproc)
         except (OSError, ValueError):  # pragma: no cover - env dependent
-            return self._run_serial(pending)
+            return self._run_serial(specs)
 
-        out = {}
+        out = []
         # Pool.__exit__ terminates (not joins) the pool, which is what
         # we want after a timeout: hung workers are killed, not awaited.
         with pool:
-            handles = [
-                (i, spec, pool.apply_async(_execute, (spec,)))
-                for i, spec in pending
-            ]
-            for i, spec, handle in handles:
+            handles = [(spec, pool.apply_async(_execute, (spec,))) for spec in specs]
+            for spec, handle in handles:
                 try:
-                    payload = handle.get(self.timeout)
+                    out.append(handle.get(self.timeout))
                 except multiprocessing.TimeoutError:
-                    out[i] = ScenarioResult(
-                        spec=spec,
-                        error=f"timeout after {self.timeout}s",
-                        elapsed=self.timeout or 0.0,
+                    out.append(
+                        ScenarioResult(
+                            spec=spec,
+                            error=f"timeout after {self.timeout}s",
+                            elapsed=self.timeout or 0.0,
+                        )
                     )
-                    continue
                 except Exception as exc:  # worker died (e.g. OOM-kill)
-                    out[i] = ScenarioResult(spec=spec, error=repr(exc))
-                    continue
-                out[i] = ScenarioResult(
-                    spec=spec,
-                    metrics=payload["metrics"],
-                    elapsed=payload["elapsed"],
-                    error=payload["error"],
-                )
+                    out.append(ScenarioResult(spec=spec, error=repr(exc)))
         return out

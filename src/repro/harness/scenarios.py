@@ -4,8 +4,7 @@ Each function is a pure mapping from a :class:`ScenarioSpec` to a flat
 metrics dict, deterministic given ``spec.seed`` — the simulators are
 discrete-event and all randomness (loss processes) is seeded from the
 spec, so a scenario's result is a function of its content hash.  That
-property is what makes the disk cache and the serial/pool determinism
-guarantee sound.
+property is what makes pooled and inline runs agree exactly.
 """
 
 from __future__ import annotations
@@ -234,9 +233,7 @@ def kernel_bench(spec: ScenarioSpec) -> dict[str, Any]:
       fails CI;
     * wall-clock figures (``wall_s``, ``packets_per_sec``) —
       machine-dependent and informational only (the baseline carries an
-      effectively-infinite tolerance for them).  Note the disk cache
-      replays them from the recorded run; use ``--no-cache`` for fresh
-      timings.
+      effectively-infinite tolerance for them).
 
     ``heap_peak`` is exact too: the most entries the event heap held
     between two dispatches.  It comes from a second, untimed run of the

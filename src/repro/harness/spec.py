@@ -5,8 +5,8 @@ parameter, mirroring the paper's measurement axes (MTU, loss rate, PE
 count, …) — and expands into :class:`ScenarioSpec` points.  Specs are
 frozen, hashable and canonically ordered, so the same logical scenario
 always produces the same :meth:`~ScenarioSpec.content_hash` regardless
-of the keyword order it was written in.  The content hash drives both
-the on-disk result cache key and the deterministic per-scenario seed.
+of the keyword order it was written in.  The content hash drives the
+deterministic per-scenario seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ScenarioSpec:
 
     Build specs with :func:`make_spec` (or ``ScenarioSpec.make``) so the
     parameter tuple is canonically sorted; two specs with the same
-    logical content always compare, hash and cache identically.
+    logical content always compare, hash and seed identically.
     """
 
     scenario: str

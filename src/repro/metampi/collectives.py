@@ -107,8 +107,6 @@ class CollectiveStrategy:
     """
 
     name = "abstract"
-    #: True when the strategy routes around the WAN-island structure.
-    topology_aware = False
 
     # -- topology -----------------------------------------------------------
     def tree(
@@ -434,7 +432,6 @@ class HierarchicalStrategy(CollectiveStrategy):
     """
 
     name = "hierarchical"
-    topology_aware = True
 
     def tree(self, comm, root):
         n = comm.size
@@ -640,13 +637,10 @@ def create_strategy(name: str = "hierarchical") -> CollectiveStrategy:
 
 
 def resolve_strategy(strategy) -> CollectiveStrategy:
-    """Coerce a strategy spec (instance, name, bool, or None) to an
-    instance.  Booleans keep the legacy ``hierarchical=True/False``
-    constructor argument working."""
+    """Coerce a strategy spec (instance, name, or None for the default
+    ``hierarchical``) to an instance."""
     if isinstance(strategy, CollectiveStrategy):
         return strategy
     if strategy is None:
         return create_strategy("hierarchical")
-    if isinstance(strategy, bool):
-        return create_strategy("hierarchical" if strategy else "flat")
     return create_strategy(strategy)

@@ -11,9 +11,8 @@ intracommunicator carries a selectable
 The default ``hierarchical`` strategy is metacomputing-aware (paper
 Section 3): ranks are grouped into islands by machine, intra-island
 traffic rides the fast internal interconnect, and as little as one
-message per island crosses the WAN.  The legacy ``hierarchical=False``
-constructor argument still selects the flat binomial algorithms for the
-ablation benchmark.
+message per island crosses the WAN.  ``strategy="flat"`` selects the
+topology-blind binomial algorithms for the ablation benchmark.
 """
 
 from __future__ import annotations
@@ -287,8 +286,8 @@ class Intracomm(Comm):
     ):
         super().__init__(runtime, comm_id, group)
         #: The collective algorithm family.  Accepts a strategy name
-        #: (``"naive"``/``"flat"``/``"ring"``/``"hierarchical"``), an
-        #: instance, or — legacy — the old ``hierarchical`` boolean.
+        #: (``"naive"``/``"flat"``/``"ring"``/``"hierarchical"``) or an
+        #: instance.
         self.strategy: CollectiveStrategy = resolve_strategy(strategy)
         #: The collective plan, built once because group and placement
         #: never change: islands, trees by (strategy, root), and the
@@ -299,11 +298,6 @@ class Intracomm(Comm):
         self._subcomm_cache: dict = {}
         #: one rank: every collective returns its local result directly
         self._single = len(self.group) == 1
-
-    @property
-    def hierarchical(self) -> bool:
-        """Legacy accessor: is the strategy topology-aware?"""
-        return self.strategy.topology_aware
 
     # -- island structure -----------------------------------------------------
     def islands(self) -> list[list[int]]:

@@ -47,7 +47,6 @@ class MetaMPI:
         transport: Optional[TransportModel] = None,
         wallclock_timeout: Optional[float] = 60.0,
         tracer: Any = None,
-        hierarchical: bool = True,
         strategy: Any = None,
     ):
         if transport is None:
@@ -59,18 +58,10 @@ class MetaMPI:
             tracer=tracer,
         )
         # ``strategy`` names the collective algorithm family
-        # ("naive"/"flat"/"ring"/"hierarchical"); the legacy
-        # ``hierarchical`` boolean is honoured when no strategy is given.
-        self.strategy = strategy if strategy is not None else hierarchical
+        # ("naive"/"flat"/"ring"/"hierarchical"; default hierarchical).
+        self.strategy = strategy
         self._layout: list = []
         self.world: Optional[Intracomm] = None
-
-    @property
-    def hierarchical(self) -> bool:
-        """Legacy accessor: does the world use topology-aware collectives?"""
-        from repro.metampi.collectives import resolve_strategy
-
-        return resolve_strategy(self.strategy).topology_aware
 
     # -- assembly -----------------------------------------------------------
     def add_machine(

@@ -10,11 +10,11 @@ side, consumed by the CI benchmark artifact and any later dashboards.
 from __future__ import annotations
 
 import csv
-import json
 from typing import Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timeseries import Sampler
+from repro.util.jsonl import write_jsonl
 
 
 def _format_labels(labels: dict) -> str:
@@ -23,11 +23,7 @@ def _format_labels(labels: dict) -> str:
 
 def to_jsonl(registry: MetricsRegistry, path: str, now: Optional[float] = None) -> int:
     """Write one JSON object per series; returns the row count."""
-    rows = registry.snapshot(now=now)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return len(rows)
+    return write_jsonl(path, registry.snapshot(now=now))
 
 
 _CSV_FIELDS = [
@@ -51,20 +47,14 @@ def to_csv(registry: MetricsRegistry, path: str, now: Optional[float] = None) ->
 
 def samples_to_jsonl(sampler: Sampler, path: str) -> int:
     """Write every ring-buffer sample as one JSON line; returns count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for (name, label_key), buf in sampler.buffers().items():
-            labels = dict(label_key)
-            for t, v in buf:
-                fh.write(
-                    json.dumps(
-                        {"t": t, "name": name, "labels": labels, "value": v},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                n += 1
-    return n
+    return write_jsonl(
+        path,
+        (
+            {"t": t, "name": name, "labels": dict(label_key), "value": v}
+            for (name, label_key), buf in sampler.buffers().items()
+            for t, v in buf
+        ),
+    )
 
 
 def weather_map(net, title: str = "testbed weather map") -> str:

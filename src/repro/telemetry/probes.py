@@ -212,9 +212,7 @@ def instrument_network(net, registry: MetricsRegistry, flows=()):
                     link=link.name,
                     direction=end,
                     flow=flow,
-                ).set_function(
-                    lambda l=link, d=end, f=flow: l.flow_tx_bytes[d].get(f, 0)
-                )
+                ).set_function(lambda fb=st.fb, f=flow: fb.get(f, 0))
                 registry.gauge(
                     "netsim.link.flow_queue_depth",
                     link=link.name,

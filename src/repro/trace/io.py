@@ -8,17 +8,12 @@ from typing import Iterable
 
 from repro.trace.events import TraceEvent
 from repro.trace.timeline import Timeline
+from repro.util.jsonl import write_jsonl
 
 
 def write_trace(path: str | os.PathLike, events: Iterable[TraceEvent]) -> int:
     """Write events as JSONL; returns the number written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev.to_dict(), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
+    return write_jsonl(path, (ev.to_dict() for ev in events))
 
 
 def read_trace(path: str | os.PathLike) -> Timeline:

@@ -1,4 +1,5 @@
-"""Shared utilities: unit conversions, image output, small math helpers."""
+"""Shared utilities: unit conversions, image and JSONL output, small math
+helpers."""
 
 from repro.util.units import (
     KBYTE,
@@ -14,6 +15,7 @@ from repro.util.units import (
     pretty_time,
 )
 from repro.util.images import write_pgm, write_ppm
+from repro.util.jsonl import write_jsonl
 from repro.util.stats import RunningStats
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "pretty_rate",
     "pretty_size",
     "pretty_time",
+    "write_jsonl",
     "write_pgm",
     "write_ppm",
     "RunningStats",

@@ -93,7 +93,7 @@ class TestWorkloadDeterminism:
             make_spec("fluid_wan", sessions=150, session_rate=25.0),
             make_spec("fluid_wan", sessions=150, session_rate=25.0, oc48=False),
         ]
-        serial = SweepRunner(serial=True).run(specs, name="fluid")
+        serial = SweepRunner(processes=1).run(specs, name="fluid")
         pooled = SweepRunner(processes=2).run(specs, name="fluid")
         assert serial.ok and pooled.ok
         serial_m, pooled_m = serial.metrics(), pooled.metrics()

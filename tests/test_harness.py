@@ -1,4 +1,4 @@
-"""The sweep harness: specs, cache, executors, regression gate, CLI."""
+"""The sweep harness: specs, executors, regression gate, CLI."""
 
 import json
 import os
@@ -7,17 +7,14 @@ import pytest
 
 from repro.harness import (
     ParameterGrid,
-    ResultCache,
     SweepRunner,
     Tolerance,
     check_sweep,
     compare,
     demo_specs,
     make_spec,
-    open_cache,
     write_baseline,
 )
-from repro.harness.cache import code_fingerprint
 from repro.harness.cli import main as cli_main
 from repro.harness.registry import available, get_scenario, scenario
 
@@ -86,77 +83,23 @@ def test_registry_lookup_and_duplicate_protection():
         scenario("demo")(lambda spec: {})
 
 
-# ---------------------------------------------------------------- cache
-
-
-def test_cache_miss_then_hit(tmp_path):
-    cache = ResultCache(str(tmp_path), fingerprint="f1")
-    spec = make_spec("demo", index=1)
-    assert cache.get(spec) is None
-    cache.put(spec, {"value": 1.5}, elapsed=0.1)
-    payload = cache.get(spec)
-    assert payload["metrics"] == {"value": 1.5}
-    assert (cache.hits, cache.misses) == (1, 1)
-
-
-def test_cache_key_covers_spec_and_fingerprint(tmp_path):
-    spec = make_spec("demo", index=1)
-    c1 = ResultCache(str(tmp_path), fingerprint="f1")
-    c1.put(spec, {"value": 1.0}, elapsed=0.0)
-    # Same fingerprint, different spec -> miss.
-    assert c1.get(make_spec("demo", index=2)) is None
-    # Same spec, different code fingerprint -> invalidated.
-    c2 = ResultCache(str(tmp_path), fingerprint="f2")
-    assert c2.get(spec) is None
-
-
-def test_cache_survives_corrupt_entries(tmp_path):
-    cache = ResultCache(str(tmp_path), fingerprint="f1")
-    spec = make_spec("demo", index=1)
-    cache.put(spec, {"value": 1.0}, elapsed=0.0)
-    path = os.path.join(str(tmp_path), cache.key(spec) + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    assert cache.get(spec) is None  # treated as a miss, not a crash
-
-
-def test_cache_clear(tmp_path):
-    cache = ResultCache(str(tmp_path), fingerprint="f1")
-    cache.put(make_spec("demo", index=1), {}, 0.0)
-    cache.put(make_spec("demo", index=2), {}, 0.0)
-    assert cache.clear() == 2
-    assert cache.get(make_spec("demo", index=1)) is None
-
-
-def test_code_fingerprint_tracks_extra_config():
-    base = code_fingerprint()
-    assert base == code_fingerprint()
-    assert base != code_fingerprint(extra="knob=2")
-
-
-def test_open_cache_honors_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "c"))
-    cache = open_cache()
-    assert cache.root == str(tmp_path / "c")
-
-
 # ------------------------------------------------------------ execution
 
 
 def test_serial_and_pool_executors_agree():
     """Same spec + seed => identical summary across executors."""
     specs = demo_specs(n=6, duration=0.0)
-    serial = SweepRunner(serial=True).run(specs, name="demo")
+    serial = SweepRunner(processes=1).run(specs, name="demo")
     pooled = SweepRunner(processes=3).run(specs, name="demo")
     assert serial.metrics() == pooled.metrics()
     assert serial.ok and pooled.ok
-    assert serial.executed == pooled.executed == 6
+    assert len(serial.results) == len(pooled.results) == 6
 
 
 def test_pool_speedup_on_12_scenario_demo_sweep():
     """Acceptance: 12 scenarios run >= 2x faster pooled than serially."""
     specs = demo_specs(n=12, duration=0.25)
-    serial = SweepRunner(serial=True).run(specs, name="demo")
+    serial = SweepRunner(processes=1).run(specs, name="demo")
     pooled = SweepRunner(processes=4).run(specs, name="demo")
     assert serial.metrics() == pooled.metrics()
     assert serial.wall_time >= 2.0 * pooled.wall_time, (
@@ -165,27 +108,12 @@ def test_pool_speedup_on_12_scenario_demo_sweep():
     )
 
 
-def test_repeated_run_completes_from_cache(tmp_path):
-    """Acceptance: a re-run executes zero scenarios."""
-    specs = demo_specs(n=12, duration=0.0)
-    cache = ResultCache(str(tmp_path), fingerprint=code_fingerprint())
-    first = SweepRunner(serial=True, cache=cache).run(specs, name="demo")
-    assert (first.executed, first.from_cache) == (12, 0)
-    again = SweepRunner(serial=True, cache=cache).run(specs, name="demo")
-    assert (again.executed, again.from_cache) == (0, 12)
-    assert again.metrics() == first.metrics()
-
-
-def test_scenario_failure_is_recorded_not_cached(tmp_path):
+def test_scenario_failure_is_recorded_not_cached():
     specs = [make_spec("demo", fail=True), make_spec("demo", index=1)]
-    cache = ResultCache(str(tmp_path), fingerprint="f1")
-    result = SweepRunner(serial=True, cache=cache).run(specs, name="demo")
+    result = SweepRunner(processes=1).run(specs, name="demo")
     assert not result.ok and result.failed == 1
     assert "asked to fail" in result.results[0].error
     assert result.results[1].ok
-    # Only the success was cached; the failure re-executes next time.
-    again = SweepRunner(serial=True, cache=cache).run(specs, name="demo")
-    assert (again.executed, again.from_cache) == (1, 1)
 
 
 def test_pool_timeout_marks_scenario_and_sweep_continues():
@@ -197,16 +125,9 @@ def test_pool_timeout_marks_scenario_and_sweep_continues():
     assert result.failed == 1
 
 
-def test_serial_env_forces_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_SERIAL", "1")
-    runner = SweepRunner(processes=8)
-    assert runner.serial
-    assert runner._effective_processes(12) == 1
-
-
 def test_sweep_result_find_and_rows():
     specs = demo_specs(n=2, duration=0.0)
-    result = SweepRunner(serial=True).run(specs, name="demo")
+    result = SweepRunner(processes=1).run(specs, name="demo")
     assert result.find("demo", index=1).spec.get("index") == 1
     with pytest.raises(KeyError):
         result.find("demo", index=99)
@@ -220,7 +141,7 @@ def test_sweep_result_find_and_rows():
 
 
 def test_sweep_result_jsonl_export(tmp_path):
-    result = SweepRunner(serial=True).run(demo_specs(2, 0.0), name="demo")
+    result = SweepRunner(processes=1).run(demo_specs(2, 0.0), name="demo")
     path = tmp_path / "sweep.jsonl"
     n = result.to_jsonl(str(path))
     lines = path.read_text().strip().splitlines()
@@ -285,7 +206,7 @@ def test_comparator_glob_tolerances():
 
 
 def test_baseline_roundtrip_and_gate(tmp_path):
-    result = SweepRunner(serial=True).run(demo_specs(3, 0.0), name="demo")
+    result = SweepRunner(processes=1).run(demo_specs(3, 0.0), name="demo")
     path = write_baseline(
         result, "quick", directory=str(tmp_path),
         tolerances={"default": {"rel": 0.01}},
@@ -306,7 +227,7 @@ def test_baseline_roundtrip_and_gate(tmp_path):
 
 
 def test_write_baseline_preserves_other_modes(tmp_path):
-    result = SweepRunner(serial=True).run(demo_specs(2, 0.0), name="demo")
+    result = SweepRunner(processes=1).run(demo_specs(2, 0.0), name="demo")
     write_baseline(result, "quick", directory=str(tmp_path))
     write_baseline(result, "full", directory=str(tmp_path))
     doc = json.loads(open(os.path.join(str(tmp_path), "demo.json")).read())
@@ -324,7 +245,7 @@ def test_cli_list(capsys):
 
 def test_cli_check_passes_then_fails_on_perturbed_baseline(tmp_path, capsys):
     baselines = str(tmp_path / "baselines")
-    args = ["--sweep", "table1_t3e", "--quick", "--serial", "--no-cache",
+    args = ["--sweep", "table1_t3e", "--quick", "--processes", "1",
             "--baselines-dir", baselines]
     assert cli_main(args + ["--write-baselines"]) == 0
     assert cli_main(args + ["--check"]) == 0
@@ -341,9 +262,15 @@ def test_cli_check_passes_then_fails_on_perturbed_baseline(tmp_path, capsys):
 def test_cli_export_jsonl(tmp_path):
     out = str(tmp_path / "sweeps.jsonl")
     rc = cli_main(
-        ["--sweep", "table1_t3e", "--quick", "--serial", "--no-cache",
+        ["--sweep", "table1_t3e", "--quick", "--processes", "1",
          "--export", out]
     )
     assert rc == 0
     lines = open(out).read().strip().splitlines()
     assert lines and all(json.loads(li)["kind"] == "sweep" for li in lines)
+
+
+def test_cli_run_leaves_working_directory_empty(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["--sweep", "table1_t3e", "--quick", "--processes", "1"]) == 0
+    assert os.listdir(tmp_path) == []

@@ -10,8 +10,8 @@ from repro.metampi import MAX, MIN, MetaMPI, PROD, SUM
 TWO_MACHINES = ((CRAY_T3E_600, 3), (IBM_SP2, 2))
 
 
-def run(fn, layout=TWO_MACHINES, hierarchical=True, timeout=30):
-    mc = MetaMPI(wallclock_timeout=timeout, hierarchical=hierarchical)
+def run(fn, layout=TWO_MACHINES, strategy="hierarchical", timeout=30):
+    mc = MetaMPI(wallclock_timeout=timeout, strategy=strategy)
     for spec, n in layout:
         mc.add_machine(spec, ranks=n)
     results = mc.run(fn)
@@ -201,8 +201,8 @@ class TestHierarchicalAwareness:
             g = comm.gather(comm.rank, root=0)
             return (s, g)
 
-        _, flat = run(main, hierarchical=False)
-        _, hier = run(main, hierarchical=True)
+        _, flat = run(main, strategy="flat")
+        _, hier = run(main, strategy="hierarchical")
         assert flat == hier
 
     def test_islands_structure(self):
@@ -222,8 +222,8 @@ class TestHierarchicalAwareness:
             comm.bcast(payload if comm.rank == 0 else None, root=0)
             comm.barrier()
 
-        mc_flat, _ = run(main, layout=layout, hierarchical=False)
-        mc_hier, _ = run(main, layout=layout, hierarchical=True)
+        mc_flat, _ = run(main, layout=layout, strategy="flat")
+        mc_hier, _ = run(main, layout=layout, strategy="hierarchical")
         assert mc_hier.elapsed < mc_flat.elapsed
 
     def test_four_machine_metacomputer(self):

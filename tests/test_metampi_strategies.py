@@ -23,6 +23,7 @@ from repro.metampi import (
     Status,
     create_strategy,
 )
+from repro.metampi.collectives import resolve_strategy
 from repro.metampi.comm import Intracomm
 from repro.telemetry import MetricsRegistry, instrument_runtime
 
@@ -97,12 +98,9 @@ class TestStrategySelection:
         _, vals = run(main, strategy=name)
         assert vals == [name] * 5
 
-    def test_legacy_hierarchical_flag_still_selects(self):
-        mc = MetaMPI(hierarchical=False)
-        mc.add_machine(CRAY_T3E_600, ranks=2)
-        assert mc.hierarchical is False
-        results = mc.run(lambda comm: comm.strategy.name)
-        assert [r.value for r in results] == ["flat", "flat"]
+    def test_boolean_strategy_is_rejected(self):
+        with pytest.raises(MetaMpiError, match="unknown collective strategy"):
+            resolve_strategy(True)
 
     def test_subcommunicators_inherit_strategy(self):
         def main(comm):

@@ -25,8 +25,8 @@ def test_contended_is_run_to_run_deterministic():
 
 def test_demo_sweep_metrics_stable_across_runs():
     specs = demo_specs(n=4, duration=0.0)
-    a = SweepRunner(serial=True).run(specs, name="demo")
-    b = SweepRunner(serial=True).run(specs, name="demo")
+    a = SweepRunner(processes=1).run(specs, name="demo")
+    b = SweepRunner(processes=1).run(specs, name="demo")
     assert a.metrics() == b.metrics()
 
 
