@@ -503,8 +503,13 @@ class FluidEngine:
         def pct(q: float) -> float:
             return fcts[min(n - 1, int(q * n))]
 
+        # Plain left-to-right addition, the same bits on every Python:
+        # from 3.12 on, the builtin sum() of floats is compensated.
+        total = 0.0
+        for fct in fcts:
+            total += fct
         return {
-            "mean": sum(fcts) / n,
+            "mean": total / n,
             "p50": pct(0.50),
             "p95": pct(0.95),
             "p99": pct(0.99),

@@ -19,7 +19,6 @@ gates summaries against committed baselines:
 from repro.harness.baseline import (
     Deviation,
     RegressionReport,
-    Tolerance,
     baseline_path,
     check_sweep,
     compare,
@@ -40,7 +39,6 @@ __all__ = [
     "ScenarioSpec",
     "SweepResult",
     "SweepRunner",
-    "Tolerance",
     "available",
     "baseline_path",
     "check_sweep",

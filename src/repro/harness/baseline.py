@@ -2,21 +2,16 @@
 
 A baseline is a committed JSON document holding, per execution mode
 ("full" / "quick"), the flattened ``label/metric`` values a sweep is
-expected to reproduce, plus tolerances.  The comparator classifies each
-baseline metric as ``ok``, ``regression`` (outside tolerance) or
-``missing`` (no longer produced); metrics the sweep newly produces are
-reported as ``new`` but do not fail the gate — regenerate the baseline
-to adopt them.
-
-Numeric values compare within ``max(abs_tol, rel_tol * |expected|)``;
-strings (e.g. a bottleneck-stage name) must match exactly.  Per-metric
-tolerance keys may be ``fnmatch`` globs (``*/retransmits``) so one entry
-covers the same counter across every scenario label.
+expected to reproduce.  Every sweep metric is a pure function of its
+spec, so the comparator demands equality: each baseline metric is
+``ok`` (``got == want``), a ``regression`` (any other value, down to
+the last bit) or ``missing`` (no longer produced); metrics the sweep
+newly produces are reported as ``new`` but do not fail the gate —
+regenerate the baseline to adopt them.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import json
 import os
 from dataclasses import dataclass
@@ -42,21 +37,6 @@ def default_baselines_dir() -> str:
     checkout = os.path.dirname(os.path.dirname(pkg))
     candidate = os.path.join(checkout, DEFAULT_BASELINES_DIR)
     return candidate if os.path.isdir(candidate) else DEFAULT_BASELINES_DIR
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed deviation from a baseline value."""
-
-    rel: float = 0.0
-    abs: float = 0.0
-
-    def allows(self, expected: float, actual: float) -> bool:
-        return abs(actual - expected) <= max(self.abs, self.rel * abs(expected))
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, float]) -> "Tolerance":
-        return cls(rel=float(obj.get("rel", 0.0)), abs=float(obj.get("abs", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -111,20 +91,8 @@ def compare(
     mode: str,
     actual: Mapping[str, Any],
     expected: Mapping[str, Any],
-    default_tolerance: Tolerance,
-    per_metric: Optional[Mapping[str, Tolerance]] = None,
 ) -> RegressionReport:
     """Compare flattened sweep metrics against a baseline metric map."""
-    per_metric = per_metric or {}
-
-    def tolerance_for(metric: str) -> Tolerance:
-        if metric in per_metric:
-            return per_metric[metric]
-        for pattern in sorted(per_metric):
-            if fnmatch.fnmatch(metric, pattern):
-                return per_metric[pattern]
-        return default_tolerance
-
     deviations = []
     for metric in sorted(expected):
         want = expected[metric]
@@ -132,11 +100,7 @@ def compare(
             deviations.append(Deviation(metric, "missing", expected=want))
             continue
         got = actual[metric]
-        if isinstance(want, str) or isinstance(got, str):
-            status = "ok" if str(got) == str(want) else "regression"
-        else:
-            tol = tolerance_for(metric)
-            status = "ok" if tol.allows(float(want), float(got)) else "regression"
+        status = "ok" if got == want else "regression"
         deviations.append(Deviation(metric, status, expected=want, actual=got))
     for metric in sorted(set(actual) - set(expected)):
         deviations.append(Deviation(metric, "new", actual=actual[metric]))
@@ -162,11 +126,6 @@ def check_sweep(
     committed baseline file."""
     path = path or baseline_path(result.name, directory)
     doc = load_baseline(path)
-    tols = doc.get("tolerances", {})
-    default_tol = Tolerance.from_json(tols.get("default", {}))
-    per_metric = {
-        k: Tolerance.from_json(v) for k, v in tols.get("metrics", {}).items()
-    }
     try:
         expected = doc["modes"][mode]["metrics"]
     except KeyError:
@@ -174,9 +133,7 @@ def check_sweep(
             f"baseline {path} has no {mode!r} mode; "
             f"regenerate with --write-baselines"
         ) from None
-    return compare(
-        result.name, mode, result.metrics(), expected, default_tol, per_metric
-    )
+    return compare(result.name, mode, result.metrics(), expected)
 
 
 def write_baseline(
@@ -184,19 +141,13 @@ def write_baseline(
     mode: str,
     path: Optional[str] = None,
     directory: Optional[str] = None,
-    tolerances: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Write/update one mode of a baseline file, preserving the other
-    modes and any committed tolerances unless new ones are given."""
+    modes."""
     path = path or baseline_path(result.name, directory)
-    doc: dict[str, Any] = {"sweep": result.name, "modes": {}}
-    if os.path.exists(path):
-        doc = load_baseline(path)
-    if tolerances is not None:
-        doc["tolerances"] = dict(tolerances)
-    doc.setdefault("tolerances", {"default": {"rel": 0.05}})
-    doc.setdefault("modes", {})
-    doc["modes"][mode] = {"metrics": result.metrics()}
+    modes = load_baseline(path)["modes"] if os.path.exists(path) else {}
+    modes[mode] = {"metrics": result.metrics()}
+    doc = {"sweep": result.name, "modes": modes}
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

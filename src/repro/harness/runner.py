@@ -142,12 +142,18 @@ class SweepRunner:
     bounds each scenario's result wait in process-pool mode; a blown
     deadline records a ``timeout`` error for that scenario and the pool
     is torn down afterwards rather than joined, so a hung worker cannot
-    wedge the sweep.
+    wedge the sweep; ``timeout=None`` waits without a deadline.
+    ``processes`` below 1 or a ``timeout`` that is not a positive
+    number of seconds raises ``ValueError``.
     """
 
     def __init__(
         self, processes: Optional[int] = None, timeout: Optional[float] = None
     ) -> None:
+        if processes is not None and processes < 1:
+            raise ValueError(f"processes must be at least 1, got {processes}")
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be positive seconds, got {timeout}")
         self.processes = processes
         self.timeout = timeout
 

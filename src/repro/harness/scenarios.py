@@ -224,55 +224,36 @@ def t3e_scaling(spec: ScenarioSpec) -> dict[str, Any]:
 def kernel_bench(spec: ScenarioSpec) -> dict[str, Any]:
     """Discrete-event kernel micro-benchmark (WAN bulk transfer).
 
-    Reports two kinds of metrics with very different gating rules:
-
-    * deterministic kernel-work counters (``events_scheduled``,
-      ``link_packets``, ``segments``) and the simulated ``goodput_mbps``
-      — pure functions of the spec, pinned exactly by the baseline so a
-      kernel change that alters scheduling volume or simulated results
-      fails CI;
-    * wall-clock figures (``wall_s``, ``packets_per_sec``) —
-      machine-dependent and informational only (the baseline carries an
-      effectively-infinite tolerance for them).
-
-    ``heap_peak`` is exact too: the most entries the event heap held
-    between two dispatches.  It comes from a second, untimed run of the
-    same transfer driven by ``env.step()``, so ``wall_s`` stays a
-    ``run()`` timing.
+    Reports the kernel work a transfer costs — ``events_scheduled``,
+    ``link_packets``, ``segments`` and ``heap_peak`` (the most entries
+    the event heap held between two dispatches) — and the simulated
+    ``goodput_mbps``.  All are pure functions of the spec, so a kernel
+    change that alters scheduling volume or simulated results fails the
+    gate.  The transfer is driven by ``env.step()`` so the heap can be
+    read between dispatches; host time per packet is perfbench's.
     """
     from repro.netsim import BulkTransfer
 
-    def transfer():
-        tb = _testbed(spec)
-        bt = BulkTransfer(
-            tb.net,
-            str(spec.get("src", "sp2")),
-            str(spec.get("dst", "t3e-600")),
-            int(spec.get("mbytes", 8)) * MBYTE,
-            ip=_ip(spec),
-        )
-        return tb, bt
-
-    tb, bt = transfer()
-    t0 = time.perf_counter()
-    goodput = bt.run()
-    wall = time.perf_counter() - t0
-    stepped_tb, stepped = transfer()
-    env = stepped_tb.env
+    tb = _testbed(spec)
+    bt = BulkTransfer(
+        tb.net,
+        str(spec.get("src", "sp2")),
+        str(spec.get("dst", "t3e-600")),
+        int(spec.get("mbytes", 8)) * MBYTE,
+        ip=_ip(spec),
+    )
+    env = tb.env
     heap_peak = env.heap_depth
-    while not stepped.done.processed:
+    while not bt.done.processed:
         env.step()
         heap_peak = max(heap_peak, env.heap_depth)
-    link_packets = sum(
-        sum(link.tx_packets.values()) for link in tb.net.links.values()
-    )
     return {
-        "events_scheduled": tb.net.env.scheduled_count,
-        "link_packets": link_packets,
+        "events_scheduled": env.scheduled_count,
+        "link_packets": sum(
+            sum(link.tx_packets.values()) for link in tb.net.links.values()
+        ),
         "segments": bt.segments_delivered,
-        "goodput_mbps": goodput / 1e6,
-        "wall_s": wall,
-        "packets_per_sec": link_packets / wall if wall > 0 else 0.0,
+        "goodput_mbps": bt.throughput / 1e6,
         "heap_peak": heap_peak,
     }
 
@@ -428,8 +409,7 @@ def fluid_wan(spec: ScenarioSpec) -> dict[str, Any]:
     (same seed ⇒ bit-identical schedule across Python versions and
     serial/process-pool runs); FCT statistics, mean/peak concurrency, WAN
     utilization and the re-solve count are pure functions of the spec.
-    ``wall_s`` / ``flows_per_sec`` are machine-dependent and gated with
-    infinite tolerance.
+    Host time per flow is measured by perfbench's ``fluid_day``.
     """
     from repro.fluid import FluidEngine
     from repro.telemetry.metrics import MetricsRegistry
@@ -446,9 +426,7 @@ def fluid_wan(spec: ScenarioSpec) -> dict[str, Any]:
     )
     instrument_fluid(eng, registry)
     eng.offer(wg.schedule())
-    t0 = time.perf_counter()
     eng.run()
-    wall = time.perf_counter() - t0
 
     out: dict[str, Any] = {
         "schedule_sha": wg.digest(),
@@ -464,8 +442,6 @@ def fluid_wan(spec: ScenarioSpec) -> dict[str, Any]:
         "wan_util_gmd_to_ju": eng.mean_utilization(
             f"link:{tb.wan_link.name}:sw-gmd"
         ),
-        "wall_s": wall,
-        "flows_per_sec": len(eng.completed) / wall if wall > 0 else 0.0,
     }
     for key, value in eng.fct_stats().items():
         out[f"fct_{key}_s"] = value
@@ -542,9 +518,7 @@ def hybrid_wan(spec: ScenarioSpec) -> dict[str, Any]:
 
     wg = _workload(spec)
     hyb.offer(wg.schedule())
-    t0 = time.perf_counter()
     hyb.drain()
-    wall = time.perf_counter() - t0
 
     eng = hyb.engine
     out: dict[str, Any] = {
@@ -558,7 +532,6 @@ def hybrid_wan(spec: ScenarioSpec) -> dict[str, Any]:
             ping.rtt.mean / ref_rtt if ref_rtt > 0 else 1.0
         ),
         "ping_lost": ping.lost,
-        "wall_s": wall,
     }
     for key, value in eng.fct_stats().items():
         out[f"fct_{key}_s"] = value

@@ -1,7 +1,7 @@
 """Committed sweep definitions — the paper's measurement axes as grids.
 
-Each :class:`Sweep` names a grid of :class:`ScenarioSpec` points plus
-the tolerances its baseline file is written with:
+Each :class:`Sweep` names a grid of :class:`ScenarioSpec` points; its
+baseline file pins every metric exactly:
 
 * ``fig1_network`` — Section 2 / Figure 1: HiPPI block sizes, TCP
   throughput vs. MTU on the local Cray complex and across the WAN, and
@@ -10,28 +10,27 @@ the tolerances its baseline file is written with:
   reference and an 8x image size (the E7 "larger images" sweep);
 * ``fault_recovery`` — Section 4 reliability: goodput vs. injected WAN
   loss rate (with the Mathis-style bound) and link-outage recovery;
-* ``kernel_bench`` — discrete-event kernel throughput on a WAN bulk
-  microbench: deterministic event/packet counts are hard-gated,
-  wall-clock figures ride along informationally;
+* ``kernel_bench`` — discrete-event kernel work on a WAN bulk
+  microbench: scheduled entries, link packets, segments, the heap peak
+  and the simulated goodput;
 * ``contention`` — Sections 2-3 concurrent mix: bulk transfers + D1
   video + ping sharing the backbone, DRR fairness vs. the closed-form
   max-min fair-share model, on both the OC-48 and OC-12 backbones;
 * ``collectives`` — Section 3 metampi ablation: every collective
-  strategy on the coupled-model exchange patterns; WAN message counts
-  are pinned exactly, results must be identical across strategies, and
-  the hierarchical/naive completion-time ratio is hard-gated;
+  strategy on the coupled-model exchange patterns: virtual completion
+  times, WAN message and byte counts, whether the strategies' results
+  are identical, and the hierarchical/naive completion-time ratio;
 * ``hybrid`` — the fluid/packet hybrid engine gate: fluid-vs-packet
-  agreement within 5% on the overlap grid (pinned exactly via
-  ``within_5pct``), the workload generator's schedule digest pinned
-  bit-identical, and the heavy-tailed scale scenarios on both
-  backbones with FCT statistics gated;
+  agreement within 5% on the overlap grid (``within_5pct``), the
+  workload generator's schedule digest, and the heavy-tailed scale
+  scenarios on both backbones with their FCT statistics;
 * ``availability`` — SPring-8-style redundancy: single vs. dual ring
   under identical seeded outage schedules, with the dual ring's
-  delivered availability pinned strictly higher
-  (``dual_strictly_better``) and the CBR playout misses pinned exactly;
+  delivered availability strictly higher (``dual_strictly_better``)
+  and the CBR playout misses;
 * ``grid`` — KEK-style multi-site staging on 2×2 and 2×3 grids, with
   and without a mid-run trunk cut: transfers must fail over instead of
-  stalling (``stalled`` pinned at 0) and goodputs are pinned exactly.
+  stalling (``stalled`` stays 0), with their goodputs.
 
 ``quick=True`` shrinks transfer sizes for CI smoke runs; the grids
 themselves do not change shape, so quick and full baselines share the
@@ -40,8 +39,8 @@ same metric namespace per mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.harness.spec import ParameterGrid, ScenarioSpec, make_spec
 from repro.util.units import KBYTE, MBYTE
@@ -62,9 +61,6 @@ class Sweep:
     name: str
     description: str
     build: Callable[[bool], list[ScenarioSpec]]
-    tolerances: Mapping[str, Any] = field(
-        default_factory=lambda: {"default": {"rel": 0.05}}
-    )
 
     def specs(self, quick: bool = False) -> list[ScenarioSpec]:
         return self.build(quick)
@@ -220,145 +216,46 @@ SWEEPS: dict[str, Sweep] = {
             name="fig1_network",
             description="Section 2: HiPPI peak, TCP vs MTU, WAN bottleneck",
             build=_fig1_network,
-            tolerances={
-                "default": {"rel": 0.05},
-                "metrics": {
-                    "*/retransmits": {"abs": 5},
-                    "*/timeouts": {"abs": 2},
-                    "*/elapsed_s": {"rel": 0.10},
-                },
-            },
         ),
         Sweep(
             name="table1_t3e",
             description="Table 1: T3E module times and speedups, 1-256 PEs",
             build=_table1_t3e,
-            tolerances={"default": {"rel": 0.02}},
         ),
         Sweep(
             name="kernel_bench",
-            description="Kernel events/packets per second on a WAN bulk microbench",
+            description="Kernel work counters on a WAN bulk microbench",
             build=_kernel_bench,
-            tolerances={
-                # Kernel-work counters and simulated results are pure
-                # functions of the spec: pinned exactly (empty tolerance).
-                "default": {},
-                "metrics": {
-                    # Wall-clock figures are machine-dependent —
-                    # informational only, never gate.
-                    "*/wall_s": {"rel": 1e9, "abs": 1e9},
-                    "*/packets_per_sec": {"rel": 1e9, "abs": 1e9},
-                },
-            },
         ),
         Sweep(
             name="contention",
             description="Sections 2-3: concurrent mix fairness vs max-min model",
             build=_contention,
-            tolerances={
-                "default": {"rel": 0.05},
-                "metrics": {
-                    # How far the discrete-event flows sit from the
-                    # closed-form fair share — gate on drift, not value.
-                    "*/fair_dev_max": {"abs": 0.05},
-                    "*/retransmits_*": {"abs": 5},
-                    "*/video_bad_frames": {"abs": 2},
-                    "*/ping_lost": {"abs": 2},
-                    "*/ping_rtt_ms": {"rel": 0.10},
-                    "*/wan_flow_drops": {"abs": 10},
-                    "*/elapsed_s": {"rel": 0.10},
-                },
-            },
         ),
         Sweep(
             name="collectives",
             description="Section 3: collective-strategy ablation on the testbed",
             build=_collectives,
-            tolerances={
-                "default": {"rel": 0.05},
-                "metrics": {
-                    # Message counts are schedule-independent functions
-                    # of the algorithms: pinned exactly.  Byte counts
-                    # include pickled-object overheads that may shift
-                    # slightly across Python versions.
-                    "*/wan_messages_*": {},
-                    "*/wan_bytes_*": {"rel": 0.02},
-                    # All strategies must agree bit-for-bit (integer
-                    # payloads) — any disagreement fails the gate.
-                    "*/results_identical": {},
-                    # The Section-3 claim: hierarchical beats naive.
-                    # Gate the ratio tightly so a strategy regression
-                    # (or an accidental WAN-path change) fails CI.
-                    "*/hier_over_naive": {"abs": 0.2},
-                    # Ranks run under a virtual-time baton, so the
-                    # virtual elapsed times repeat exactly run to run.
-                    "*/elapsed_ms_*": {},
-                },
-            },
         ),
         Sweep(
             name="hybrid",
             description="Fluid/packet hybrid: cross-validation + heavy-tailed scale",
             build=_hybrid,
-            tolerances={
-                "default": {"rel": 0.05},
-                "metrics": {
-                    # The CI contract: the fluid approximation stays
-                    # inside the validated 5% envelope, and the workload
-                    # generator's schedule is bit-identical everywhere.
-                    "*/within_5pct": {},
-                    "*/schedule_sha": {},
-                    "*/arrived": {},
-                    "*/completed": {},
-                    "*/grid_points": {},
-                    "*/probe_consistent": {},
-                    "*/ping_lost": {"abs": 2},
-                    "*/video_bad_frames": {"abs": 2},
-                    # Solver-trajectory figures can shift slightly with
-                    # float detail; gate drift loosely.
-                    "*/resolves": {"rel": 0.02},
-                    "*/peak_active": {"rel": 0.05},
-                    "*/fct_p99_s": {"rel": 0.10},
-                    "*/fct_max_s": {"rel": 0.10},
-                    # Wall-clock figures are machine-dependent noise.
-                    "*/wall_s": {"rel": 1e9, "abs": 1e9},
-                    "*/flows_per_sec": {"rel": 1e9, "abs": 1e9},
-                },
-            },
         ),
         Sweep(
             name="availability",
             description="Single vs dual ring delivered availability under outages",
             build=_availability,
-            tolerances={
-                # Pure discrete-event results: pinned exactly.  The load-
-                # bearing gates are ``dual_strictly_better`` (must stay 1)
-                # and the per-topology availability/playout-miss figures.
-                "default": {},
-            },
         ),
         Sweep(
             name="grid",
             description="Multi-site grid staging with mid-run trunk-cut failover",
             build=_grid,
-            tolerances={
-                # Deterministic staging results: pinned exactly, with
-                # ``stalled`` required to stay 0 by the committed baseline.
-                "default": {},
-            },
         ),
         Sweep(
             name="fault_recovery",
             description="Section 4: goodput vs loss, outage recovery",
             build=_fault_recovery,
-            tolerances={
-                "default": {"rel": 0.05},
-                "metrics": {
-                    "*/retransmits": {"abs": 5},
-                    "*/timeouts": {"abs": 2},
-                    "*/elapsed_s": {"rel": 0.10},
-                },
-            },
         ),
     )
 }

@@ -6,9 +6,9 @@ import os
 import pytest
 
 from repro.harness import (
+    SWEEPS,
     ParameterGrid,
     SweepRunner,
-    Tolerance,
     check_sweep,
     compare,
     demo_specs,
@@ -17,6 +17,13 @@ from repro.harness import (
 )
 from repro.harness.cli import main as cli_main
 from repro.harness.registry import available, get_scenario, scenario
+
+BASELINES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "results",
+    "baselines",
+)
 
 
 # ---------------------------------------------------------------- specs
@@ -116,6 +123,27 @@ def test_scenario_failure_is_recorded_not_cached():
     assert result.results[1].ok
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"processes": 0},
+        {"processes": -3},
+        {"timeout": -1.0},
+        {"timeout": 0.0},
+        {"timeout": float("nan")},
+    ],
+)
+def test_runner_rejects_bad_pool_settings(settings):
+    with pytest.raises(ValueError):
+        SweepRunner(**settings)
+
+
+def test_runner_none_keeps_default_pool_settings():
+    runner = SweepRunner(processes=None, timeout=None)
+    result = runner.run(demo_specs(2, 0.0), name="demo")
+    assert result.ok and len(result.results) == 2
+
+
 def test_pool_timeout_marks_scenario_and_sweep_continues():
     specs = [make_spec("demo", hang=True), make_spec("demo", index=1)]
     result = SweepRunner(processes=2, timeout=1.0).run(specs, name="demo")
@@ -152,68 +180,41 @@ def test_sweep_result_jsonl_export(tmp_path):
 # ------------------------------------------------------ regression gate
 
 
-def test_tolerance_allows_within_band():
-    tol = Tolerance(rel=0.05, abs=0.5)
-    assert tol.allows(100.0, 104.9)
-    assert not tol.allows(100.0, 106.0)
-    assert tol.allows(0.1, 0.4)  # abs floor dominates near zero
-
-
-def test_comparator_passes_within_tolerance():
-    report = compare(
-        "s", "full", {"a/x": 102.0}, {"a/x": 100.0}, Tolerance(rel=0.05)
-    )
-    assert report.passed and not report.regressions
+def test_comparator_fails_on_last_bit_change():
+    """The gate is exact: one ulp off the baseline is a regression."""
+    assert compare("s", "full", {"a/x": 0.3}, {"a/x": 0.3}).passed
+    report = compare("s", "full", {"a/x": 0.1 + 0.2}, {"a/x": 0.3})
+    assert report.deviations[0].actual == 0.30000000000000004
+    assert not report.passed and report.regressions[0].metric == "a/x"
 
 
 def test_comparator_fails_on_perturbed_metric():
-    """Acceptance: a perturbation beyond tolerance fails the gate."""
-    report = compare(
-        "s", "full", {"a/x": 112.0}, {"a/x": 100.0}, Tolerance(rel=0.05)
-    )
+    """Acceptance: a perturbed metric fails the gate."""
+    report = compare("s", "full", {"a/x": 112.0}, {"a/x": 100.0})
     assert not report.passed
     assert report.regressions[0].metric == "a/x"
     assert "REGRESSION" in report.format()
 
 
 def test_comparator_missing_and_new_metrics():
-    report = compare(
-        "s", "full", {"a/new": 1.0}, {"a/gone": 2.0}, Tolerance(rel=0.05)
-    )
+    report = compare("s", "full", {"a/new": 1.0}, {"a/gone": 2.0})
     statuses = {d.metric: d.status for d in report.deviations}
     assert statuses == {"a/gone": "missing", "a/new": "new"}
     assert not report.passed  # missing fails; new alone would not
 
 
 def test_comparator_string_metrics_compare_exactly():
-    ok = compare(
-        "s", "full", {"a/b": "sp2.iobus"}, {"a/b": "sp2.iobus"}, Tolerance()
-    )
-    bad = compare("s", "full", {"a/b": "wan"}, {"a/b": "sp2.iobus"}, Tolerance())
+    ok = compare("s", "full", {"a/b": "sp2.iobus"}, {"a/b": "sp2.iobus"})
+    bad = compare("s", "full", {"a/b": "wan"}, {"a/b": "sp2.iobus"})
     assert ok.passed and not bad.passed
-
-
-def test_comparator_glob_tolerances():
-    report = compare(
-        "s",
-        "full",
-        {"a/retransmits": 7, "b/retransmits": 3},
-        {"a/retransmits": 4, "b/retransmits": 3},
-        Tolerance(),  # exact by default
-        per_metric={"*/retransmits": Tolerance(abs=5)},
-    )
-    assert report.passed
 
 
 def test_baseline_roundtrip_and_gate(tmp_path):
     result = SweepRunner(processes=1).run(demo_specs(3, 0.0), name="demo")
-    path = write_baseline(
-        result, "quick", directory=str(tmp_path),
-        tolerances={"default": {"rel": 0.01}},
-    )
+    path = write_baseline(result, "quick", directory=str(tmp_path))
     gate = check_sweep(result, "quick", directory=str(tmp_path))
     assert gate.passed, gate.format()
-    # Perturb one committed value beyond tolerance -> gate fails.
+    # Perturb one committed value -> gate fails.
     doc = json.loads(open(path).read())
     metric = sorted(doc["modes"]["quick"]["metrics"])[0]
     doc["modes"]["quick"]["metrics"][metric] = 999.0
@@ -224,6 +225,15 @@ def test_baseline_roundtrip_and_gate(tmp_path):
     # Unknown mode is a hard error, not a silent pass.
     with pytest.raises(KeyError):
         check_sweep(result, "full", directory=str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_reproduces_quick_baseline_exactly(name):
+    """Every committed sweep, run inline, equals its quick baseline."""
+    result = SweepRunner(processes=1).run(SWEEPS[name].specs(True), name=name)
+    assert result.ok, result.format_table()
+    gate = check_sweep(result, "quick", directory=BASELINES)
+    assert gate.passed, gate.format()
 
 
 def test_write_baseline_preserves_other_modes(tmp_path):
@@ -257,6 +267,23 @@ def test_cli_check_passes_then_fails_on_perturbed_baseline(tmp_path, capsys):
         json.dump(doc, fh)
     assert cli_main(args + ["--check"]) == 2
     assert "REGRESSION" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--timeout", "-1", "--processes", "2"],
+        ["--timeout", "nan"],
+        ["--processes", "0"],
+        ["--processes", "-3"],
+    ],
+)
+def test_cli_reports_bad_pool_settings_as_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--sweep", "table1_t3e", "--quick"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err and captured.out == ""
 
 
 def test_cli_export_jsonl(tmp_path):
