@@ -102,8 +102,10 @@ class CollectiveStrategy:
     The base class implements every collective generically in terms of
     :meth:`tree` (the fan-in/fan-out shape) plus point-to-point sends;
     subclasses override ``tree`` and any collective for which they have
-    a structurally better algorithm.  Methods take the communicator as
-    the first argument — strategy objects are stateless and shared.
+    a structurally better algorithm.  Methods take the communicator and
+    the calling rank's context as their first arguments — strategy
+    objects are stateless and shared, and the communicator's public
+    method has already checked that the caller is a member.
     """
 
     name = "abstract"
@@ -116,38 +118,36 @@ class CollectiveStrategy:
         raise NotImplementedError
 
     # -- object collectives -------------------------------------------------
-    def bcast(self, comm: "Intracomm", obj: Any, root: int) -> Any:
-        tag = comm._coll_tag()
+    def bcast(self, comm, ctx, obj: Any, root: int) -> Any:
+        tag = comm._coll_tag(ctx)
         parent, children = comm._tree(root)
-        me = comm.rank
+        me = comm._index[ctx.world_rank]
         if me != root:
-            obj = comm._recv_i(parent[me], tag)
+            obj = comm._recv_i(ctx, parent[me], tag)
         for child in children[me]:
-            comm._send_i("obj", obj, child, tag)
+            comm._send_i(ctx, "obj", obj, child, tag)
         return obj
 
-    def gather(self, comm: "Intracomm", obj: Any, root: int) -> Optional[list]:
-        tag = comm._coll_tag()
+    def gather(self, comm, ctx, obj: Any, root: int) -> Optional[list]:
+        tag = comm._coll_tag(ctx)
         parent, children = comm._tree(root)
-        me = comm.rank
+        me = comm._index[ctx.world_rank]
         bundle: dict[int, Any] = {me: obj}
         for child in children[me]:
-            bundle.update(comm._recv_i(child, tag))
+            bundle.update(comm._recv_i(ctx, child, tag))
         if me != root:
-            comm._send_i("obj", bundle, parent[me], tag)
+            comm._send_i(ctx, "obj", bundle, parent[me], tag)
             return None
         return [bundle[r] for r in range(comm.size)]
 
-    def scatter(
-        self, comm: "Intracomm", values: Optional[Sequence], root: int
-    ) -> Any:
-        tag = comm._coll_tag()
+    def scatter(self, comm, ctx, values: Optional[Sequence], root: int) -> Any:
+        tag = comm._coll_tag(ctx)
         parent, children = comm._tree(root)
-        me = comm.rank
+        me = comm._index[ctx.world_rank]
         if me == root:  # Intracomm.scatter has checked ``values``
             bundle = {r: values[r] for r in range(comm.size)}
         else:
-            bundle = comm._recv_i(parent[me], tag)
+            bundle = comm._recv_i(ctx, parent[me], tag)
 
         # Pass each child the slice for its whole subtree.
         def collect_subtree(r: int) -> set:
@@ -158,15 +158,15 @@ class CollectiveStrategy:
 
         for child in children[me]:
             keys = collect_subtree(child)
-            comm._send_i("obj", {k: bundle[k] for k in keys}, child, tag)
+            comm._send_i(ctx, "obj", {k: bundle[k] for k in keys}, child, tag)
         return bundle[me]
 
-    def allgather(self, comm: "Intracomm", obj: Any) -> list:
-        return self.bcast(comm, self.gather(comm, obj, root=0), root=0)
+    def allgather(self, comm, ctx, obj: Any) -> list:
+        return self.bcast(comm, ctx, self.gather(comm, ctx, obj, root=0), root=0)
 
-    def reduce(self, comm: "Intracomm", value: Any, op, root: int) -> Any:
+    def reduce(self, comm, ctx, value: Any, op, root: int) -> Any:
         """Rank-ordered fold at ``root`` (order-correct for every op)."""
-        items = self.gather(comm, value, root)
+        items = self.gather(comm, ctx, value, root)
         if items is None:
             return None
         acc = items[0]
@@ -174,28 +174,51 @@ class CollectiveStrategy:
             acc = op(acc, item)
         return acc
 
-    def allreduce(self, comm: "Intracomm", value: Any, op) -> Any:
-        return self.bcast(comm, self.reduce(comm, value, op, root=0), root=0)
+    def allreduce(self, comm, ctx, value: Any, op) -> Any:
+        return self.bcast(comm, ctx, self.reduce(comm, ctx, value, op, root=0), root=0)
 
-    def alltoall(self, comm: "Intracomm", values: Sequence) -> list:
+    def alltoall(self, comm, ctx, values: Sequence) -> list:
         """Personalized exchange: direct pairwise messages (N²)."""
-        tag = comm._coll_tag()
-        me = comm.rank
+        tag = comm._coll_tag(ctx)
+        me = comm._index[ctx.world_rank]
         for r in range(comm.size):
             if r != me:
-                comm._send_i("obj", values[r], r, tag)
+                comm._send_i(ctx, "obj", values[r], r, tag)
         out = [None] * comm.size
         out[me] = values[me]
         for r in range(comm.size):
             if r != me:
-                out[r] = comm._recv_i(r, tag)
+                out[r] = comm._recv_i(ctx, r, tag)
         return out
 
-    def reduce_scatter(self, comm: "Intracomm", values: Sequence, op) -> Any:
-        reduced = self.reduce(comm, list(values), _ElementwiseOp(op), root=0)
-        return self.scatter(comm, reduced, root=0)
+    def reduce_scatter(self, comm, ctx, values: Sequence, op) -> Any:
+        reduced = self.reduce(comm, ctx, list(values), _ElementwiseOp(op), root=0)
+        return self.scatter(comm, ctx, reduced, root=0)
 
-    def barrier(self, comm: "Intracomm") -> None:
+    def scan(self, comm, ctx, value: Any, op) -> Any:
+        """Inclusive prefix reduction: a chain along rank order, the same
+        under every strategy."""
+        tag = comm._coll_tag(ctx)
+        me = comm._index[ctx.world_rank]
+        acc = value
+        if me > 0:
+            acc = op(comm._recv_i(ctx, me - 1, tag), value)
+        if me < comm.size - 1:
+            comm._send_i(ctx, "obj", acc, me + 1, tag)
+        return acc
+
+    def exscan(self, comm, ctx, value: Any, op) -> Any:
+        """Exclusive prefix reduction (rank 0 gets None), chained like
+        :meth:`scan`."""
+        tag = comm._coll_tag(ctx)
+        me = comm._index[ctx.world_rank]
+        prior = None if me == 0 else comm._recv_i(ctx, me - 1, tag)
+        if me < comm.size - 1:
+            outgoing = value if prior is None else op(prior, value)
+            comm._send_i(ctx, "obj", outgoing, me + 1, tag)
+        return prior
+
+    def barrier(self, comm, ctx) -> None:
         """Synchronize; afterwards all rank clocks are equal.
 
         Round 1 (this strategy's allgather) makes every rank transitively
@@ -205,24 +228,23 @@ class CollectiveStrategy:
         round's own sender overheads are idealized away so all exit
         clocks are exactly equal — a µs-scale idealization.)
         """
-        ctx = comm._me()
-        self.allgather(comm, ctx.clock)
-        ctx.clock = max(self.allgather(comm, ctx.clock))
+        self.allgather(comm, ctx, ctx.clock)
+        ctx.clock = max(self.allgather(comm, ctx, ctx.clock))
 
     # -- buffer collectives -------------------------------------------------
-    def Bcast(self, comm: "Intracomm", buf: np.ndarray, root: int) -> None:
-        tag = comm._coll_tag()
+    def Bcast(self, comm, ctx, buf: np.ndarray, root: int) -> None:
+        tag = comm._coll_tag(ctx)
         parent, children = comm._tree(root)
-        me = comm.rank
+        me = comm._index[ctx.world_rank]
         if me != root:
-            msg = comm._collect_internal(parent[me], tag)
-            comm._copy_into(buf, msg.data)
+            comm._copy_into(buf, comm._recv_i(ctx, parent[me], tag))
         for child in children[me]:
-            comm._send_i("buf", buf, child, tag)
+            comm._send_i(ctx, "buf", buf, child, tag)
 
     def Reduce(
         self,
-        comm: "Intracomm",
+        comm,
+        ctx,
         sendbuf: np.ndarray,
         recvbuf: Optional[np.ndarray],
         op,
@@ -231,8 +253,8 @@ class CollectiveStrategy:
         if not _is_commutative(op):
             # Order-preserving path: bundle the buffers up the tree and
             # fold in rank order at the root.
-            parts = self.gather(comm, np.array(sendbuf, copy=True), root)
-            if comm.rank == root:
+            parts = self.gather(comm, ctx, np.array(sendbuf, copy=True), root)
+            if comm._index[ctx.world_rank] == root:
                 if recvbuf is None:
                     raise MetaMpiError("root must supply recvbuf")
                 acc = parts[0]
@@ -240,28 +262,28 @@ class CollectiveStrategy:
                     acc = _apply_op(op, acc, _received(part, acc))
                 comm._copy_into(recvbuf, acc)
             return
-        tag = comm._coll_tag()
+        tag = comm._coll_tag(ctx)
         parent, children = comm._tree(root)
-        me = comm.rank
+        me = comm._index[ctx.world_rank]
         acc = np.array(sendbuf, copy=True)
         for child in children[me]:
-            msg = comm._collect_internal(child, tag)
-            op.np_ufunc(acc, _received(msg.data, acc), out=acc)
+            data = comm._recv_i(ctx, child, tag)
+            op.np_ufunc(acc, _received(data, acc), out=acc)
         if me != root:
-            comm._send_i("buf", acc, parent[me], tag)
+            comm._send_i(ctx, "buf", acc, parent[me], tag)
         else:
             if recvbuf is None:
                 raise MetaMpiError("root must supply recvbuf")
             comm._copy_into(recvbuf, acc)
 
     def Allreduce(
-        self, comm: "Intracomm", sendbuf: np.ndarray, recvbuf: np.ndarray, op
+        self, comm, ctx, sendbuf: np.ndarray, recvbuf: np.ndarray, op
     ) -> None:
-        if comm.rank == 0:
-            self.Reduce(comm, sendbuf, recvbuf, op, root=0)
+        if comm._index[ctx.world_rank] == 0:
+            self.Reduce(comm, ctx, sendbuf, recvbuf, op, root=0)
         else:
-            self.Reduce(comm, sendbuf, None, op, root=0)
-        self.Bcast(comm, recvbuf, root=0)
+            self.Reduce(comm, ctx, sendbuf, None, op, root=0)
+        self.Bcast(comm, ctx, recvbuf, root=0)
 
 
 def _apply_op(op, a, b):
@@ -344,75 +366,73 @@ class RingStrategy(CollectiveStrategy):
             and data.size >= comm.size
         )
 
-    def _ring_allreduce(self, comm, sendbuf: np.ndarray, op) -> np.ndarray:
+    def _ring_allreduce(self, comm, ctx, sendbuf: np.ndarray, op) -> np.ndarray:
         """The reduced buffer, flattened, in ``sendbuf``'s dtype."""
-        n, me = comm.size, comm.rank
+        n, me = comm.size, comm._index[ctx.world_rank]
         nxt, prv = (me + 1) % n, (me - 1) % n
         flat = np.array(sendbuf, copy=True).reshape(-1)
         sl = self._chunk_slices(flat.size, n)
         # Phase 1 — ring reduce-scatter: after n-1 steps rank ``me``
         # holds the fully reduced chunk ``me``.  Chunk c travels
         # (c+1) -> (c+2) -> ... -> c, accumulating as it goes.
-        tag = comm._coll_tag()
+        tag = comm._coll_tag(ctx)
         for s in range(n - 1):
             send_c = (me - s - 1) % n
             recv_c = (me - s - 2) % n
-            comm._send_i("buf", flat[sl[send_c]], nxt, tag)
-            msg = comm._collect_internal(prv, tag)
+            comm._send_i(ctx, "buf", flat[sl[send_c]], nxt, tag)
             chunk = flat[sl[recv_c]]
-            op.np_ufunc(chunk, _received(msg.data, chunk), out=chunk)
+            op.np_ufunc(chunk, _received(comm._recv_i(ctx, prv, tag), chunk), out=chunk)
         # Phase 2 — ring allgather of the reduced chunks.
-        tag = comm._coll_tag()
+        tag = comm._coll_tag(ctx)
         for s in range(n - 1):
             send_c = (me - s) % n
             recv_c = (me - s - 1) % n
-            comm._send_i("buf", flat[sl[send_c]], nxt, tag)
-            msg = comm._collect_internal(prv, tag)
-            flat[sl[recv_c]] = _received(msg.data, flat[sl[recv_c]])
+            comm._send_i(ctx, "buf", flat[sl[send_c]], nxt, tag)
+            flat[sl[recv_c]] = _received(comm._recv_i(ctx, prv, tag), flat[sl[recv_c]])
         return flat
 
-    def allgather(self, comm, obj):
-        n, me = comm.size, comm.rank
+    def allgather(self, comm, ctx, obj):
+        n, me = comm.size, comm._index[ctx.world_rank]
         if n == 1:
             return [obj]
-        tag = comm._coll_tag()
+        tag = comm._coll_tag(ctx)
         nxt, prv = (me + 1) % n, (me - 1) % n
         out: list = [None] * n
         out[me] = obj
         for s in range(n - 1):
             send_idx = (me - s) % n
-            comm._send_i("obj", (send_idx, out[send_idx]), nxt, tag)
-            idx, item = comm._recv_i(prv, tag)
+            comm._send_i(ctx, "obj", (send_idx, out[send_idx]), nxt, tag)
+            idx, item = comm._recv_i(ctx, prv, tag)
             out[idx] = item
         return out
 
-    def allreduce(self, comm, value, op):
+    def allreduce(self, comm, ctx, value, op):
         if self._ring_applicable(comm, value, op):
-            return self._ring_allreduce(comm, value, op).reshape(value.shape)
-        return super().allreduce(comm, value, op)
+            return self._ring_allreduce(comm, ctx, value, op).reshape(value.shape)
+        return super().allreduce(comm, ctx, value, op)
 
-    def Allreduce(self, comm, sendbuf, recvbuf, op):
+    def Allreduce(self, comm, ctx, sendbuf, recvbuf, op):
         sendarr = np.asarray(sendbuf)
         if self._ring_applicable(comm, sendarr, op):
-            comm._copy_into(recvbuf, self._ring_allreduce(comm, sendarr, op))
+            comm._copy_into(recvbuf, self._ring_allreduce(comm, ctx, sendarr, op))
         else:
-            super().Allreduce(comm, sendbuf, recvbuf, op)
+            super().Allreduce(comm, ctx, sendbuf, recvbuf, op)
 
-    def reduce_scatter(self, comm, values, op):
-        n, me = comm.size, comm.rank
+    def reduce_scatter(self, comm, ctx, values, op):
+        n, me = comm.size, comm._index[ctx.world_rank]
         if n == 1 or not _is_commutative(op):
-            return super().reduce_scatter(comm, values, op)
+            return super().reduce_scatter(comm, ctx, values, op)
         # Ring reduce-scatter over the per-rank items: item r circulates
         # (r+1) -> ... -> r accumulating, so rank r ends with the full
         # fold of everyone's values[r].
-        tag = comm._coll_tag()
+        tag = comm._coll_tag(ctx)
         nxt, prv = (me + 1) % n, (me - 1) % n
         partials = list(values)
         for s in range(n - 1):
             send_c = (me - s - 1) % n
             recv_c = (me - s - 2) % n
-            comm._send_i("obj", partials[send_c], nxt, tag)
-            incoming = comm._recv_i(prv, tag)
+            comm._send_i(ctx, "obj", partials[send_c], nxt, tag)
+            incoming = comm._recv_i(ctx, prv, tag)
             partials[recv_c] = op(incoming, partials[recv_c])
         return partials[me]
 
@@ -460,21 +480,22 @@ class HierarchicalStrategy(CollectiveStrategy):
         return parent, children
 
     # -- site decomposition -------------------------------------------------
-    def _parts(self, comm):
+    def _parts(self, comm, ctx):
         """Island structure plus cached site/leader subcommunicators.
 
-        Returns ``(islands, my_island_index, site_comm, leader_comm)``;
-        ``leader_comm`` is None on non-leader ranks.  Computed once per
-        rank and kept in ``comm._subcomm_cache``.  Subcommunicator ids
-        come from the runtime's deterministic derived-id table, so every
-        rank builds identical communicators without messaging.
+        Returns ``(islands, my_island_index, site_comm, leader_comm)`` for
+        the rank ``ctx``; ``leader_comm`` is None on non-leader ranks.
+        Computed once per rank and kept in ``comm._subcomm_cache``.
+        Subcommunicator ids come from the runtime's deterministic
+        derived-id table, so every rank builds identical communicators
+        without messaging.
         """
-        me = comm.rank
-        parts = comm._subcomm_cache.get(("parts", me))
+        parts = comm._subcomm_cache.get(("parts", ctx.world_rank))
         if parts is not None:
             return parts
         from repro.metampi.comm import Intracomm  # local import: cycle
 
+        me = comm._index[ctx.world_rank]
         islands = comm.islands()
         my_idx = next(i for i, isl in enumerate(islands) if me in isl)
         members = islands[my_idx]
@@ -499,7 +520,7 @@ class HierarchicalStrategy(CollectiveStrategy):
                     strategy="flat",
                 )
                 comm._subcomm_cache["leaders"] = leader_comm
-        parts = comm._subcomm_cache[("parts", me)] = (
+        parts = comm._subcomm_cache[("parts", ctx.world_rank)] = (
             islands, my_idx, site, leader_comm
         )
         return parts
@@ -512,70 +533,81 @@ class HierarchicalStrategy(CollectiveStrategy):
         return flat == list(range(n))
 
     # -- hierarchical collectives -------------------------------------------
-    def allreduce(self, comm, value, op):
-        islands, my_idx, site, leader_comm = self._parts(comm)
-        if len(islands) == 1:
-            return super().allreduce(comm, value, op)
-        if not _is_commutative(op) and not self._contiguous(islands, comm.size):
+    # A site phase on a one-rank island takes no tag, sends nothing and
+    # moves no clock (its result is the rank's own), so it is skipped and
+    # the rank goes straight to the leader exchange.  Phases run on the
+    # site and leader communicators' strategies directly: the caller is a
+    # member by construction and the outer collective labels the traffic.
+    def allreduce(self, comm, ctx, value, op):
+        islands, my_idx, site, leaders = self._parts(comm, ctx)
+        if len(islands) == 1 or (
+            not _is_commutative(op) and not self._contiguous(islands, comm.size)
+        ):
             # An island-by-island fold would reorder the reduction.
-            return super().allreduce(comm, value, op)
-        partial = site.reduce(value, op, root=0)
-        if leader_comm is not None:
+            return super().allreduce(comm, ctx, value, op)
+        if not site._single:
+            value = site.strategy.reduce(site, ctx, value, op, root=0)
+        total = None
+        if leaders is not None:
             # Leaders are ordered by their island's lowest rank, so the
             # leader-level fold keeps the global rank order.
-            total = leader_comm.reduce(partial, op, root=0)
-            total = leader_comm.bcast(total, root=0)
-        else:
-            total = None
-        return site.bcast(total, root=0)
+            total = leaders.strategy.allreduce(leaders, ctx, value, op)
+        return total if site._single else site.strategy.bcast(site, ctx, total, root=0)
 
-    def allgather(self, comm, obj):
-        islands, my_idx, site, leader_comm = self._parts(comm)
+    def allgather(self, comm, ctx, obj):
+        islands, my_idx, site, leaders = self._parts(comm, ctx)
         if len(islands) == 1:
-            return super().allgather(comm, obj)
+            return super().allgather(comm, ctx, obj)
         members = islands[my_idx]
-        local = site.gather(obj, root=0)
-        if leader_comm is not None:
-            out: list = [None] * comm.size
-            for mranks, vals in leader_comm.allgather((members, local)):
+        local = [obj] if site._single else site.strategy.gather(site, ctx, obj, root=0)
+        out = None
+        if leaders is not None:
+            out = [None] * comm.size
+            gathered = leaders.strategy.allgather(leaders, ctx, (members, local))
+            for mranks, vals in gathered:
                 for r, v in zip(mranks, vals):
                     out[r] = v
-            return site.bcast(out, root=0)
-        return site.bcast(None, root=0)
+        return out if site._single else site.strategy.bcast(site, ctx, out, root=0)
 
-    def alltoall(self, comm, values):
-        islands, my_idx, site, leader_comm = self._parts(comm)
+    def alltoall(self, comm, ctx, values):
+        islands, my_idx, site, leaders = self._parts(comm, ctx)
         if len(islands) == 1:
-            return super().alltoall(comm, values)
-        me = comm.rank
+            return super().alltoall(comm, ctx, values)
         members = islands[my_idx]
-        # 1. Intra-island exchange on the fast interconnect.
-        local_out = site.alltoall([values[r] for r in members])
-        # 2. Remote-destined items, bundled per destination island and
-        #    funneled through the leader: one WAN message per island
-        #    pair per direction instead of one per rank pair.
+        # Remote-destined items, bundled per destination island and
+        # funneled through the leader: one WAN message per island pair
+        # per direction instead of one per rank pair.
         outbound = {
             isl_idx: {dst: values[dst] for dst in isl}
             for isl_idx, isl in enumerate(islands)
             if isl_idx != my_idx
         }
-        bundles = site.gather(outbound, root=0)
-        if leader_comm is not None:
+        # Intra-island exchange on the fast interconnect, then the
+        # bundles gathered at the leader.
+        if site._single:
+            local_out, bundles = [values[members[0]]], [outbound]
+        else:
+            local_out = site.strategy.alltoall(site, ctx, [values[r] for r in members])
+            bundles = site.strategy.gather(site, ctx, outbound, root=0)
+        scattered = None
+        if leaders is not None:
             merged: list[dict] = [{} for _ in islands]
             for member, bundle in zip(members, bundles):
                 for isl_idx, items in bundle.items():
                     for dst, item in items.items():
                         merged[isl_idx][(member, dst)] = item
-            inbound = leader_comm.alltoall(merged)
+            inbound = leaders.strategy.alltoall(leaders, ctx, merged)
             per_member: dict[int, dict] = {m: {} for m in members}
             for src_isl, items in enumerate(inbound):
                 if src_isl == my_idx:
                     continue
                 for (src, dst), item in items.items():
                     per_member[dst][src] = item
-            scattered = site.scatter([per_member[m] for m in members], root=0)
+            scattered = [per_member[m] for m in members]
+        if site._single:
+            scattered = scattered[0]
         else:
-            scattered = site.scatter(None, root=0)
+            scattered = site.strategy.scatter(site, ctx, scattered, root=0)
         out: list = [None] * comm.size
         for j, m in enumerate(members):
             out[m] = local_out[j]
@@ -583,24 +615,24 @@ class HierarchicalStrategy(CollectiveStrategy):
             out[src] = item
         return out
 
-    def Allreduce(self, comm, sendbuf, recvbuf, op):
-        islands, my_idx, site, leader_comm = self._parts(comm)
+    def Allreduce(self, comm, ctx, sendbuf, recvbuf, op):
+        islands, my_idx, site, leaders = self._parts(comm, ctx)
         if len(islands) == 1 or (
-            not _is_commutative(op)
-            and not self._contiguous(islands, comm.size)
+            not _is_commutative(op) and not self._contiguous(islands, comm.size)
         ):
-            super().Allreduce(comm, sendbuf, recvbuf, op)
+            super().Allreduce(comm, ctx, sendbuf, recvbuf, op)
             return
-        if site.rank == 0:
+        if site._single:
+            # The island's only rank leads it: its buffer is the partial.
+            leaders.strategy.Allreduce(leaders, ctx, sendbuf, recvbuf, op)
+            return
+        if leaders is not None:
             partial = np.array(sendbuf, copy=True)
-            site.Reduce(sendbuf, partial, op, root=0)
-            if leader_comm is not None:
-                leader_comm.Allreduce(partial, recvbuf, op)
-            else:
-                comm._copy_into(recvbuf, partial)
+            site.strategy.Reduce(site, ctx, sendbuf, partial, op, root=0)
+            leaders.strategy.Allreduce(leaders, ctx, partial, recvbuf, op)
         else:
-            site.Reduce(sendbuf, None, op, root=0)
-        site.Bcast(recvbuf, root=0)
+            site.strategy.Reduce(site, ctx, sendbuf, None, op, root=0)
+        site.strategy.Bcast(site, ctx, recvbuf, root=0)
 
 
 #: Registered strategy classes, keyed by the name users select.

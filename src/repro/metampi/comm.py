@@ -17,7 +17,6 @@ topology-blind binomial algorithms for the ablation benchmark.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Any, Callable, Optional, Sequence
 
@@ -50,6 +49,7 @@ class Comm:
 
     def __init__(self, runtime: Runtime, comm_id: int, group: Sequence[int]):
         self.runtime = runtime
+        self._tls = runtime._tls
         self.comm_id = comm_id
         self.group = list(group)
         self._index = {w: i for i, w in enumerate(self.group)}
@@ -57,13 +57,21 @@ class Comm:
             raise MetaMpiError("duplicate ranks in communicator group")
 
     # -- identity ---------------------------------------------------------
-    def _me(self) -> RankContext:
-        ctx = self.runtime.current()
+    def _me(self, root: int = 0) -> RankContext:
+        """The calling rank's context.  Raises unless the caller is a
+        member and ``root`` (of a rooted collective) is one of its ranks.
+        Each public method resolves the caller once, here, and hands the
+        context down."""
+        ctx = self._tls.ctx
+        if ctx is None:
+            ctx = self.runtime.current()  # raises: not a rank thread
         if ctx.world_rank not in self._index:
             raise MetaMpiError(
                 f"calling thread (world rank {ctx.world_rank}) is not a "
                 f"member of this communicator"
             )
+        if not 0 <= root < len(self.group):
+            raise MetaMpiError(f"root {root} out of range for size {self.size}")
         return ctx
 
     @property
@@ -95,7 +103,11 @@ class Comm:
             raise MetaMpiError(f"dest {dest} out of range for size {len(peers)}")
         return peers[dest]
 
-    def _world_src(self, source: int) -> int:
+    def _recv_src(self, source: int, tag: int) -> int:
+        """The world rank a receive from ``source`` matches (ANY_SOURCE
+        stays itself), after checking that ``tag`` is a user tag."""
+        if tag < 0 and tag != ANY_TAG:
+            raise InvalidTag(f"receive tags must be >= 0 or ANY_TAG, got {tag}")
         return source if source == ANY_SOURCE else self._dst_world(source)
 
     def _src_local(self, world: int) -> int:
@@ -122,7 +134,7 @@ class Comm:
     # -- point-to-point: objects ------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send a picklable object (buffered: returns immediately)."""
-        self._post("obj", obj, dest, tag, user=True)
+        self._post("obj", obj, dest, tag)
 
     def recv(
         self,
@@ -140,8 +152,8 @@ class Comm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive returning a waitable Request."""
-        self._me()  # a non-member or a bad source fails here, not at wait()
-        self._world_src(source)
+        self._me()  # a non-member, bad source or tag fails here, not at wait()
+        self._recv_src(source, tag)
 
         def waiter(status: Optional[Status]) -> Any:
             return self._collect(source, tag, status).data
@@ -158,6 +170,7 @@ class Comm:
         status: Optional[Status] = None,
     ) -> Any:
         """Combined send+receive (deadlock-free in this buffered runtime)."""
+        self._recv_src(source, recvtag)  # a bad receive sends nothing
         self.send(obj, dest, sendtag)
         return self.recv(source, recvtag, status)
 
@@ -165,7 +178,7 @@ class Comm:
         """True if a matching message is already queued.  A miss lets the
         other ready ranks run first (see :meth:`Runtime.poll`)."""
         ctx = self._me()
-        world_src = self._world_src(source)
+        world_src = self._recv_src(source, tag)
         box = ctx.mailbox
         return self.runtime.poll(
             ctx, lambda: box.probe(self.comm_id, world_src, tag)
@@ -174,7 +187,7 @@ class Comm:
     # -- point-to-point: buffers ---------------------------------------------
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Send a NumPy buffer (copied at call time)."""
-        self._post("buf", np.asarray(buf), dest, tag, user=True)
+        self._post("buf", np.asarray(buf), dest, tag)
 
     def Recv(
         self,
@@ -196,8 +209,8 @@ class Comm:
         self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Request:
         """Nonblocking buffer receive; wait() fills ``buf``."""
-        self._me()  # a non-member or a bad source fails here, not at wait()
-        self._world_src(source)
+        self._me()  # a non-member, bad source or tag fails here, not at wait()
+        self._recv_src(source, tag)
 
         def waiter(status: Optional[Status]) -> np.ndarray:
             msg = self._collect(source, tag, status)
@@ -216,6 +229,7 @@ class Comm:
         recvtag: int = ANY_TAG,
     ) -> None:
         """Combined buffer send+receive."""
+        self._recv_src(source, recvtag)  # a bad receive sends nothing
         self.Send(sendbuf, dest, sendtag)
         self.Recv(recvbuf, source, recvtag)
 
@@ -240,8 +254,8 @@ class Comm:
         # copy, not a view, when ``buf`` is not C-contiguous.
         buf[...] = data.reshape(buf.shape)
 
-    def _post(self, kind: str, data: Any, dest: int, tag: int, user: bool) -> None:
-        if user and tag < 0:
+    def _post(self, kind: str, data: Any, dest: int, tag: int) -> None:
+        if tag < 0:
             raise InvalidTag(f"user tags must be >= 0, got {tag}")
         ctx = self._me()
         self.runtime.post(ctx, self._dst_world(dest), self.comm_id, tag, kind, data)
@@ -250,7 +264,9 @@ class Comm:
         self, source: int, tag: int, status: Optional[Status]
     ) -> Message:
         ctx = self._me()
-        msg = self.runtime.collect(ctx, self.comm_id, self._world_src(source), tag)
+        msg = self.runtime.collect(
+            ctx, self.comm_id, self._recv_src(source, tag), tag
+        )
         if status is not None:
             status.source = self._src_local(msg.src)
             status.tag = msg.tag
@@ -322,137 +338,113 @@ class Intracomm(Comm):
             tree = self._trees[key] = self.strategy.tree(self, root)
         return tree
 
-    def _collective(self, label: str) -> Any:
-        if self._single:
-            return _NO_LABEL
-        return _Collective(self._me(), f"{self.strategy.name}.{label}")
+    def _run(self, ctx: RankContext, op: str, *args, label: str = "") -> Any:
+        """The strategy's ``op`` collective for ``ctx``, its traffic
+        attributed to ``"<strategy>.<label or op>"`` unless an outer
+        collective labels it (nested subcommunicator phases inherit it)."""
+        run = getattr(self.strategy, op)
+        if ctx.coll_label is not None:
+            return run(self, ctx, *args)
+        ctx.coll_label = f"{self.strategy.name}.{label or op}"
+        try:
+            return run(self, ctx, *args)
+        finally:
+            ctx.coll_label = None
 
-    def _solo(self, root: int = 0) -> bool:
-        """Check ``root``; True when this rank is the whole communicator,
-        so a collective sends nothing and returns its local result."""
-        if not 0 <= root < len(self.group):
-            raise MetaMpiError(f"root {root} out of range for size {self.size}")
-        return self._single and bool(self._me())  # a non-member fails
+    def _coll_tag(self, ctx: RankContext) -> int:
+        """Internal tag for ``ctx``'s next collective on this communicator
+        (all ranks call a communicator's collectives in the same order,
+        an MPI requirement, so their counters agree)."""
+        seq = ctx.coll_seq.get(self.comm_id, 0)
+        ctx.coll_seq[self.comm_id] = seq + 1
+        return INTERNAL_TAG_BASE - seq
 
-    def _coll_tag(self) -> int:
-        return self._me().next_collective_tag(self.comm_id, INTERNAL_TAG_BASE)
+    def _send_i(
+        self, ctx: RankContext, kind: str, data: Any, dest: int, tag: int
+    ) -> None:
+        self.runtime.post(ctx, self.group[dest], self.comm_id, tag, kind, data)
 
-    def _send_i(self, kind: str, data: Any, dest: int, tag: int) -> None:
-        self._post(kind, data, dest, tag, user=False)
-
-    def _recv_i(self, source: int, tag: int) -> Any:
-        return self._collect(source, tag, None).data
+    def _recv_i(self, ctx: RankContext, source: int, tag: int) -> Any:
+        return self.runtime.collect(ctx, self.comm_id, self.group[source], tag).data
 
     # -- object collectives ----------------------------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns it."""
-        if self._solo(root):
-            return obj
-        with self._collective("bcast"):
-            return self.strategy.bcast(self, obj, root)
+        ctx = self._me(root)
+        return obj if self._single else self._run(ctx, "bcast", obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         """Gather objects to ``root`` (list in rank order) — None elsewhere."""
-        if self._solo(root):
-            return [obj]
-        with self._collective("gather"):
-            return self.strategy.gather(self, obj, root)
+        ctx = self._me(root)
+        return [obj] if self._single else self._run(ctx, "gather", obj, root)
 
     def scatter(self, values: Optional[Sequence], root: int = 0) -> Any:
         """Scatter a size-length sequence from ``root``; returns own item."""
-        solo = self._solo(root)
-        if self.rank == root and (values is None or len(values) != self.size):
+        ctx = self._me(root)
+        if self._index[ctx.world_rank] == root and (
+            values is None or len(values) != self.size
+        ):
             raise MetaMpiError(
                 "scatter needs a sequence of exactly comm.size items at root"
             )
-        if solo:
-            return values[0]
-        with self._collective("scatter"):
-            return self.strategy.scatter(self, values, root)
+        return values[0] if self._single else self._run(ctx, "scatter", values, root)
 
     def allgather(self, obj: Any) -> list:
         """Every rank ends with the rank-ordered list of all objects."""
-        if self._solo():
-            return [obj]
-        with self._collective("allgather"):
-            return self.strategy.allgather(self, obj)
+        ctx = self._me()
+        return [obj] if self._single else self._run(ctx, "allgather", obj)
 
     def reduce(self, value: Any, op: Op = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (rank-ordered fold); None elsewhere."""
-        if self._solo(root):
-            return value
-        with self._collective("reduce"):
-            return self.strategy.reduce(self, value, op, root)
+        ctx = self._me(root)
+        return value if self._single else self._run(ctx, "reduce", value, op, root)
 
     def allreduce(self, value: Any, op: Op = SUM) -> Any:
         """Reduce across all ranks; every rank returns the result."""
-        if self._solo():
-            return value
-        with self._collective("allreduce"):
-            return self.strategy.allreduce(self, value, op)
+        ctx = self._me()
+        return value if self._single else self._run(ctx, "allreduce", value, op)
 
     def alltoall(self, values: Sequence) -> list:
         """Personalized all-to-all exchange."""
+        ctx = self._me()
         if len(values) != self.size:
             raise MetaMpiError("alltoall needs exactly comm.size items")
-        if self._solo():
-            return [values[0]]
-        with self._collective("alltoall"):
-            return self.strategy.alltoall(self, values)
+        return [values[0]] if self._single else self._run(ctx, "alltoall", values)
 
     def barrier(self) -> None:
         """All ranks synchronize; afterwards all clocks agree and every
         rank's exit clock is >= the slowest rank's entry clock."""
-        if self._solo():
-            return
-        with self._collective("barrier"):
-            self.strategy.barrier(self)
+        ctx = self._me()
+        if not self._single:
+            self._run(ctx, "barrier")
 
     def scan(self, value: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction along rank order (chain algorithm:
         inherently rank-ordered, identical under every strategy)."""
-        if self._solo():
-            return value
-        with self._collective("scan"):
-            tag = self._coll_tag()
-            me = self.rank
-            acc = value
-            if me > 0:
-                acc = op(self._recv_i(me - 1, tag), value)
-            if me < self.size - 1:
-                self._send_i("obj", acc, me + 1, tag)
-            return acc
+        ctx = self._me()
+        return value if self._single else self._run(ctx, "scan", value, op)
 
     def exscan(self, value: Any, op: Op = SUM) -> Any:
         """Exclusive prefix reduction: rank 0 gets None."""
-        if self._solo():
-            return None
-        with self._collective("exscan"):
-            tag = self._coll_tag()
-            me = self.rank
-            prior = None if me == 0 else self._recv_i(me - 1, tag)
-            if me < self.size - 1:
-                outgoing = value if prior is None else op(prior, value)
-                self._send_i("obj", outgoing, me + 1, tag)
-            return prior
+        ctx = self._me()
+        return None if self._single else self._run(ctx, "exscan", value, op)
 
     def reduce_scatter(self, values: Sequence, op: Op = SUM) -> Any:
         """Elementwise reduction of size-length sequences, item ``i``
         delivered to rank ``i`` (MPI_Reduce_scatter_block semantics)."""
+        ctx = self._me()
         if len(values) != self.size:
             raise MetaMpiError("reduce_scatter needs exactly comm.size items")
-        if self._solo():
+        if self._single:
             return values[0]
-        with self._collective("reduce_scatter"):
-            return self.strategy.reduce_scatter(self, values, op)
+        return self._run(ctx, "reduce_scatter", values, op)
 
     # -- buffer collectives --------------------------------------------------
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
         """Broadcast ``buf`` from root into every rank's ``buf`` in place."""
-        if self._solo(root):
-            return
-        with self._collective("Bcast"):
-            self.strategy.Bcast(self, buf, root)
+        ctx = self._me(root)
+        if not self._single:
+            self._run(ctx, "Bcast", buf, root)
 
     def Reduce(
         self,
@@ -462,22 +454,27 @@ class Intracomm(Comm):
         root: int = 0,
     ) -> None:
         """Elementwise reduction into ``recvbuf`` at root."""
-        if self._solo(root):
-            if recvbuf is None:
-                raise MetaMpiError("root must supply recvbuf")
-            self._copy_into(recvbuf, sendbuf)
-            return
-        with self._collective("Reduce"):
-            self.strategy.Reduce(self, sendbuf, recvbuf, op, root)
+        ctx = self._me(root)
+        if self._single:
+            self._reduce_alone(sendbuf, recvbuf)
+        else:
+            self._run(ctx, "Reduce", sendbuf, recvbuf, op, root)
 
     def Allreduce(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: Op = SUM
     ) -> None:
         """Reduce across all ranks, filling ``recvbuf`` everywhere."""
-        if self._solo():
-            return self.Reduce(sendbuf, recvbuf, op)
-        with self._collective("Allreduce"):
-            self.strategy.Allreduce(self, sendbuf, recvbuf, op)
+        ctx = self._me()
+        if self._single:
+            self._reduce_alone(sendbuf, recvbuf)
+        else:
+            self._run(ctx, "Allreduce", sendbuf, recvbuf, op)
+
+    def _reduce_alone(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray]) -> None:
+        """A one-rank reduction: ``recvbuf`` gets ``sendbuf``."""
+        if recvbuf is None:
+            raise MetaMpiError("root must supply recvbuf")
+        self._copy_into(recvbuf, sendbuf)
 
     def Gather(
         self,
@@ -486,9 +483,13 @@ class Intracomm(Comm):
         root: int = 0,
     ) -> None:
         """Gather equal-size buffers into ``recvbuf[rank] = sendbuf``."""
-        with self._collective("Gather"):
-            parts = self.gather(np.asarray(sendbuf), root=root)
-        if self.rank == root:
+        ctx = self._me(root)
+        part = np.asarray(sendbuf)
+        if self._single:
+            parts = [part]
+        else:
+            parts = self._run(ctx, "gather", part, root, label="Gather")
+        if self._index[ctx.world_rank] == root:
             if recvbuf is None:
                 raise MetaMpiError("root must supply recvbuf")
             stacked = np.stack(parts)
@@ -501,8 +502,9 @@ class Intracomm(Comm):
         root: int = 0,
     ) -> None:
         """Scatter rows of ``sendbuf`` at root into each rank's ``recvbuf``."""
+        ctx = self._me(root)
         values = None
-        if self.rank == root:
+        if self._index[ctx.world_rank] == root:
             if sendbuf is None:
                 raise MetaMpiError("root must supply sendbuf")
             arr = np.asarray(sendbuf)
@@ -511,19 +513,22 @@ class Intracomm(Comm):
                     f"Scatter sendbuf first dim {arr.shape[0]} != size {self.size}"
                 )
             values = [arr[i] for i in range(self.size)]
-        with self._collective("Scatter"):
-            part = self.scatter(values, root=root)
+        if self._single:
+            part = values[0]
+        else:
+            part = self._run(ctx, "scatter", values, root, label="Scatter")
         self._copy_into(recvbuf, part)
 
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """All ranks end with the stacked buffers in ``recvbuf``."""
-        with self._collective("Allgather"):
-            parts = self.allgather(np.asarray(sendbuf))
+        ctx = self._me()
+        part = np.asarray(sendbuf)
+        if self._single:
+            parts = [part]
+        else:
+            parts = self._run(ctx, "allgather", part, label="Allgather")
         stacked = np.stack(parts)
         self._copy_into(recvbuf, stacked)
-
-    def _collect_internal(self, source: int, tag: int) -> Message:
-        return self._collect(source, tag, None)
 
     # -- communicator management ----------------------------------------------
     def dup(self) -> "Intracomm":
@@ -651,27 +656,6 @@ class Intracomm(Comm):
             info = None
         inter_comm_id, remote_group = self.bcast(info, root=root)
         return Intercomm(self.runtime, inter_comm_id, self.group, remote_group)
-
-
-_NO_LABEL = contextlib.nullcontext()
-
-
-class _Collective:
-    """``with`` block of one collective: attributes runtime traffic to the
-    *outermost* collective (nested subcommunicator phases inherit it)."""
-
-    __slots__ = ("ctx", "label")
-
-    def __init__(self, ctx: RankContext, label: str):
-        self.ctx, self.label = ctx, label if ctx.coll_label is None else None
-
-    def __enter__(self) -> None:
-        if self.label:
-            self.ctx.coll_label = self.label
-
-    def __exit__(self, *exc) -> None:
-        if self.label:
-            self.ctx.coll_label = None
 
 
 class Intercomm(Comm):

@@ -9,7 +9,7 @@ import numpy as np
 
 #: Receive from any rank.
 ANY_SOURCE = -1
-#: Receive any tag.
+#: Receive any user tag (>= 0), never a collective's internal one.
 ANY_TAG = -1
 
 #: Tags below this value are reserved for internal protocols (collectives,

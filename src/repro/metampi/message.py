@@ -8,13 +8,14 @@ from typing import Any, Optional
 from repro.metampi.constants import ANY_SOURCE, ANY_TAG
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Message:
     """One message queued at the receiver.
 
     ``src``/``dst`` are *world* ranks; communicator-local translation
     happens in the Comm layer.  ``arrival`` is the virtual time at which
-    the message is available to the receiver.
+    the message is available to the receiver.  Messages compare by
+    identity, so a mailbox removes the very message it matched.
     """
 
     src: int
@@ -33,8 +34,10 @@ class Mailbox:
 
     Matching respects non-overtaking order per (source, comm, tag) by
     scanning in global send order; ANY_SOURCE picks the earliest-arriving
-    match for determinism of the virtual timeline.  Only the rank holding
-    the runtime's baton touches a mailbox, so it needs no lock.
+    match for determinism of the virtual timeline.  As in MPI, ANY_TAG
+    matches user tags (>= 0) only, never a collective's internal tag.
+    Only the rank holding the runtime's baton touches a mailbox, so it
+    needs no lock.
     """
 
     def __init__(self) -> None:
@@ -55,7 +58,10 @@ class Mailbox:
                 continue
             if source != ANY_SOURCE and msg.src != source:
                 continue
-            if tag != ANY_TAG and msg.tag != tag:
+            if tag == ANY_TAG:
+                if msg.tag < 0:
+                    continue
+            elif msg.tag != tag:
                 continue
             if source != ANY_SOURCE:
                 return msg

@@ -65,15 +65,10 @@ class RankContext:
     #: None during point-to-point traffic — used for cost attribution
     coll_label: Optional[str] = None
 
-    def next_collective_tag(self, comm_id: int, base: int) -> int:
-        """Internal tag for the next collective on ``comm_id``.
 
-        All ranks call collectives on a communicator in the same program
-        order (an MPI requirement), so local counters agree globally.
-        """
-        seq = self.coll_seq.get(comm_id, 0)
-        self.coll_seq[comm_id] = seq + 1
-        return base - seq
+class _RankLocal(threading.local):
+    #: the calling thread's rank; None outside the rank threads
+    ctx: Optional[RankContext] = None
 
 
 class _Abort(BaseException):
@@ -95,7 +90,7 @@ class Runtime:
         #: telemetry hook (repro.telemetry.probes.instrument_runtime)
         self.probe: Any = None
         self.ranks: list[RankContext] = []
-        self._tls = threading.local()
+        self._tls = _RankLocal()
         #: ranks waiting for the baton, as a heap of (clock, world rank)
         self._ready: list[tuple[float, int]] = []
         #: started ranks that have not exited, by world rank
@@ -149,7 +144,7 @@ class Runtime:
 
     def current(self) -> RankContext:
         """The context of the calling thread."""
-        ctx = getattr(self._tls, "ctx", None)
+        ctx = self._tls.ctx
         if ctx is None:
             raise MetaMpiError("not inside a metampi rank thread")
         return ctx
@@ -300,14 +295,13 @@ class Runtime:
             nbytes = len(blob)
             data = pickle.loads(blob)
         try:
-            cost = self.transport.cost(src.machine, src.host, dst.machine, dst.host)
+            cost, key = self.transport.channel(
+                src.machine, src.host, dst.machine, dst.host
+            )
         except TransportError as exc:
             exc.src_rank = src.world_rank
             exc.dst_rank = dst_world
             raise
-        key = self.transport.channel_key(
-            src.machine, src.host, dst.machine, dst.host
-        )
         label = src.coll_label or "p2p"
         scope = "intra" if key is None else "wan"
         if key is None:
@@ -320,7 +314,9 @@ class Runtime:
             self._channel_free[key] = start + occupancy
             arrival = start + occupancy + cost.latency
             seconds = occupancy + cost.latency
-        tally = self.traffic.setdefault((label, scope), [0, 0, 0.0])
+        tally = self.traffic.get((label, scope))
+        if tally is None:
+            tally = self.traffic[label, scope] = [0, 0, 0.0]
         tally[0] += 1
         tally[1] += nbytes
         tally[2] += seconds

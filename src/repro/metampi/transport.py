@@ -162,48 +162,27 @@ class TransportModel:
             src_host, dst_host, self.retry.max_attempts
         ) from last_error
 
-    def cost(
+    def channel(
         self,
         src_spec: MachineSpec,
         src_host: str,
         dst_spec: MachineSpec,
         dst_host: str,
-    ) -> LinkCost:
-        """Pick the channel connecting two rank locations."""
-        if src_spec is dst_spec and src_host == dst_host:
-            return self.intra(src_spec)
-        return self.wan(src_host, dst_host)
-
-    def channel_key(
-        self,
-        src_spec: MachineSpec,
-        src_host: str,
-        dst_spec: MachineSpec,
-        dst_host: str,
-    ) -> Optional[tuple[str, str]]:
-        """Identity of the *shared* serializing channel, if any.
+    ) -> tuple[LinkCost, Optional[tuple[str, str]]]:
+        """The cost of a message between two rank locations, and the
+        identity of the *shared* serializing channel it crosses (None
+        inside a machine).
 
         Intra-machine traffic rides a scalable interconnect (torus/switch)
         and is not serialized.  WAN traffic between two hosts shares one
         external attachment (the HiPPI gateway / ATM adapter), so all
         concurrent transfers between the same host pair queue behind each
         other — the effect that makes topology-aware collectives pay off.
+        The runtime tallies traffic under the scopes "intra" (no shared
+        channel) and "wan"; collective strategies are judged mostly on
+        their "wan" column.
         """
         if src_spec is dst_spec and src_host == dst_host:
-            return None
-        return (src_host or src_spec.name, dst_host or dst_spec.name)
-
-    def scope(
-        self,
-        src_spec: MachineSpec,
-        src_host: str,
-        dst_spec: MachineSpec,
-        dst_host: str,
-    ) -> str:
-        """Accounting scope of a message: ``"intra"`` (internal
-        interconnect) or ``"wan"`` (shared external attachment).  The
-        runtime tallies per-collective-strategy traffic under these two
-        scopes; collective strategies are judged mostly on their "wan"
-        column."""
-        key = self.channel_key(src_spec, src_host, dst_spec, dst_host)
-        return "intra" if key is None else "wan"
+            return self.intra(src_spec), None
+        key = (src_host or src_spec.name, dst_host or dst_spec.name)
+        return self.wan(src_host, dst_host), key

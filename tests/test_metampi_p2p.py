@@ -105,6 +105,51 @@ class TestSendRecv:
             run(main)
         assert isinstance(exc.value.original, InvalidTag)
 
+    def test_any_tag_receive_leaves_collective_traffic_alone(self):
+        """A wildcard receive posted before a collective must not take
+        the collective's message: ANY_TAG matches user tags only."""
+
+        def main(comm):
+            if comm.rank == 0:
+                got = comm.recv()
+                return got, comm.bcast(None, root=1)
+            comm.bcast("x", root=1)
+            comm.send("y", dest=0, tag=7)
+            return None
+
+        _, vals = run(main, layout=((CRAY_T3E_600, 1), (IBM_SP2, 1)))
+        assert vals == [("y", "x"), None]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.recv(source=1, tag=-1000),
+            lambda c: c.Recv(np.zeros(1), source=1, tag=-2),
+            lambda c: c.irecv(source=1, tag=-1000),
+            lambda c: c.Irecv(np.zeros(1), source=1, tag=-3),
+            lambda c: c.probe(source=1, tag=-1000),
+            lambda c: c.sendrecv(1, dest=1, source=1, recvtag=-1000),
+        ],
+        ids=["recv", "Recv", "irecv", "Irecv", "probe", "sendrecv"],
+    )
+    def test_negative_receive_tag_rejected(self, call):
+        """Only ANY_TAG may be negative on the receive side; a receive
+        can never name a collective's internal tag, and a bad sendrecv
+        sends nothing."""
+
+        def main(comm):
+            if comm.rank == 0:
+                with pytest.raises(InvalidTag):
+                    call(comm)
+                comm.send("done", dest=1)
+                return None
+            status = Status()
+            return comm.recv(source=0, status=status), status.tag
+
+        mc, vals = run(main)
+        assert vals[1] == ("done", 0)
+        assert mc.runtime.traffic_summary()["p2p"]["intra"]["messages"] == 1
+
     def test_sendrecv(self):
         def main(comm):
             other = 1 - comm.rank
