@@ -36,12 +36,8 @@ ELEMS = 64
 
 def _exact(value: Any) -> Any:
     """``value`` as JSON-ready data with every float written exactly."""
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_exact(v) for v in value.tolist()]
+    if isinstance(value, float):
+        return value.hex()
     if isinstance(value, dict):
         return {str(k): _exact(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
