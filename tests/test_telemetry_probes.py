@@ -2,6 +2,8 @@
 zero-overhead NullRegistry guarantee, and the fault → alert → recovery
 loop composing with :mod:`repro.netsim.faults`."""
 
+import os
+
 import pytest
 
 from repro.fire import FirePipeline, HeadPhantom, PipelineConfig
@@ -36,6 +38,7 @@ from repro.telemetry import (
     instrument_rt_client,
     instrument_runtime,
     link_down,
+    to_jsonl,
     weather_map,
 )
 from repro.util.units import MBYTE
@@ -209,6 +212,32 @@ class TestNetworkProbes:
         assert buf is not None and len(buf) > 3
         assert all(0.0 <= v <= 1.0 for v in buf.values())
         assert max(buf.values()) > 0.0
+
+
+class TestExportPinned:
+    def test_wan_bulk_export_matches_committed_artifact(self, tmp_path):
+        """The instrumented 40 MByte ``wan-bulk`` run of
+        ``benchmarks/bench_telemetry_overhead.py`` exports, byte for
+        byte, the committed ``telemetry_metrics.jsonl``: every series,
+        its creation order, labels and value."""
+        tb = build_testbed()
+        bt = BulkTransfer(
+            tb.net, "t3e-600", "sp2", 40 * MBYTE, ip=IP64K, name="wan-bulk"
+        )
+        reg = MetricsRegistry()
+        instrument_network(tb.net, reg)
+        instrument_flow(bt, reg)
+        sampler = Sampler(tb.net.env, reg).start()
+        bt.run()
+        sampler.stop()
+        out = tmp_path / "telemetry_metrics.jsonl"
+        to_jsonl(reg, str(out), now=tb.net.env.now)
+        committed = os.path.join(
+            os.path.dirname(__file__), os.pardir,
+            "benchmarks", "results", "telemetry_metrics.jsonl",
+        )
+        with open(committed, "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
 
 class TestZeroOverheadGuarantee:
