@@ -19,6 +19,7 @@ from repro.netsim import (
     CbrFlow,
     ClassicalIP,
     FaultInjector,
+    Gateway,
     Host,
     Network,
     PingFlow,
@@ -238,6 +239,70 @@ class TestExportPinned:
         )
         with open(committed, "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+
+class TestGatewayDrops:
+    def test_crash_with_queue_and_packet_in_service(self):
+        """A gateway crashing mid-burst drops packets on all three
+        ``gateway_down`` arms: the queue flush, the packet whose service
+        ends while it is down, and arrivals while it is down.  The
+        gateway's views, its telemetry series and the flow's packet
+        balance all agree."""
+        env = Environment()
+        net = Network(env)
+        net.add(Host(env, "a"))
+        gw = net.add(Gateway(env, "gw", per_packet=1e-3))
+        net.add(Host(env, "b"))
+        net.link("a", "gw", 1e9)
+        net.link("gw", "b", 1e9)
+        reg = MetricsRegistry()
+        instrument_network(net, reg)
+        sampler = Sampler(env, reg, interval=0.7e-3).start()
+        # Eight segments per frame reach the gateway within microseconds,
+        # far faster than its 1 ms per packet.
+        cbr = CbrFlow(
+            net, "a", "b", frame_bytes=8 * 1460, interval=4e-3, n_frames=3,
+            ip=ClassicalIP(1500), name="video", drain_timeout=0.1,
+        )
+        seen = []
+        # At 2.5 ms two packets are forwarded, the third is in service
+        # until 3 ms and five wait: the crash flushes those five.
+        env.call_at(2.5e-3, gw.crash)
+        env.call_at(2.6e-3, lambda: seen.append(gw.dropped))
+        env.call_at(3.1e-3, lambda: seen.append(gw.dropped))
+        # The second frame (4 ms) arrives at a dead gateway; the third
+        # (8 ms) after the restart.
+        env.call_at(6e-3, gw.restart)
+        cbr.run()
+        sampler.stop()
+        assert seen == [5, 6]
+        assert gw.dropped == 5 + 1 + 8
+        assert gw.drop_reasons == {"gateway_down": 14}
+        assert gw.flow_drops == {"video": 14}
+        assert gw.forwarded == 2 + 8
+        assert (
+            reg.value("netsim.gateway.drops", gateway="gw", reason="gateway_down")
+            == gw.drop_reasons["gateway_down"]
+        )
+        assert (
+            reg.value(
+                "netsim.gateway.flow_drops",
+                gateway="gw",
+                reason="gateway_down",
+                flow="video",
+            )
+            == gw.flow_drops["video"]
+        )
+        # The drop series appear at the first tick after the crash.
+        t, v = next(iter(sampler.buffer(
+            "netsim.gateway.drops", gateway="gw", reason="gateway_down"
+        )))
+        assert 2.5e-3 < t < 3e-3 and v == 5.0
+        sent = net.links["a--gw"].flow_tx_packets["a"]["video"]
+        delivered = net.links["gw--b"].flow_tx_packets["gw"]["video"]
+        assert sent == 3 * 8
+        assert delivered == cbr._segments_received == gw.flow_forwarded["video"]
+        assert sent == delivered + gw.flow_drops["video"]
 
 
 class TestZeroOverheadGuarantee:
