@@ -2,10 +2,10 @@
 
 The telemetry subsystem promises that observation never perturbs the
 experiment: a :class:`~repro.telemetry.NullRegistry` must leave the
-packet/ack hot paths untouched (no probe objects installed at all, and
-not one extra event dispatched — an exact gate), and full
-instrumentation — per-link counters, drop reasons, flow recovery events,
-callback gauges, a periodic sampler — must stay below 5 % of the
+packet/ack hot paths untouched (netsim has no probe seam at all, and
+not one extra event is dispatched — an exact gate), and full
+instrumentation — per-link counters, drop reasons, flow recovery
+counts, callback gauges, a periodic sampler — must stay below 5 % of the
 uninstrumented wall-clock time for the standard 40 MByte T3E-600 → SP2
 WAN transfer.
 
@@ -126,17 +126,17 @@ def test_overhead_report(report, benchmark):
 
 
 def test_null_registry_installs_nothing():
-    """NullRegistry is no telemetry at all, exactly: no probe anywhere
-    and the same number of scheduled kernel entries as the uninstrumented
-    run (the wall clock cannot resolve a zero cost; the entry count can)."""
+    """NullRegistry is no telemetry at all, exactly: no probe seam on
+    any simulator object and the same number of scheduled kernel entries
+    as the uninstrumented run (the wall clock cannot resolve a zero cost;
+    the entry count can)."""
     tb_base, bt_base, _ = wan_transfer(None)
     tb_null, bt_null, _ = wan_transfer(NullRegistry(), sample=True)
     net = tb_null.net
     assert net.env.scheduled_count == tb_base.net.env.scheduled_count
     assert net.env.now == tb_base.net.env.now
-    assert bt_null.probe is None and net.probe is None
-    for obj in [*net.links.values(), *net.nodes.values()]:
-        assert getattr(obj, "probe", None) is None, obj.name
+    for obj in [bt_null, net, *net.links.values(), *net.nodes.values()]:
+        assert not hasattr(obj, "probe"), obj
 
 
 def test_instrumentation_does_not_change_results():

@@ -4,7 +4,8 @@
 Runs the standard T3E-600 → SP2 bulk transfer while the OC-12 backbone
 suffers a mid-transfer outage, with the full telemetry stack attached:
 
-* link/gateway probes and callback gauges (repro.telemetry.probes);
+* link/gateway/flow series read from the simulator's own tallies
+  (repro.telemetry.probes);
 * a sim-clock sampler feeding ring-buffer time series;
 * alert rules (WAN down, RTO spike) evaluated on the sampling cadence;
 * the console "testbed weather map" the testbed staff would have taped

@@ -46,7 +46,7 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.netsim.core import Network
 from repro.netsim.ip import ClassicalIP
@@ -170,9 +170,10 @@ class FluidEngine:
     every fluid flow (match it to the packet-level transfers when
     cross-validating); per-flow ``rate_cap`` models application pacing.
 
-    ``probe`` is the telemetry seam
-    (:func:`repro.telemetry.probes.instrument_fluid`): ``on_arrival``,
-    ``on_complete`` and ``on_resolve`` fire at the matching events.
+    ``arrived``, ``completed``, ``resolves`` and ``active`` are the
+    engine's own tallies, which telemetry reads
+    (:func:`repro.telemetry.probes.instrument_fluid`).  ``on_complete``,
+    if set, is called with each :class:`CompletedFlow`;
     ``on_rates_changed`` is the hybrid coupling hook — called after
     every re-solve with the engine as argument.
     """
@@ -192,7 +193,7 @@ class FluidEngine:
         self.completed: list[CompletedFlow] = []
         self.resolves = 0
         self.arrived = 0
-        self.probe: Optional[Any] = None
+        self.on_complete: Optional[Callable[[CompletedFlow], None]] = None
         self.on_rates_changed: Optional[Any] = None
         self._classes: dict[tuple, _PathClass] = {}
         # The non-empty classes in ``_classes`` (creation) order, which is
@@ -344,8 +345,6 @@ class FluidEngine:
         for cls in self._busy:
             cls.rate = rates[cls]
         self.resolves += 1
-        if self.probe is not None:
-            self.probe.on_resolve(self)
         if self.on_rates_changed is not None:
             self.on_rates_changed(self)
 
@@ -442,8 +441,8 @@ class FluidEngine:
         )
         self.completed.append(done)
         self._active -= 1
-        if self.probe is not None:
-            self.probe.on_complete(self, done)
+        if self.on_complete is not None:
+            self.on_complete(done)
 
     def _admit_due(self) -> bool:
         changed = False
@@ -464,8 +463,6 @@ class FluidEngine:
             self._active += 1
             self.arrived += 1
             self.peak_active = max(self.peak_active, self._active)
-            if self.probe is not None:
-                self.probe.on_arrival(self, flow.name)
             changed = True
         return changed
 

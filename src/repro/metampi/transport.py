@@ -91,8 +91,10 @@ class TransportModel:
         self.ip = ip or ClassicalIP(TESTBED_MTU)
         self.default_wan = default_wan
         self.retry = retry
-        #: telemetry hook (repro.telemetry.probes.instrument_runtime)
-        self.probe: Optional[object] = None
+        #: (src host, dst host) -> route lookups retried after a backoff
+        self.retries: dict[tuple[str, str], int] = {}
+        #: lookups that gave up and raised :class:`TransportError`
+        self.errors = 0
         self._wan_cache: dict[tuple[str, str], LinkCost] = {}
         if net is not None:
             # Stale WAN costs after a failure would route metacomputer
@@ -150,14 +152,13 @@ class TransportModel:
                 last_error = exc
                 if attempt == self.retry.max_attempts:
                     break
-                if self.probe is not None:
-                    self.probe.on_retry(src_host, dst_host)
+                key = (src_host, dst_host)
+                self.retries[key] = self.retries.get(key, 0) + 1
                 # Safe unlocked: only the runtime's baton holder runs.
                 env = self.net.env
                 env.run(until=env.now + delay)
                 delay *= self.retry.factor
-        if self.probe is not None:
-            self.probe.on_transport_error(src_host, dst_host)
+        self.errors += 1
         raise TransportError(
             src_host, dst_host, self.retry.max_attempts
         ) from last_error

@@ -57,7 +57,7 @@ from repro.netsim.tcp import (
 )
 from repro.netsim.flows import BulkTransfer, CbrFlow, PingFlow, TransferStalled
 from repro.netsim.faults import FaultInjector
-from repro.netsim.testbed import GigabitTestbedWest, build_multisite, build_testbed
+from repro.netsim.testbed import GigabitTestbedWest, build_testbed
 from repro.netsim.topology import (
     MultiSiteTestbed,
     Site,
@@ -102,7 +102,6 @@ __all__ = [
     "TransferStalled",
     "FaultInjector",
     "GigabitTestbedWest",
-    "build_multisite",
     "build_testbed",
     "MultiSiteTestbed",
     "Site",

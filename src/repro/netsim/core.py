@@ -20,7 +20,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.netsim.atm import aal5_wire_bytes
 from repro.netsim.hippi import hippi_wire_bytes
@@ -35,6 +35,14 @@ from repro.util.units import check_rate, check_seconds
 #: WAN spans); what matters is that every process computes the identical
 #: cost for the identical link.
 ROUTE_COST_BYTES = 1500
+
+
+def _sum_by(ledger: dict, field: int) -> dict:
+    """A drop ledger's counts summed by one key field, first-seen order."""
+    out: dict = {}
+    for key, n in ledger.items():
+        out[key[field]] = out.get(key[field], 0) + n
+    return out
 
 
 def route_cost(link: "Link") -> float:
@@ -53,14 +61,6 @@ def route_cost(link: "Link") -> float:
             + link.framing.wire(ROUTE_COST_BYTES) * 8.0 / link.rate
         )
     return cost
-
-
-def _count_by_flow(packets) -> dict[str, int]:
-    """Group a batch of packets (e.g. a flushed queue) by flow name."""
-    counts: dict[str, int] = {}
-    for packet in packets:
-        counts[packet.flow] = counts.get(packet.flow, 0) + 1
-    return counts
 
 
 @dataclass(slots=True, eq=False)
@@ -206,7 +206,7 @@ class Link:
     process: serialization at ``rate`` (on framed wire bytes) followed by
     ``propagation`` seconds of flight.  ``queue_packets`` bounds the
     transmit queue (waiting packets across all flows); excess packets are
-    dropped (counted per direction).
+    dropped.
 
     Concurrent flows sharing a direction are served fairly, not
     FIFO-by-arrival: each flow gets its own queue inside a
@@ -215,27 +215,20 @@ class Link:
     flow cannot starve a CBR video or ping stream the way a single
     shared FIFO lets it.  With one flow the service order degenerates to
     FIFO, leaving single-flow runs bit-identical to the pre-DRR link.
-    Per-flow transmit and drop tallies live in ``flow_tx_bytes`` /
-    ``flow_tx_packets`` / ``flow_drops`` (per direction, keyed by flow
-    name); :func:`repro.telemetry.probes.instrument_network` can expose
-    them as labeled metrics.
 
     Failure model (driven by :class:`repro.netsim.faults.FaultInjector`):
 
     * ``up`` — link state.  A down link refuses new packets at enqueue
-      (counted in ``drops``), flushes its transmit queues, and loses any
-      packet whose serialization completes while it is down (counted in
-      ``lost``).  State changes invalidate the owning network's routes.
+      (``drops``), flushes its transmit queues, and loses any packet
+      whose serialization completes while it is down (``lost``).  State
+      changes (``state_changes``) invalidate the network's routes.
     * ``loss_rate`` — per-direction random wire loss probability, applied
       after serialization with a caller-supplied (seeded) RNG so runs are
       deterministic.  Lost packets are counted in ``lost``.
 
-    Every packet death is additionally tallied in ``drop_reasons`` under
-    a typed reason (``link_down``, ``queue_full``, ``tx_link_down``,
-    ``wire_loss``), and an optional telemetry ``probe`` (installed by
-    :func:`repro.telemetry.probes.instrument_network`) sees transmit,
-    drop and state-change events.  Uninstrumented links pay one ``is
-    None`` branch per event and nothing else.
+    Every packet death is counted once, in ``drop_ledger`` under its
+    direction, typed reason and flow; ``drops``, ``lost``,
+    ``drop_reasons`` and ``flow_drops`` are read-time views of it.
     """
 
     def __init__(
@@ -268,13 +261,12 @@ class Link:
         self.queue_packets = queue_packets
         self.up = True
         self.network: Optional["Network"] = None
-        self.probe: Optional[Any] = None
+        self.state_changes = 0
         #: memoized :func:`route_cost` (rate/framing/propagation are fixed
         #: for the link's lifetime)
         self._route_cost: Optional[float] = None
-        self.drops = {a.name: 0, b.name: 0}
-        self.lost = {a.name: 0, b.name: 0}
-        self.drop_reasons: dict[str, int] = {}
+        #: (direction, reason, flow) -> dead packets, first-seen order
+        self.drop_ledger: dict[tuple[str, str, str], int] = {}
         self.loss_rate = {a.name: 0.0, b.name: 0.0}
         # One RNG per direction: each direction's loss pattern is a
         # function of its own packet sequence only, never of the
@@ -283,10 +275,6 @@ class Link:
             a.name: None,
             b.name: None,
         }
-        #: per-direction, per-flow drop tallies (flow name -> count);
-        #: transmit counters live on the per-direction state records and
-        #: surface through the dict-view properties below.
-        self.flow_drops: dict[str, dict[str, int]] = {a.name: {}, b.name: {}}
         #: Fluid background share per direction (fraction of ``rate``
         #: consumed by analytically-simulated flows; see repro.fluid).
         #: Zero keeps the transmitter bit-identical to the seamless link.
@@ -319,11 +307,9 @@ class Link:
         return self.framing.wire(packet.ip_bytes)
 
     # -- public counter views ----------------------------------------------
-    # The transmit path updates slotted per-direction records; these
-    # read-time views keep the historical {direction: value} surface for
-    # tests, telemetry probes and the terminal exporter.  Reads are cold
-    # (sampling cadence), writes are per-packet — so the dict is built on
-    # read, not maintained on write.
+    # Read-time views of the per-direction records and the drop ledger:
+    # writes are per packet and reads are cold (sampling cadence), so
+    # each dict is built on read, not maintained on write.
 
     @property
     def tx_bytes(self) -> dict[str, int]:
@@ -344,6 +330,35 @@ class Link:
     def flow_tx_packets(self) -> dict[str, dict[str, int]]:
         """Per-direction, per-flow transmitted packets."""
         return {d: st.fp for d, st in self._dir.items()}
+
+    def _deaths(self, *reasons: str) -> dict[str, int]:
+        ledger = self.drop_ledger
+        dead = {k: n for k, n in ledger.items() if k[1] in reasons}
+        return {d: 0 for d in self._dir} | _sum_by(dead, 0)
+
+    @property
+    def drops(self) -> dict[str, int]:
+        """Packets dropped before the wire, per direction."""
+        return self._deaths("link_down", "queue_full")
+
+    @property
+    def lost(self) -> dict[str, int]:
+        """Packets lost after serialization, per direction."""
+        return self._deaths("tx_link_down", "wire_loss")
+
+    @property
+    def drop_reasons(self) -> dict[str, int]:
+        """Packet deaths per typed reason, both directions."""
+        return _sum_by(self.drop_ledger, 1)
+
+    @property
+    def flow_drops(self) -> dict[str, dict[str, int]]:
+        """Per-direction, per-flow packet deaths."""
+        ledger = self.drop_ledger
+        return {
+            d: _sum_by({k: n for k, n in ledger.items() if k[0] == d}, 2)
+            for d in self._dir
+        }
 
     @property
     def busy_time(self) -> dict[str, float]:
@@ -381,33 +396,16 @@ class Link:
         st.eff = self.rate * (1.0 - share)
         st.ws.clear()  # serialization memo was computed at the old rate
 
-    def _drop(
-        self, direction: str, reason: str, count: int = 1,
-        flow: Optional[str] = None,
-    ) -> None:
-        """Count ``count`` packets dropped before reaching the wire."""
-        self.drops[direction] += count
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + count
-        if flow is not None:
-            per_flow = self.flow_drops[direction]
-            per_flow[flow] = per_flow.get(flow, 0) + count
-        if self.probe is not None:
-            self.probe.on_drop(self, direction, reason, count, flow)
-
-    def _lose(self, direction: str, reason: str, flow: str) -> None:
-        """Count one packet lost on the wire (after serialization)."""
-        self.lost[direction] += 1
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        per_flow = self.flow_drops[direction]
-        per_flow[flow] = per_flow.get(flow, 0) + 1
-        if self.probe is not None:
-            self.probe.on_drop(self, direction, reason, 1, flow)
+    def _drop(self, direction: str, reason: str, flow: str) -> None:
+        """Count one dead packet of ``flow`` in the ledger."""
+        key = (direction, reason, flow)
+        self.drop_ledger[key] = self.drop_ledger.get(key, 0) + 1
 
     def send(self, from_node: "Node", packet: Packet) -> None:
         """Enqueue ``packet`` for transmission from ``from_node``."""
         direction = from_node.name
         if not self.up:
-            self._drop(direction, "link_down", flow=packet.flow)
+            self._drop(direction, "link_down", packet.flow)
             return
         st = self._dir[direction]
         env = self.env
@@ -456,7 +454,7 @@ class Link:
         # packet left the queue when its serialization began.
         q = st.q
         if q._total >= self.queue_packets:
-            self._drop(direction, "queue_full", flow=packet.flow)
+            self._drop(direction, "queue_full", packet.flow)
             return
         q.put_nowait(packet)
         if not st.armed:
@@ -477,10 +475,9 @@ class Link:
             for d, st in self._dir.items():
                 self._judge_inflight(d, st)
             for d, st in self._dir.items():
-                for flow, count in _count_by_flow(st.q.clear()).items():
-                    self._drop(d, "link_down", count, flow=flow)
-        if self.probe is not None:
-            self.probe.on_state(self, up)
+                for packet in st.q.clear():
+                    self._drop(d, "link_down", packet.flow)
+        self.state_changes += 1
         if self.network is not None:
             self.network.on_link_state_change()
 
@@ -594,12 +591,12 @@ class Link:
         direction: lost to a link that went down mid-serialization, lost
         to the wire-loss draw, or put on the wire."""
         if not self.up:
-            self._lose(direction, "tx_link_down", packet.flow)
+            self._drop(direction, "tx_link_down", packet.flow)
             return
         rate = self.loss_rate[direction]
         rng = self._loss_rngs[direction]
         if rate > 0.0 and rng is not None and rng.random() < rate:
-            self._lose(direction, "wire_loss", packet.flow)
+            self._drop(direction, "wire_loss", packet.flow)
             return
         # On the wire: the one arrival entry a lossless direction would
         # have scheduled, built with the same float additions.  With no
@@ -741,8 +738,6 @@ class Node:
                 link = self.network.route_link(self.name, dst)
             except ValueError:
                 self.network.no_route_drops += 1
-                if self.network.probe is not None:
-                    self.network.probe.on_no_route(self.name, dst)
                 return
         link.send(self, packet)
 
@@ -953,8 +948,8 @@ class Gateway(Node):
     :class:`~repro.netsim.sched.DrrScheduler` with unit cost — every
     packet pays the same forwarding CPU), so one flow flooding the
     gateway cannot starve the others; with a single flow the service
-    order is plain FIFO.  ``flow_forwarded`` / ``flow_drops`` tally the
-    per-flow outcome.
+    order is plain FIFO.  ``flow_forwarded`` tallies per-flow forwards;
+    ``dropped``, ``drop_reasons`` and ``flow_drops`` view ``drop_ledger``.
     """
 
     def __init__(self, env: Environment, name: str, per_packet: float = 120e-6):
@@ -969,20 +964,29 @@ class Gateway(Node):
         self._queue = DrrScheduler()
         self.forwarded = 0
         self.up = True
-        self.dropped = 0
-        self.drop_reasons: dict[str, int] = {}
         self.flow_forwarded: dict[str, int] = {}
-        self.flow_drops: dict[str, int] = {}
-        self.probe: Optional[Any] = None
+        #: (reason, flow) -> dropped packets, first-seen order
+        self.drop_ledger: dict[tuple[str, str], int] = {}
         self._busy = False
 
-    def _drop(self, reason: str, count: int = 1, flow: Optional[str] = None) -> None:
-        self.dropped += count
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + count
-        if flow is not None:
-            self.flow_drops[flow] = self.flow_drops.get(flow, 0) + count
-        if self.probe is not None:
-            self.probe.on_drop(self, reason, count, flow)
+    def _drop(self, reason: str, flow: str) -> None:
+        key = (reason, flow)
+        self.drop_ledger[key] = self.drop_ledger.get(key, 0) + 1
+
+    @property
+    def dropped(self) -> int:
+        """Packets dropped, all reasons and flows."""
+        return sum(self.drop_ledger.values())
+
+    @property
+    def drop_reasons(self) -> dict[str, int]:
+        """Dropped packets per typed reason."""
+        return _sum_by(self.drop_ledger, 0)
+
+    @property
+    def flow_drops(self) -> dict[str, int]:
+        """Dropped packets per flow."""
+        return _sum_by(self.drop_ledger, 1)
 
     def set_background_load(self, share: float) -> None:
         """Reserve ``share`` of the forwarding worker for fluid flows.
@@ -1005,8 +1009,8 @@ class Gateway(Node):
         if not self.up:
             return
         self.up = False
-        for flow, count in _count_by_flow(self._queue.clear()).items():
-            self._drop("gateway_down", count, flow=flow)
+        for packet in self._queue.clear():
+            self._drop("gateway_down", packet.flow)
 
     def restart(self) -> None:
         """Bring a crashed gateway back into service."""
@@ -1014,18 +1018,12 @@ class Gateway(Node):
 
     def receive(self, packet: Packet, link: Link) -> None:
         if not self.up:
-            self._drop("gateway_down", flow=packet.flow)
+            self._drop("gateway_down", packet.flow)
             return
         if self._busy:
             self._queue.put_nowait(packet)
         else:
             self._start_service(packet)
-
-    def _forward_one(self, packet: Packet) -> None:
-        self.forwarded += 1
-        flow = packet.flow
-        self.flow_forwarded[flow] = self.flow_forwarded.get(flow, 0) + 1
-        self.forward(packet)
 
     # -- callback-driven serial forwarding ---------------------------------
     def _start_service(self, packet: Packet) -> None:
@@ -1037,10 +1035,13 @@ class Gateway(Node):
 
     def _service_done(self, packet: Packet) -> None:
         # A crash while this packet was in service black-holes it.
+        flow = packet.flow
         if not self.up:
-            self._drop("gateway_down", flow=packet.flow)
+            self._drop("gateway_down", flow)
         else:
-            self._forward_one(packet)
+            self.forwarded += 1
+            self.flow_forwarded[flow] = self.flow_forwarded.get(flow, 0) + 1
+            self.forward(packet)
         waiting = self._queue
         if waiting._total:
             self._start_service(waiting.dequeue())
@@ -1072,9 +1073,10 @@ class Network:
     scheduled that many seconds after the state change, modelling
     failure-detection latency — cached routes keep steering packets at a
     dead link (dropped as ``link_down``) until detection, after which
-    affected flows fail over onto the surviving paths.  ``reroutes``
-    counts resolutions where a (node, destination) pair's chosen link
-    differs from the one it used before the flush.
+    affected flows fail over onto the surviving paths.  ``failovers``
+    counts, per newly chosen link, the resolutions where a (node,
+    destination) pair's link differs from the one it used before the
+    flush.
     """
 
     def __init__(self, env: Environment):
@@ -1082,21 +1084,24 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.links: dict[str, Link] = {}
         self.no_route_drops = 0
-        self.probe: Optional[Any] = None
         #: Failure-detection latency (seconds) between a link state
         #: change and the route-cache flush that lets traffic re-resolve.
         #: Zero (the default) flushes synchronously — bit-identical to
         #: the historical immediate invalidation.
         self.reroute_delay = 0.0
-        #: Count of (node, destination) route resolutions that picked a
-        #: different link than before the last invalidation (failovers
-        #: onto an alternate path, and reversions after repair).
-        self.reroutes = 0
+        #: New link name -> (node, dst) resolutions that switched onto it
+        #: (failovers onto an alternate path, and reversions after repair).
+        self.failovers: dict[str, int] = {}
         #: Last link each (node, dst) pair resolved to — survives
         #: invalidation on purpose: it is the memory that makes a
         #: re-resolution recognizable as a reroute.
         self._last_link: dict[tuple[str, str], Link] = {}
         self._invalidation_listeners: list[Callable[[], None]] = []
+
+    @property
+    def reroutes(self) -> int:
+        """Route resolutions onto a different link, over all links."""
+        return sum(self.failovers.values())
 
     def add(self, node: Node) -> Node:
         """Register a node (idempotent by name)."""
@@ -1219,12 +1224,7 @@ class Network:
             if prev is not ln:
                 self._last_link[pin] = ln
                 if prev is not None:
-                    self.reroutes += 1
-                    probe = self.probe
-                    if probe is not None:
-                        on_reroute = getattr(probe, "on_reroute", None)
-                        if on_reroute is not None:
-                            on_reroute(u, dst, prev, ln)
+                    self.failovers[ln.name] = self.failovers.get(ln.name, 0) + 1
 
     def _best_links(self, node: Node) -> list[tuple[str, float, Link]]:
         """Per up-neighbour best edge as ``(neighbor, cost, link)`` rows,

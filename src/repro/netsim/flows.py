@@ -51,8 +51,7 @@ class BulkTransfer:
     while the window allows and, once it is full, waits for an advancing
     ACK to schedule it again; the timer re-arms at each RTO deadline and
     sleeps while nothing is in flight until a transmission schedules it.
-    An exception raised in either (from a probe hook, say) propagates
-    out of ``env.run``.
+    An exception raised in either propagates out of ``env.run``.
     """
 
     _ids = 0
@@ -93,17 +92,17 @@ class BulkTransfer:
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         # loss-recovery counters
-        self.retransmits = 0
+        #: Retransmitted segments per kind, in first-seen order: ``rto``
+        #: (timer expiry), ``gbn`` (go-back-N re-stream), ``fast``.
+        self.retransmit_kinds: dict[str, int] = {}
         self.timeouts = 0
-        self.fast_retransmits = 0
+        #: 1 once the transfer failed with :class:`TransferStalled`.
+        self.stalls = 0
         #: Segments the receiver got again after it already had them.
         self.duplicate_segments = 0
         #: Times the stall budget was waived because routing still
         #: resolved a live path (failover onto an alternate route).
         self.failovers = 0
-        #: telemetry hook (repro.telemetry.probes.instrument_flow); None
-        #: keeps the send/ack hot paths at a single branch
-        self.probe: Optional[object] = None
         # sender state
         self._acked = 0
         self._cwnd = self.ip.max_segment if slow_start else window_bytes
@@ -171,10 +170,9 @@ class BulkTransfer:
 
     def _transmit(self, seq: int, retransmit: bool = False, kind: str = "rto") -> None:
         if retransmit:
-            self.retransmits += 1
+            kinds = self.retransmit_kinds
+            kinds[kind] = kinds.get(kind, 0) + 1
             self._rexmitted.add(seq)
-            if self.probe is not None:
-                self.probe.on_retransmit(self, kind)
         elif self._acked >= self._sent_bytes:
             # Pipe was empty: the timer clock starts with this packet.
             self._timer_epoch = self.env.now
@@ -240,8 +238,6 @@ class BulkTransfer:
                 return
             self.timeouts += 1
             self._consecutive_timeouts += 1
-            if self.probe is not None:
-                self.probe.on_timeout(self)
             if (
                 self.max_consecutive_timeouts is not None
                 and self._consecutive_timeouts > self.max_consecutive_timeouts
@@ -256,8 +252,7 @@ class BulkTransfer:
                     self._consecutive_timeouts = 0
                     self.failovers += 1
                 else:
-                    if self.probe is not None:
-                        self.probe.on_stall(self)
+                    self.stalls += 1
                     self.done.fail(
                         TransferStalled(
                             f"{self.name}: no progress after "
@@ -339,14 +334,11 @@ class BulkTransfer:
             if self._acked >= self.nbytes and not self.done.triggered:
                 self.end_time = now
                 self.done.succeed(self.throughput)
-                if self.probe is not None:
-                    self.probe.on_complete(self)
         elif acked == self._acked and acked < self.nbytes:
             self._dup_acks += 1
             if self._dup_acks == self.dupack_threshold:
                 first = self._first_unacked()
                 if first < len(self._payloads) and first in self._sent_at:
-                    self.fast_retransmits += 1
                     self._cwnd = max(self.ip.max_segment, self._cwnd // 2)
                     self._transmit(first, retransmit=True, kind="fast")
                     self._timer_epoch = now
@@ -373,6 +365,16 @@ class BulkTransfer:
         self._rto = min(
             self.max_rto, max(self.min_rto, self._srtt + 4.0 * self._rttvar)
         )
+
+    @property
+    def retransmits(self) -> int:
+        """Retransmitted segments, all kinds."""
+        return sum(self.retransmit_kinds.values())
+
+    @property
+    def fast_retransmits(self) -> int:
+        """Fast retransmits (on the third duplicate ACK)."""
+        return self.retransmit_kinds.get("fast", 0)
 
     @property
     def segments_delivered(self) -> int:
@@ -443,7 +445,6 @@ class CbrFlow:
         self.drain_timeout = drain_timeout
         self.playout_deadline = playout_deadline
         self.done: Event = self.env.event()
-        self.probe: Optional[object] = None
         self.frames_received = 0
         self.frames_late = 0
         self.frames_lost = 0
@@ -530,8 +531,6 @@ class CbrFlow:
 
     def _finish(self) -> None:
         self.frames_lost = self.n_frames - self.frames_received
-        if self.probe is not None:
-            self.probe.on_done(self)
         if not self.done.triggered:
             self.done.succeed()
 
@@ -608,7 +607,6 @@ class PingFlow:
         self.deadline = deadline if deadline is not None else max(1.0, 8 * interval)
         self.rtt = RunningStats()
         self.lost = 0
-        self.probe: Optional[object] = None
         self.done: Event = self.env.event()
         self._sent_at: dict[int, float] = {}
         self._src_host = net.host(src)
@@ -650,8 +648,6 @@ class PingFlow:
     def _deadline_finish(self) -> None:
         if not self.done.triggered:
             self.lost = self.count - self.rtt.n
-            if self.probe is not None:
-                self.probe.on_done(self)
             self.done.succeed(self.rtt.mean)
 
     def _echo(self, packet: Packet, now: float) -> None:
@@ -670,8 +666,6 @@ class PingFlow:
     def _pong(self, packet: Packet, now: float) -> None:
         self.rtt.add(now - self._sent_at[packet.seq])
         if self.rtt.n == self.count and not self.done.triggered:
-            if self.probe is not None:
-                self.probe.on_done(self)
             self.done.succeed(self.rtt.mean)
 
     def run(self) -> float:

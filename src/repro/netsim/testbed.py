@@ -179,27 +179,3 @@ def build_testbed(
 
     return tb
 
-
-def build_multisite(kind: str = "dual_ring", **kw):
-    """Convenience entry point to the multi-site generators of
-    :mod:`repro.netsim.topology`: ``kind`` is one of ``"ring"``,
-    ``"dual_ring"`` or ``"grid"``; keyword arguments pass through to the
-    matching ``build_*`` function.  The generators default to the same
-    calibration as the Figure-1 testbed (STM-4 host attachments, STM-16
-    trunks, 100 km spans), so a multi-site run is directly comparable to
-    the two-site baseline.
-    """
-    from repro.netsim import topology
-
-    builders = {
-        "ring": topology.build_ring,
-        "dual_ring": topology.build_dual_ring,
-        "grid": topology.build_grid,
-    }
-    try:
-        builder = builders[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown multi-site kind {kind!r}; pick from {sorted(builders)}"
-        ) from None
-    return builder(**kw)

@@ -12,9 +12,10 @@ testbed observable the same way:
   default for uninstrumented runs.
 * :mod:`repro.telemetry.timeseries` — a sim-clock :class:`Sampler`
   snapshotting gauges into ring buffers on a configurable interval.
-* :mod:`repro.telemetry.probes` — ``instrument_*`` installers wiring
-  the registry into netsim links/gateways/flows, the metampi runtime
-  and transport, and the FIRE pipeline/RT-client.
+* :mod:`repro.telemetry.probes` — ``instrument_*`` installers exposing
+  the tallies of netsim links/gateways/flows, the metampi transport and
+  the fluid engine as series, and hooking the metampi runtime and the
+  FIRE pipeline/RT-client.
 * :mod:`repro.telemetry.alerts` — threshold watchers with
   sustain/resolve hysteresis, evaluated on sampler ticks; they compose
   with :mod:`repro.netsim.faults` so tests can assert

@@ -3,10 +3,11 @@
 Three instrument types, all label-aware:
 
 * :class:`Counter` — monotone accumulator (packets sent, drops by
-  reason, retransmissions).
+  reason, retransmissions), either incremented or backed by a callback
+  that reads a tally the simulator keeps itself.
 * :class:`Gauge` — point-in-time value, either set explicitly or backed
   by a callback evaluated lazily at read time (link utilization, queue
-  depth).  Callback gauges cost *nothing* on the simulation hot path:
+  depth).  Callback series cost *nothing* on the simulation hot path:
   the underlying state is only read when a sampler or exporter asks.
 * :class:`Histogram` — log-binned distribution (per-stage latencies).
   Bins are powers of two of the observed value, so forty-five bins
@@ -15,17 +16,20 @@ Three instrument types, all label-aware:
 
 A series is identified by ``(name, labels)``; the registry deduplicates,
 so ``registry.counter("x", link="wan")`` returns the same object every
-call.  :class:`NullRegistry` is the zero-overhead default: it satisfies
+call.  :meth:`MetricsRegistry.bind_counters` backs a counter family with
+a tally dict: a series per key, created at the first read after the key
+appears.  :class:`NullRegistry` is the zero-overhead default: it satisfies
 the same interface but hands out shared no-op instruments and reports
-``enabled = False``, which the probe installers in
-:mod:`repro.telemetry.probes` use to skip installing hooks entirely —
-an uninstrumented simulation runs byte-for-byte identically.
+``enabled = False``, which the installers in
+:mod:`repro.telemetry.probes` use to skip registering anything — an
+uninstrumented simulation runs byte-for-byte identically.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, Optional
 
 LabelKey = "tuple[tuple[str, str], ...]"
 
@@ -35,22 +39,33 @@ def _label_key(labels: dict) -> tuple:
 
 
 class Counter:
-    """A monotonically increasing accumulator."""
+    """A monotonically increasing accumulator, explicit or
+    callback-backed."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "_value", "_fn")
 
     kind = "counter"
 
     def __init__(self, name: str, labels: dict):
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must not be negative) to the counter."""
         if amount < 0:
             raise ValueError("counters only go up")
-        self.value += amount
+        self._value += amount
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Back the counter with ``fn``, which reads a monotone tally as
+        a float — evaluated lazily at each read, as for a gauge."""
+        self._fn = fn
+
+    @property
+    def value(self) -> float:
+        return self._fn() if self._fn is not None else self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}{self.labels} = {self.value})"
@@ -168,6 +183,10 @@ class Histogram:
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+def _tally_sum(tally: dict, keys: list) -> float:
+    return float(sum(map(tally.__getitem__, keys)))
+
+
 class MetricsRegistry:
     """Owns every metric series of one simulation run.
 
@@ -181,6 +200,9 @@ class MetricsRegistry:
     def __init__(self):
         self._series: dict[tuple, object] = {}
         self._types: dict[str, str] = {}
+        # [tally, series_of, keys seen, {counter: [tally keys]}] per
+        # bound family
+        self._families: list[list] = []
 
     # -- instrument factories ---------------------------------------------
     def _get(self, cls, name: str, labels: dict):
@@ -210,15 +232,49 @@ class MetricsRegistry:
         """Get or create the histogram ``name`` with ``labels``."""
         return self._get(Histogram, name, labels)
 
+    def bind_counters(
+        self,
+        tally: dict,
+        series_of: Callable[[Any], Iterable[tuple[str, dict]]],
+    ) -> None:
+        """Back counters with ``tally``, an insert-only ``{key: count}``
+        dict the instrumented object keeps.
+
+        Each key feeds the counters ``series_of(key)`` names as
+        ``(name, labels)`` pairs; a counter fed by several keys reads
+        their sum.  A key's series appear at the first :meth:`sync` after
+        the key does — every read (:meth:`snapshot`, :meth:`get`,
+        :meth:`series`, a sampler tick) syncs first.
+        """
+        self._families.append([tally, series_of, 0, {}])
+
+    def sync(self) -> None:
+        """Create the series of tally keys that appeared since the last
+        read (one length check per bound tally)."""
+        for family in self._families:
+            if len(family[0]) != family[2]:
+                tally, series_of, seen, keys_of = family
+                for key in list(tally)[seen:]:
+                    for name, labels in series_of(key):
+                        counter = self.counter(name, **labels)
+                        keys = keys_of.get(counter)
+                        if keys is None:
+                            keys = keys_of[counter] = []
+                            counter.set_function(partial(_tally_sum, tally, keys))
+                        keys.append(key)
+                family[2] = len(tally)
+
     # -- introspection ------------------------------------------------------
     def series(self, kind: Optional[str] = None) -> Iterable:
         """All registered series, optionally filtered by instrument kind."""
+        self.sync()
         for s in self._series.values():
             if kind is None or s.kind == kind:
                 yield s
 
     def get(self, name: str, **labels):
         """Look up an existing series, or ``None`` if never touched."""
+        self.sync()
         return self._series.get((name, _label_key(labels)))
 
     def value(self, name: str, **labels) -> float:
@@ -236,6 +292,7 @@ class MetricsRegistry:
 
     def snapshot(self, now: Optional[float] = None) -> list[dict]:
         """All series as plain dicts (the exporters' input format)."""
+        self.sync()
         rows = []
         for s in self._series.values():
             row: dict = {"kind": s.kind, "name": s.name, "labels": s.labels}
@@ -267,6 +324,9 @@ class _NullCounter(Counter):
     def inc(self, amount: float = 1.0) -> None:
         pass
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        pass
+
 
 class _NullGauge(Gauge):
     __slots__ = ()
@@ -289,8 +349,7 @@ class NullRegistry(MetricsRegistry):
     """The do-nothing registry: the default for uninstrumented runs.
 
     Every factory returns a shared no-op instrument; ``enabled`` is
-    ``False`` so probe installers skip wiring hooks altogether, keeping
-    the hot paths of :mod:`repro.netsim` untouched.
+    ``False`` so the installers skip registering anything.
     """
 
     enabled = False

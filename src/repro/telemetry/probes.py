@@ -1,16 +1,19 @@
-"""Probe installers: wire a registry into the simulators.
+"""Installers: expose the simulators' own tallies as registry series.
 
-Each ``instrument_*`` function attaches a probe object to the target's
-``probe`` attribute (every instrumentable class initializes it to
-``None``) and registers callback gauges for state the simulators already
-tally on their own (tx volume, utilization, queue depths) — those cost
-nothing until someone reads or samples them.  Probe hooks fire only on
-*rare* events (drops, retransmits, state changes, message posts); the
-per-packet transmit path carries no probe call at all, and the remaining
-hooks sit behind a single ``if self.probe is not None`` branch.  When
-the registry is a :class:`~repro.telemetry.metrics.NullRegistry` the
-installers return without touching anything — the regression tests
-assert the hot paths stay callback-free and bit-identical in that case.
+Each ``instrument_*`` function registers series that read state the
+simulators keep anyway: callback gauges for volumes and levels (tx
+bytes, utilization, queue depths), callback counters for scalar tallies
+(timeouts, link state changes, no-route drops), and counter families
+bound with :meth:`~repro.telemetry.metrics.MetricsRegistry.bind_counters`
+to tally dicts (the per-link and per-gateway drop ledgers, retransmits
+per kind, failovers per link, transport retries per host pair).  None of
+them costs anything until someone reads or samples it, and netsim keeps
+no telemetry attribute or branch at all, so telemetry cannot disagree
+with the simulator.  Event hooks remain only where a series needs the
+event's own value: the metampi per-rank-pair message split, the fluid
+FCT histogram, the FIRE stage delays and the RT-client frame times.
+When the registry is a :class:`~repro.telemetry.metrics.NullRegistry`
+the installers return without touching anything.
 
 Metric families (→ the paper quantity each one watches is tabulated in
 DESIGN.md):
@@ -18,13 +21,15 @@ DESIGN.md):
 * ``netsim.link.*`` — tx bytes/packets, drops by typed reason,
   utilization, queue depth, up/down, state transitions;
 * ``netsim.gateway.*`` — forwarded packets, drops, queue depth;
-* ``netsim.route.drops`` — packets dropped for lack of a route;
+* ``netsim.route.*`` — packets dropped for lack of a route, reroutes,
+  failovers per new link;
 * ``netsim.flow.*`` — BulkTransfer retransmits (by kind), RTO timeouts,
   stalls, goodput; PingFlow lost echoes; CbrFlow late/lost frames;
 * ``metampi.*`` — messages/bytes per rank pair split WAN vs. intra,
   transport retries and errors;
 * ``fire.*`` — per-stage pipeline latency histograms, RT-client
-  per-frame processing time.
+  per-frame processing time;
+* ``fluid.*`` — arrivals, completions, re-solves, FCT histogram.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import partial
 
 from repro.telemetry.metrics import MetricsRegistry
 
-# Typed drop reasons (the label values emitted by the netsim hooks).
+# Typed drop reasons (the label values of the drop series).
 DROP_LINK_DOWN = "link_down"        #: refused at enqueue / flushed on down
 DROP_QUEUE_FULL = "queue_full"      #: bounded transmit queue overflow
 DROP_TX_LINK_DOWN = "tx_link_down"  #: serialization finished on a dead link
@@ -49,143 +54,56 @@ DROP_LOST_FRAME = "lost_frame"      #: CBR frame lost segments
 
 # -- netsim ------------------------------------------------------------------
 
-class LinkProbe:
-    """Per-link hook target for rare events (drops, state changes).
-
-    Volume metrics (tx bytes/packets, utilization, queue depth) are NOT
-    hooked: the :class:`~repro.netsim.core.Link` already tallies them on
-    its own, so :func:`instrument_network` exposes those as lazy callback
-    gauges and the per-packet transmit path carries no probe call at all.
-    """
-
-    __slots__ = ("_registry", "_name", "state_changes", "_drops")
-
-    def __init__(self, registry: MetricsRegistry, link):
-        self._registry = registry
-        self._name = link.name
-        self.state_changes = registry.counter(
-            "netsim.link.state_changes", link=link.name
-        )
-        self._drops: dict = {}
-
-    def on_drop(
-        self,
-        link,
-        direction: str,
-        reason: str,
-        count: int = 1,
-        flow: str | None = None,
-    ) -> None:
-        key = (direction, reason)
-        counter = self._drops.get(key)
-        if counter is None:
-            counter = self._drops[key] = self._registry.counter(
-                "netsim.link.drops",
-                link=self._name,
-                direction=direction,
-                reason=reason,
-            )
-        counter.inc(count)
-        if flow is not None:
-            fkey = (direction, reason, flow)
-            fcounter = self._drops.get(fkey)
-            if fcounter is None:
-                fcounter = self._drops[fkey] = self._registry.counter(
-                    "netsim.link.flow_drops",
-                    link=self._name,
-                    direction=direction,
-                    reason=reason,
-                    flow=flow,
-                )
-            fcounter.inc(count)
-
-    def on_state(self, link, up: bool) -> None:
-        self.state_changes.inc()
+def _count(obj, attr: str):
+    """A counter callback: ``obj.attr`` (an int tally) as a float."""
+    return lambda: float(getattr(obj, attr))
 
 
-class GatewayProbe:
-    """Hook target for one :class:`~repro.netsim.core.Gateway`.
-
-    Forwarded-packet volume is read lazily from ``gateway.forwarded``
-    (a callback gauge); only drops hook the simulation.
-    """
-
-    __slots__ = ("_registry", "_name", "_drops")
-
-    def __init__(self, registry: MetricsRegistry, gateway):
-        self._registry = registry
-        self._name = gateway.name
-        self._drops: dict = {}
-
-    def on_drop(
-        self, gateway, reason: str, count: int = 1, flow: str | None = None
-    ) -> None:
-        counter = self._drops.get(reason)
-        if counter is None:
-            counter = self._drops[reason] = self._registry.counter(
-                "netsim.gateway.drops", gateway=self._name, reason=reason
-            )
-        counter.inc(count)
-        if flow is not None:
-            fkey = (reason, flow)
-            fcounter = self._drops.get(fkey)
-            if fcounter is None:
-                fcounter = self._drops[fkey] = self._registry.counter(
-                    "netsim.gateway.flow_drops",
-                    gateway=self._name,
-                    reason=reason,
-                    flow=flow,
-                )
-            fcounter.inc(count)
+def _result(done):
+    """A gauge callback: the value ``done`` succeeded with, 0 before."""
+    return lambda: done.value if done.ok else 0.0
 
 
-class NetworkProbe:
-    """Network-wide hook target (routing drops and failovers)."""
+def instrument_network(net, registry: MetricsRegistry, flows=()) -> None:
+    """Register series for every link and gateway of ``net``.
 
-    __slots__ = ("_registry", "no_route", "reroutes", "_per_link")
-
-    def __init__(self, registry: MetricsRegistry):
-        self._registry = registry
-        self.no_route = registry.counter("netsim.route.drops", reason=DROP_NO_ROUTE)
-        self.reroutes = registry.counter("netsim.route.reroutes")
-        self._per_link: dict = {}
-
-    def on_no_route(self, node_name: str, dst: str) -> None:
-        self.no_route.inc()
-
-    def on_reroute(self, node_name: str, dst: str, old_link, new_link) -> None:
-        """A (node, destination) pair re-resolved onto a different link —
-        a failover onto an alternate path, or a reversion after repair.
-        Labeled per new link so a dashboard shows where traffic landed."""
-        self.reroutes.inc()
-        counter = self._per_link.get(new_link.name)
-        if counter is None:
-            counter = self._per_link[new_link.name] = self._registry.counter(
-                "netsim.route.failovers", link=new_link.name
-            )
-        counter.inc()
-
-
-def instrument_network(net, registry: MetricsRegistry, flows=()):
-    """Install probes on every link and gateway of ``net``.
-
-    With a disabled (null) registry this is a no-op returning ``None`` —
-    no probe attributes are set, no gauges registered, and the hot paths
-    keep their single ``probe is None`` branch.
+    With a disabled (null) registry this is a no-op: nothing is
+    registered.
 
     ``flows`` names flows (``packet.flow`` strings) that additionally get
     per-flow lazy gauges on every link — transmitted bytes and queue
     depth per flow and direction — reading the per-flow tallies the DRR
-    schedulers keep anyway; flow-labeled drop counters appear on demand
-    via the probe hooks regardless.
+    schedulers keep anyway; flow-labeled drop counters appear for every
+    flow that loses a packet, regardless.
     """
     from repro.netsim.core import Gateway  # local import: avoid cycles
 
     if not registry.enabled:
-        return None
-    net.probe = NetworkProbe(registry)
+        return
+    registry.counter("netsim.route.drops", reason=DROP_NO_ROUTE).set_function(
+        _count(net, "no_route_drops")
+    )
+    registry.counter("netsim.route.reroutes").set_function(_count(net, "reroutes"))
+    registry.bind_counters(
+        net.failovers, lambda link: [("netsim.route.failovers", {"link": link})]
+    )
     for link in net.links.values():
-        link.probe = LinkProbe(registry, link)
+        registry.counter("netsim.link.state_changes", link=link.name).set_function(
+            _count(link, "state_changes")
+        )
+        registry.bind_counters(
+            link.drop_ledger,
+            lambda key, name=link.name: [
+                (
+                    "netsim.link.drops",
+                    dict(link=name, direction=key[0], reason=key[1]),
+                ),
+                (
+                    "netsim.link.flow_drops",
+                    dict(link=name, direction=key[0], reason=key[1], flow=key[2]),
+                ),
+            ],
+        )
         for end in (link.a.name, link.b.name):
             # The sampler reads these every tick; the counters they
             # mirror are ints, which sample identically — skipping the
@@ -224,112 +142,77 @@ def instrument_network(net, registry: MetricsRegistry, flows=()):
         )
     for node in net.nodes.values():
         if isinstance(node, Gateway):
-            node.probe = GatewayProbe(registry, node)
+            registry.bind_counters(
+                node.drop_ledger,
+                lambda key, name=node.name: [
+                    ("netsim.gateway.drops", dict(gateway=name, reason=key[0])),
+                    (
+                        "netsim.gateway.flow_drops",
+                        dict(gateway=name, reason=key[0], flow=key[1]),
+                    ),
+                ],
+            )
             registry.gauge(
                 "netsim.gateway.forwarded", gateway=node.name
             ).set_function(lambda g=node: g.forwarded)
             registry.gauge(
                 "netsim.gateway.queue_depth", gateway=node.name
             ).set_function(lambda g=node: len(g._queue))
-    return net.probe
 
 
-class BulkFlowProbe:
-    """Hook target for one :class:`~repro.netsim.flows.BulkTransfer`."""
-
-    __slots__ = ("_registry", "_name", "timeouts", "stalls", "goodput", "_rexmit")
-
-    def __init__(self, registry: MetricsRegistry, flow):
-        self._registry = registry
-        self._name = flow.name
-        self.timeouts = registry.counter("netsim.flow.timeouts", flow=flow.name)
-        self.stalls = registry.counter("netsim.flow.stalls", flow=flow.name)
-        self.goodput = registry.gauge("netsim.flow.goodput_bps", flow=flow.name)
-        self._rexmit: dict = {}
-
-    def on_retransmit(self, flow, kind: str) -> None:
-        counter = self._rexmit.get(kind)
-        if counter is None:
-            counter = self._rexmit[kind] = self._registry.counter(
-                "netsim.flow.retransmits", flow=self._name, kind=kind
-            )
-        counter.inc()
-
-    def on_timeout(self, flow) -> None:
-        self.timeouts.inc()
-
-    def on_stall(self, flow) -> None:
-        self.stalls.inc()
-
-    def on_complete(self, flow) -> None:
-        self.goodput.set(flow.throughput)
-
-
-class PingFlowProbe:
-    """Hook target for one :class:`~repro.netsim.flows.PingFlow`."""
-
-    __slots__ = ("lost", "rtt_mean")
-
-    def __init__(self, registry: MetricsRegistry, flow):
-        self.lost = registry.counter(
-            "netsim.flow.drops", flow=flow.name, reason=DROP_LOST_ECHO
-        )
-        self.rtt_mean = registry.gauge("netsim.flow.rtt_mean", flow=flow.name)
-
-    def on_done(self, flow) -> None:
-        if flow.lost:
-            self.lost.inc(flow.lost)
-        self.rtt_mean.set(flow.rtt.mean)
-
-
-class CbrFlowProbe:
-    """Hook target for one :class:`~repro.netsim.flows.CbrFlow`."""
-
-    __slots__ = ("late", "lost", "delivered_rate", "jitter")
-
-    def __init__(self, registry: MetricsRegistry, flow):
-        self.late = registry.counter(
-            "netsim.flow.drops", flow=flow.name, reason=DROP_LATE_FRAME
-        )
-        self.lost = registry.counter(
-            "netsim.flow.drops", flow=flow.name, reason=DROP_LOST_FRAME
-        )
-        self.delivered_rate = registry.gauge(
-            "netsim.flow.delivered_bps", flow=flow.name
-        )
-        self.jitter = registry.gauge("netsim.flow.jitter", flow=flow.name)
-
-    def on_done(self, flow) -> None:
-        if flow.frames_late:
-            self.late.inc(flow.frames_late)
-        if flow.frames_lost:
-            self.lost.inc(flow.frames_lost)
-        self.delivered_rate.set(flow.delivered_rate)
-        self.jitter.set(flow.jitter)
-
-
-def instrument_flow(flow, registry: MetricsRegistry):
-    """Attach the matching probe to a Bulk/Ping/Cbr flow (no-op when the
-    registry is disabled)."""
+def instrument_flow(flow, registry: MetricsRegistry) -> None:
+    """Register the series of a Bulk/Ping/Cbr flow (no-op when the
+    registry is disabled).  A flow's result gauges read 0 until the
+    flow is done."""
     from repro.netsim.flows import BulkTransfer, CbrFlow, PingFlow
 
     if not registry.enabled:
-        return None
+        return
+    name = flow.name
     if isinstance(flow, BulkTransfer):
-        flow.probe = BulkFlowProbe(registry, flow)
+        registry.counter("netsim.flow.timeouts", flow=name).set_function(
+            _count(flow, "timeouts")
+        )
+        registry.counter("netsim.flow.stalls", flow=name).set_function(
+            _count(flow, "stalls")
+        )
+        registry.gauge("netsim.flow.goodput_bps", flow=name).set_function(
+            _result(flow.done)
+        )
+        registry.bind_counters(
+            flow.retransmit_kinds,
+            lambda kind: [("netsim.flow.retransmits", {"flow": name, "kind": kind})],
+        )
     elif isinstance(flow, PingFlow):
-        flow.probe = PingFlowProbe(registry, flow)
+        registry.counter(
+            "netsim.flow.drops", flow=name, reason=DROP_LOST_ECHO
+        ).set_function(_count(flow, "lost"))
+        registry.gauge("netsim.flow.rtt_mean", flow=name).set_function(
+            _result(flow.done)
+        )
     elif isinstance(flow, CbrFlow):
-        flow.probe = CbrFlowProbe(registry, flow)
+        registry.counter(
+            "netsim.flow.drops", flow=name, reason=DROP_LATE_FRAME
+        ).set_function(_count(flow, "frames_late"))
+        registry.counter(
+            "netsim.flow.drops", flow=name, reason=DROP_LOST_FRAME
+        ).set_function(_count(flow, "frames_lost"))
+        done = flow.done
+        registry.gauge("netsim.flow.delivered_bps", flow=name).set_function(
+            lambda: flow.delivered_rate if done.ok else 0.0
+        )
+        registry.gauge("netsim.flow.jitter", flow=name).set_function(
+            lambda: flow.jitter if done.ok else 0.0
+        )
     else:
         raise TypeError(f"don't know how to instrument {type(flow).__name__}")
-    return flow.probe
 
 
 # -- metampi -----------------------------------------------------------------
 
 class MetampiProbe:
-    """Hook target shared by the runtime and its transport model.
+    """The runtime's message hook: per-rank-pair and per-collective
+    traffic, split WAN vs. intra (no simulator tally keeps that split).
 
     Rank threads call concurrently, so series creation and increments
     are guarded by one lock (uncontended in practice: the transport's
@@ -341,8 +224,6 @@ class MetampiProbe:
         self._lock = threading.Lock()
         self._pairs: dict = {}
         self._coll: dict = {}
-        self._retries: dict = {}
-        self.errors = registry.counter("metampi.transport.errors")
 
     def on_message(
         self,
@@ -377,31 +258,23 @@ class MetampiProbe:
             coll[0].inc()
             coll[1].inc(nbytes)
 
-    def on_retry(self, src_host: str, dst_host: str) -> None:
-        key = (src_host, dst_host)
-        with self._lock:
-            counter = self._retries.get(key)
-            if counter is None:
-                counter = self._retries[key] = self._registry.counter(
-                    "metampi.transport.retries", src=src_host, dst=dst_host
-                )
-            counter.inc()
-
-    def on_transport_error(self, src_host: str, dst_host: str) -> None:
-        with self._lock:
-            self.errors.inc()
-
 
 def instrument_runtime(target, registry: MetricsRegistry):
     """Instrument a :class:`~repro.metampi.launcher.MetaMPI` (or a bare
     :class:`~repro.metampi.runtime.Runtime`): per-rank-pair traffic on
-    the runtime, retry/error accounting on the transport model."""
+    the runtime, the transport model's retry and error tallies."""
     runtime = getattr(target, "runtime", target)
     if not registry.enabled:
         return None
-    probe = MetampiProbe(registry)
-    runtime.probe = probe
-    runtime.transport.probe = probe
+    transport = runtime.transport
+    registry.counter("metampi.transport.errors").set_function(
+        _count(transport, "errors")
+    )
+    registry.bind_counters(
+        transport.retries,
+        lambda pair: [("metampi.transport.retries", {"src": pair[0], "dst": pair[1]})],
+    )
+    probe = runtime.probe = MetampiProbe(registry)
     return probe
 
 
@@ -468,44 +341,20 @@ def instrument_rt_client(client, registry: MetricsRegistry):
 
 # -- repro.fluid -------------------------------------------------------------
 
-class FluidProbe:
-    """Hook target for a :class:`~repro.fluid.engine.FluidEngine`.
-
-    Arrival/completion/re-solve are already *rare* events at fluid
-    granularity (thousands per run, not millions), so unlike the packet
-    probes every hook can afford real work: the FCT histogram is
-    observed per completion, the gauges track the live engine state.
-    """
-
-    __slots__ = ("arrivals", "completions", "resolves", "fct", "active", "rate")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.arrivals = registry.counter("fluid.flows.arrived")
-        self.completions = registry.counter("fluid.flows.completed")
-        self.resolves = registry.counter("fluid.resolves")
-        self.fct = registry.histogram("fluid.fct_seconds")
-        self.active = registry.gauge("fluid.flows.active")
-        self.rate = registry.gauge("fluid.completed.mean_rate_bps")
-
-    def on_arrival(self, engine, name: str) -> None:
-        self.arrivals.inc()
-        self.active.set(engine.active)
-
-    def on_complete(self, engine, done) -> None:
-        self.completions.inc()
-        self.fct.observe(done.fct)
-        self.rate.set(done.mean_rate)
-        self.active.set(engine.active)
-
-    def on_resolve(self, engine) -> None:
-        self.resolves.inc()
-
-
-def instrument_fluid(engine, registry: MetricsRegistry):
-    """Attach a :class:`FluidProbe` to a fluid engine (no-op when the
-    registry is disabled — the engine's hooks stay single-branch)."""
+def instrument_fluid(engine, registry: MetricsRegistry) -> None:
+    """Register a fluid engine's series (no-op when the registry is
+    disabled).  Counts and levels read the engine's own tallies; its
+    completion hook feeds the FCT histogram."""
     if not registry.enabled:
-        return None
-    engine.probe = FluidProbe(registry)
-    return engine.probe
-
+        return
+    registry.counter("fluid.flows.arrived").set_function(_count(engine, "arrived"))
+    registry.counter("fluid.flows.completed").set_function(
+        lambda: float(len(engine.completed))
+    )
+    registry.counter("fluid.resolves").set_function(_count(engine, "resolves"))
+    fct = registry.histogram("fluid.fct_seconds")
+    registry.gauge("fluid.flows.active").set_function(_count(engine, "active"))
+    registry.gauge("fluid.completed.mean_rate_bps").set_function(
+        lambda: engine.completed[-1].mean_rate if engine.completed else 0.0
+    )
+    engine.on_complete = lambda done: fct.observe(done.fct)

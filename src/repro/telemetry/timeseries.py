@@ -79,16 +79,15 @@ class Sampler:
         self.capacity = capacity
         self.samples_taken = 0
         self._buffers: dict[tuple, RingBuffer] = {}
-        # Per-tick fast path: flat (append, series) pair lists, rebuilt
+        # Per-tick fast path: a flat (append, series) pair list, rebuilt
         # only when the registry grows, so a tick is one list walk —
         # no generator, no per-series dict probe, and the sorted label
-        # key is computed once per series, not once per sample.  Gauges
-        # get their own list so the tick can read ``_fn``/``_value``
-        # directly instead of paying the ``value`` property dispatch on
-        # every sample (``_fn`` is re-read each tick, so ``set()`` after
-        # ``set_function()`` behaves exactly as a property read would).
-        self._gauge_pairs: list[tuple] = []
-        self._other_pairs: list[tuple] = []
+        # key is computed once per series, not once per sample.  The
+        # tick reads ``_fn``/``_value`` directly instead of paying the
+        # ``value`` property dispatch on every sample (``_fn`` is re-read
+        # each tick, so ``set()`` after ``set_function()`` behaves
+        # exactly as a property read would).
+        self._pairs: list[tuple] = []
         self._seen_series = -1
         self._listeners: list[Callable[[float], None]] = []
         self._next: Optional[list] = None  # pending tick entry while running
@@ -100,6 +99,7 @@ class Sampler:
             # Allocate buffers for everything registered so far up front:
             # buffer creation and label keying are setup cost, not
             # something the first tick should pay mid-run.
+            self.registry.sync()
             if len(self.registry) != self._seen_series:
                 self._rescan()
             self._next = self.env.call_later(0.0, self._tick)
@@ -126,8 +126,7 @@ class Sampler:
 
     def _rescan(self) -> None:
         """Pick up series created since the last tick (lazy buffers)."""
-        gauge_pairs = []
-        other_pairs = []
+        pairs = []
         for series in self.registry.series():
             if series.kind == "histogram":
                 continue  # distributions are exported whole, not sampled
@@ -136,24 +135,20 @@ class Sampler:
             if buf is None:
                 buf = self._buffers[key] = RingBuffer(self.capacity)
             # Bind the deque's append once per series, not once per tick.
-            if series.kind == "gauge":
-                gauge_pairs.append((buf._data.append, series))
-            else:
-                other_pairs.append((buf._data.append, series))
-        self._gauge_pairs = gauge_pairs
-        self._other_pairs = other_pairs
+            pairs.append((buf._data.append, series))
+        self._pairs = pairs
         self._seen_series = len(self.registry)
 
     def sample_once(self) -> float:
         """Take one snapshot immediately; returns the sample time."""
         now = self.env.now
-        if len(self.registry) != self._seen_series:
+        registry = self.registry
+        registry.sync()
+        if len(registry) != self._seen_series:
             self._rescan()
-        for append, gauge in self._gauge_pairs:
-            fn = gauge._fn
-            append((now, fn() if fn is not None else gauge._value))
-        for append, series in self._other_pairs:
-            append((now, series.value))
+        for append, series in self._pairs:
+            fn = series._fn
+            append((now, fn() if fn is not None else series._value))
         self.samples_taken += 1
         for fn in self._listeners:
             fn(now)

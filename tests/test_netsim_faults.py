@@ -114,18 +114,19 @@ class TestBulkTransferRecovery:
             bt.run()
 
     def test_timer_error_propagates_out_of_run(self):
-        """A probe hook that raises in the retransmission timer stops the
-        run with its exception."""
+        """An exception raised inside the retransmission timer stops the
+        run with that exception."""
 
-        class RaisingProbe:
-            def on_timeout(self, flow):
-                raise RuntimeError("probe failed")
+        def raising():
+            raise RuntimeError("timer failed")
 
         net = two_hosts()
         FaultInjector(net).link_down("a--b", at=0.0)
         bt = BulkTransfer(net, "a", "b", nbytes=1_000_000, ip=IP64K)
-        bt.probe = RaisingProbe()
-        with pytest.raises(RuntimeError, match="probe failed"):
+        # With the link down from the start no ACK ever arrives, so the
+        # first call is the timer's, right after it counts the timeout.
+        bt._first_unacked = raising
+        with pytest.raises(RuntimeError, match="timer failed"):
             bt.run()
         assert bt.timeouts == 1 and not bt.done.triggered
 
