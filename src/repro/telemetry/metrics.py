@@ -38,13 +38,10 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing accumulator, explicit or
-    callback-backed."""
+class _Scalar:
+    """A value that is either kept here or read from a callback."""
 
     __slots__ = ("name", "labels", "_value", "_fn")
-
-    kind = "counter"
 
     def __init__(self, name: str, labels: dict):
         self.name = name
@@ -52,46 +49,10 @@ class Counter:
         self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must not be negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self._value += amount
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Back the counter with ``fn``, which reads a monotone tally as
-        a float — evaluated lazily at each read, as for a gauge."""
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}{self.labels} = {self.value})"
-
-
-class Gauge:
-    """A point-in-time value, explicit or callback-backed."""
-
-    __slots__ = ("name", "labels", "_value", "_fn")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: dict):
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        """Set the gauge to an explicit value (clears any callback)."""
-        self._fn = None
-        self._value = float(value)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Back the gauge with ``fn`` — evaluated lazily at each read,
-        so the instrumented object pays nothing until someone looks."""
+        """Back the series with ``fn`` — evaluated lazily at each read,
+        so the instrumented object pays nothing until someone looks.  A
+        counter's ``fn`` reads a monotone tally and returns a float."""
         self._fn = fn
 
     @property
@@ -99,7 +60,35 @@ class Gauge:
         return float(self._fn()) if self._fn is not None else self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}{self.labels} = {self.value})"
+        return f"{type(self).__name__}({self.name}{self.labels} = {self.value})"
+
+
+class Counter(_Scalar):
+    """A monotonically increasing accumulator, explicit or
+    callback-backed."""
+
+    __slots__ = ()
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must not be negative) to the counter."""
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self._value += amount
+
+
+class Gauge(_Scalar):
+    """A point-in-time value, explicit or callback-backed."""
+
+    __slots__ = ()
+
+    kind = "gauge"
+
+    def set(self, value: float) -> None:
+        """Set the gauge to an explicit value (clears any callback)."""
+        self._fn = None
+        self._value = float(value)
 
 
 class Histogram:

@@ -55,7 +55,7 @@ DROP_LOST_FRAME = "lost_frame"      #: CBR frame lost segments
 # -- netsim ------------------------------------------------------------------
 
 def _count(obj, attr: str):
-    """A counter callback: ``obj.attr`` (an int tally) as a float."""
+    """A series callback: ``obj.attr`` (an int tally or level) as a float."""
     return lambda: float(getattr(obj, attr))
 
 
