@@ -199,8 +199,9 @@ def max_min_rates(
     Raises :class:`ValueError` naming the demand for a negative, NaN or
     infinite cost, a negative or NaN cap, a count below 1, not finite
     or not a whole number, a demand without a cap, or a count for a name not in
-    ``costs``.  A zero cap with no costs is valid: it parks the demand
-    at rate 0.
+    ``costs``, and naming the resource when its users' count × cost
+    terms add up to ``inf``.  A zero cap with no costs is valid: it
+    parks the demand at rate 0.
     """
     inf = float("inf")
     n_of = counts or {}
@@ -212,10 +213,11 @@ def max_min_rates(
     mult: list[int] = []
     uses: list[Mapping[str, float]] = []
     # Per resource, its users (index, count × cost, cost) in ``costs``
-    # order.  Every sum below runs over the same terms, in the same order
-    # and through the same builtin ``sum()`` as a scan of ``costs`` would,
-    # so the rates equal that scan's bit for bit and do not depend on the
-    # string hash seed.
+    # order.  Every sum below adds the same terms, left to right in the
+    # same order, as a scan of ``costs`` would, so the rates equal that
+    # scan's bit for bit and depend neither on the string hash seed nor
+    # on the interpreter (the builtin ``sum`` of floats is compensated
+    # from Python 3.12 on).
     users: dict[str, list[tuple[int, float, float]]] = {}
     counted = 0
     for i, (n, c) in enumerate(costs.items()):
@@ -260,7 +262,13 @@ def max_min_rates(
     # resource never saturates and is left out.
     demand = {}
     for r, us in users.items():
-        d = sum([mx for _, mx, _ in us])
+        d = 0.0
+        for _, mx, _ in us:
+            d += mx
+        # Every later live demand adds a subsequence of these terms, so
+        # none can overflow when this one does not.
+        if d == inf:
+            raise ValueError(f"resource {r!r}: count × cost overflows to inf")
         if d > 0:
             demand[r] = d
     cap_min = min(cap_of, default=inf)
@@ -285,7 +293,10 @@ def max_min_rates(
         for r in demand:
             # Each term is (count × rate) × cost, as in a per-demand scan.
             us = users[r]
-            ld = load[r] = sum([ml[i] * x for i, _, x in us])
+            ld = 0.0
+            for i, _, x in us:
+                ld += ml[i] * x
+            load[r] = ld
             if ld >= 1.0 - 1e-9:  # saturated: freeze every live user
                 frozen.update([i for i, _, _ in us if i in live])
         if not frozen:  # numerical stall guard: never loop forever
@@ -299,7 +310,10 @@ def max_min_rates(
         # in the same order, so its demand is unchanged.
         for r in {r for i in frozen for r in uses[i]}:
             if r in demand:
-                d = sum([mx for i, mx, _ in users[r] if i in live])
+                d = 0.0
+                for i, mx, _ in users[r]:
+                    if i in live:
+                        d += mx
                 if d > 0:
                     demand[r] = d
                 else:

@@ -6,7 +6,10 @@ The determinism contract is the load-bearing piece: the workload
 generator must produce bit-identical schedules for a given seed across
 Python versions (3.10-3.12 run in CI) and across serial vs. pooled
 harness execution — the ``hybrid`` sweep baseline pins the schedule
-digest, and these tests pin the mechanism behind it.
+digest, and these tests pin the mechanism behind it.  The solver and
+engine digests are one value on every Python line too: every float sum
+on the fluid path adds left to right, never through the builtin
+``sum``, which is compensated from 3.12 on.
 """
 
 import hashlib
@@ -590,14 +593,9 @@ def _solver_corpus(n_cases=300, seed=14):
 
 
 #: SHA-256 of the corpus rates, computed with the solver as it stood
-#: before its resource index.  Python 3.12 made ``sum()`` of floats
-#: compensated (Neumaier), which moves last-ulp rounding, so the pin is
-#: per interpreter line; the solver keeps ``sum()`` to match either.
-_SOLVER_CORPUS_SHA = (
-    "7900a7fb8a2578742ee072738c05e12e5c3e2a7b2d065d792349c2a61704686c"
-    if sys.version_info >= (3, 12)
-    else "0bf0c0fc85fc7266373a74f134691a15400579ad2383b18217a620ad9d1030dc"
-)
+#: before its resource index.  The solver adds left to right, so one
+#: pin holds on every interpreter line.
+_SOLVER_CORPUS_SHA = "0bf0c0fc85fc7266373a74f134691a15400579ad2383b18217a620ad9d1030dc"
 
 
 def _solver_corpus_digest():
@@ -607,6 +605,9 @@ def _solver_corpus_digest():
     for costs, caps, counts in _solver_corpus():
         h.update(repr(sorted(max_min_rates(costs, caps, counts).items())).encode())
     return h.hexdigest()
+
+
+_OVERFLOW = "resource 'r'.*overflows"
 
 
 class TestMaxMinRates:
@@ -627,6 +628,17 @@ class TestMaxMinRates:
         any change to the solver's arithmetic or summation order moves
         this digest."""
         assert _solver_corpus_digest() == _SOLVER_CORPUS_SHA
+
+    def test_demand_adds_left_to_right(self):
+        """The rates are the same on every Python: ten demands costing
+        0.1 on one resource add up to 0.9999999999999999 left to right,
+        so each gets 1 / 0.9999999999999999, where 3.12's compensated
+        sum() gives a demand of 1.0 and a rate of 1.0."""
+        from repro.netsim.tcp import max_min_rates
+
+        costs = {f"f{i}": {"r": 0.1} for i in range(10)}
+        rates = max_min_rates(costs, dict.fromkeys(costs, math.inf))
+        assert rates == dict.fromkeys(costs, 1.0000000000000002)
 
     def test_caps_respected(self):
         from repro.netsim.tcp import max_min_rates
@@ -681,6 +693,21 @@ class TestMaxMinRates:
             ),
             ({"a": {}, "b": {"r": 1e-9}}, {"a": 0.0}, None, "'b' has no cap"),
             ({"a": {"r": 1e-9}}, {"a": math.inf}, {"ghost": 2}, "'ghost'"),
+            # An overflowing count × cost makes every step 0, so nothing
+            # freezes and the stall guard would zero every demand on "r".
+            ({"a": {"r": 1e300}}, {"a": math.inf}, {"a": 10**10}, _OVERFLOW),
+            (
+                {"a": {"r": 1e300}, "b": {"r": 1e-8}},
+                {"a": math.inf, "b": math.inf},
+                {"a": 10**10},
+                _OVERFLOW,
+            ),
+            (
+                {"a": {"r": 1e308}, "b": {"r": 1e308}},
+                {"a": math.inf, "b": math.inf},
+                None,
+                _OVERFLOW,
+            ),
         ],
         ids=[
             "negative-cost",
@@ -694,6 +721,9 @@ class TestMaxMinRates:
             "fractional-count",
             "missing-cap",
             "count-without-costs",
+            "overflowing-count",
+            "overflow-shared",
+            "overflowing-sum",
         ],
     )
     def test_rejects_bad_input(self, costs, caps, counts, match):
@@ -783,8 +813,8 @@ class TestDominatedResources:
         """Over every case, and over a random subset of its demands (the
         engine solves only the busy classes of its universe), the rates
         without the dominated resources equal the full solve's by
-        ``repr``.  Python 3.12 made ``sum()`` compensated, where the
-        monotone-rounding argument is unproven: this corpus pins it.
+        ``repr``.  The solver's sequential sums make this hold by
+        DESIGN §2.13's monotone-rounding argument; the corpus checks it.
         An infinite cost is never pruned, so both solves reject it."""
         from repro.fluid.engine import _dominated
         from repro.netsim.tcp import max_min_rates
@@ -941,24 +971,14 @@ def _cut_and_repair_day(on_rates_changed=None):
 #: SHA-256 of ``max_min_rates`` over the finite cases of
 #: ``_dominance_corpus()`` (path-shaped inputs with multi-iteration
 #: fills and cap freezes), recorded with the solver that updated every
-#: demand's rate on its own.  One pin per interpreter line, like
-#: ``_SOLVER_CORPUS_SHA``.
-_PATH_CORPUS_SHA = (
-    "3166163e62c1cd30ca5fc4a563391a2665b0c948696031963c6132b65817403e"
-    if sys.version_info >= (3, 12)
-    else "5b6158ce951314ab4502d7f7b06d0827394c0402ed587715d6bf0f131f28d947"
-)
+#: demand's rate on its own.
+_PATH_CORPUS_SHA = "5b6158ce951314ab4502d7f7b06d0827394c0402ed587715d6bf0f131f28d947"
 
 #: SHA-256 of everything ``_cut_and_repair_day()`` reports, recorded
 #: with the same solver and the engine that keyed its solve by tuple.
-#: The >= 3.12 pin was re-recorded when ``fct_stats`` stopped using
-#: ``sum()``: its mean is now the < 3.12 value on every line, and only
-#: the solver's sums still differ.
-_DAY_SHA = (
-    "377c5bcef2d21b5539a8c0bd02ed4c0c39d2e4bd89c3212b8b012ddb9eee1381"
-    if sys.version_info >= (3, 12)
-    else "448c8bc1267cc4a981d583d61a80e173145d12f25a0d94e87fe8a07cbe2a51a3"
-)
+#: The solver and ``fct_stats`` add left to right, so one pin holds on
+#: every interpreter line.
+_DAY_SHA = "448c8bc1267cc4a981d583d61a80e173145d12f25a0d94e87fe8a07cbe2a51a3"
 
 
 def _path_corpus_digest():
