@@ -4,7 +4,7 @@ The model is store-and-forward at packet granularity with per-link
 framing overhead (ATM cell tax, HiPPI bursts), which reproduces the
 throughput phenomena the paper reports without simulating every one of
 the ~6 million cells/s an OC-48 carries.  Cell-exact behaviour is
-available separately in :mod:`repro.netsim.atm` for validation.
+available separately in :mod:`repro.netsim.cellsim` for validation.
 
 Performance-relevant host effects of 1999 hardware are first-class:
 
@@ -157,16 +157,22 @@ class _DirState:
     dicts keyed by the sending node's name; at hundreds of kilopackets
     per second those string-keyed lookups dominated the per-packet
     budget.  Everything private to one direction of the transmitter now
-    lives on this slotted record, fetched once per operation.  The hot
-    transmit counters live here too; the Link exposes them through
-    read-time dict views (``tx_bytes``, ``busy_time``, …) so tests and
-    telemetry keep their per-direction-dict surface.
+    lives on this slotted record, fetched once per operation.  A sent
+    packet is counted once, per flow (``fb``/``fp``); the Link exposes
+    the tallies through read-time dict views (``tx_bytes`` sums them,
+    ``busy_time``, …) so tests and telemetry keep their
+    per-direction-dict surface.
+
+    The fold rule lives here alone: the arrival entry calls a plain
+    :class:`Switch`'s ``forward``, with its latency as ``fold``, or any
+    other node's ``receive`` (a ``Switch`` subclass included), with
+    ``fold`` 0.0, which is exact because ``t + 0.0 == t``.
     """
 
     __slots__ = (
         "q",          # DrrScheduler
-        "dst",        # far Node of this direction
-        "fold",       # far switch latency folded into arrivals, or None
+        "arrive",     # the far node's entry point: forward or receive
+        "fold",       # far switch latency added to arrivals (0.0: none)
         "eff",        # effective serialization rate (background load)
         "ws",         # ip_bytes -> (wire_bytes, serialization_s) memo
         "bu",         # busy_until: end of the last committed serialization
@@ -174,17 +180,19 @@ class _DirState:
         "armed",      # a resume entry is armed at bu
         "resume",     # the armed resume heap entry (for cancellation)
         "lossy",      # wire loss on: packets get a completion judgement
-        "txb",        # transmitted wire bytes (Link.tx_bytes view)
-        "txp",        # transmitted packets (Link.tx_packets view)
         "fb",         # per-flow wire bytes (Link.flow_tx_bytes view)
         "fp",         # per-flow packets (Link.flow_tx_packets view)
         "bt",         # serialization-busy seconds (Link.busy_time view)
     )
 
-    def __init__(self, q: DrrScheduler, dst: "Node", fold, rate: float):
+    def __init__(self, q: DrrScheduler, far: "Node", rate: float):
         self.q = q
-        self.dst = dst
-        self.fold = fold
+        if type(far) is Switch:
+            self.arrive = far.forward
+            self.fold = far.latency
+        else:
+            self.arrive = far.receive
+            self.fold = 0.0
         self.eff = rate
         self.ws: dict[int, tuple] = {}
         self.bu = 0.0
@@ -192,8 +200,6 @@ class _DirState:
         self.armed = False
         self.resume: Optional[list] = None
         self.lossy = False
-        self.txb = 0
-        self.txp = 0
         self.fb: dict[str, int] = {}
         self.fp: dict[str, int] = {}
         self.bt = 0.0
@@ -229,6 +235,11 @@ class Link:
     Every packet death is counted once, in ``drop_ledger`` under its
     direction, typed reason and flow; ``drops``, ``lost``,
     ``drop_reasons`` and ``flow_drops`` are read-time views of it.
+    Every sent packet is counted once too, per flow
+    (``flow_tx_bytes``, ``flow_tx_packets``); ``tx_bytes`` and
+    ``tx_packets`` sum them.  A packet's arrival entry calls the far
+    node itself (see :class:`_DirState`).  The two ends must be
+    distinct nodes.
     """
 
     def __init__(
@@ -243,6 +254,8 @@ class Link:
         queue_packets: int | float = float("inf"),
     ):
         check_rate("link rate", rate)
+        if a.name == b.name:
+            raise ValueError(f"a link needs two distinct nodes, got {a.name!r} twice")
         if not propagation >= 0:
             raise ValueError(
                 f"link propagation must be non-negative, got {propagation!r}"
@@ -286,14 +299,10 @@ class Link:
         # lossy direction a completion-time judgement (_judge).
         # Faults invalidate a pre-scheduled arrival by cancelling its
         # heap entry in place (Environment.cancel).
-        # ``fold``: when the far node is a plain Switch with nonzero
-        # latency, the arrival entry targets its forward() directly at
-        # arrival + latency — one heap entry fewer per hop.
         self._dir: dict[str, _DirState] = {}
         for me, far in ((a, b), (b, a)):
-            fold = far.latency if type(far) is Switch and far.latency > 0.0 else None
             self._dir[me.name] = _DirState(
-                DrrScheduler(cost=self._wire_cost), far, fold, rate
+                DrrScheduler(cost=self._wire_cost), far, rate
             )
         a.attach(self)
         b.attach(self)
@@ -313,13 +322,13 @@ class Link:
 
     @property
     def tx_bytes(self) -> dict[str, int]:
-        """Transmitted wire bytes per direction."""
-        return {d: st.txb for d, st in self._dir.items()}
+        """Transmitted wire bytes per direction (sum over flows)."""
+        return {d: sum(st.fb.values()) for d, st in self._dir.items()}
 
     @property
     def tx_packets(self) -> dict[str, int]:
-        """Transmitted packets per direction."""
-        return {d: st.txp for d, st in self._dir.items()}
+        """Transmitted packets per direction (sum over flows)."""
+        return {d: sum(st.fp.values()) for d, st in self._dir.items()}
 
     @property
     def flow_tx_bytes(self) -> dict[str, dict[str, int]]:
@@ -408,47 +417,13 @@ class Link:
             self._drop(direction, "link_down", packet.flow)
             return
         st = self._dir[direction]
-        env = self.env
-        now = env._now
+        now = self.env._now
         if st.bu <= now and not st.armed:
             # Idle transmitter: start serializing right now — no queue
             # residency, no DRR state touched.  An armed resume means
             # queued work, or a flushed queue whose service decision is
-            # still due at this instant.  The whole of _lazy_start is
-            # inlined here because this lane carries nearly every packet
-            # of an unsaturated run.
-            ip = packet.ip_bytes
-            ws = st.ws.get(ip)
-            if ws is None:
-                wire = self.framing.wire(ip)
-                s = wire * 8 / st.eff
-                st.ws[ip] = (wire, s)
-            else:
-                wire = ws[0]
-                s = ws[1]
-            st.txb += wire
-            st.txp += 1
-            flow = packet.flow
-            per = st.fb
-            per[flow] = per.get(flow, 0) + wire
-            per = st.fp
-            per[flow] = per.get(flow, 0) + 1
-            t_done = now + s
-            st.bt += s
-            st.bu = t_done
-            fold = st.fold
-            if st.lossy:
-                entry = env.call_at(t_done, self._judge, direction, packet)
-            elif fold is None:
-                entry = env.call_at(
-                    t_done + self.propagation, self._arrive, st.dst, packet
-                )
-            else:
-                entry = env.call_at(
-                    t_done + self.propagation + fold,
-                    self._sw_arrive, st.dst, packet,
-                )
-            st.inflight = (t_done, packet, entry)
+            # still due at this instant.
+            self._lazy_start(direction, st, packet, now)
             return
         # The queue bound counts waiting packets only; the in-service
         # packet left the queue when its serialization began.
@@ -531,12 +506,10 @@ class Link:
 
         The completion and arrival instants are built with one fixed
         float-add sequence (``now + serialization`` then ``+ propagation``
-        then, when the far node is a folded switch, ``+ latency``), the
-        same one an unfolded hop-by-hop chain would produce, so folding
-        moves no timestamp.  Busy time is credited eagerly;
-        :meth:`busy_seconds` subtracts the un-elapsed tail so pro-rated
-        utilization stays exact.  (:meth:`send` inlines this body on its
-        idle lane; keep the two in sync.)
+        then ``+ fold``), the same one an unfolded hop-by-hop chain would
+        produce, so folding moves no timestamp.  Busy time is credited
+        eagerly; :meth:`busy_seconds` subtracts the un-elapsed tail so
+        pro-rated utilization stays exact.
         """
         ip = packet.ip_bytes
         ws = st.ws.get(ip)
@@ -547,8 +520,6 @@ class Link:
         else:
             wire = ws[0]
             s = ws[1]
-        st.txb += wire
-        st.txp += 1
         flow = packet.flow
         per = st.fb
         per[flow] = per.get(flow, 0) + wire
@@ -557,34 +528,15 @@ class Link:
         t_done = now + s
         st.bt += s
         st.bu = t_done
-        fold = st.fold
+        # No staleness check at arrival: an arrival invalidated by a
+        # fault has its heap entry cancelled in place (Environment.cancel).
         if st.lossy:
             entry = self.env.call_at(t_done, self._judge, direction, packet)
-        elif fold is None:
-            entry = self.env.call_at(
-                t_done + self.propagation, self._arrive, st.dst, packet
-            )
         else:
             entry = self.env.call_at(
-                t_done + self.propagation + fold, self._sw_arrive, st.dst, packet
+                t_done + self.propagation + st.fold, st.arrive, packet
             )
         st.inflight = (t_done, packet, entry)
-
-    def _arrive(self, dst: "Node", packet: Packet) -> None:
-        # Lazy pre-scheduled arrival.  No staleness check: an arrival
-        # invalidated by a fault had its heap entry cancelled in place
-        # (Environment.cancel), so only live entries reach here.
-        dst.receive(packet, self)
-
-    def _sw_arrive(self, sw: "Node", packet: Packet) -> None:
-        # Folded form of arrive-at-switch + switch latency + forward,
-        # with the route-cache hit inlined (the overwhelmingly common
-        # case on a stable topology) to skip one call per switch hop.
-        link = sw._fwd.get(packet.dst)
-        if link is not None:
-            link.send(sw, packet)
-        else:
-            sw.forward(packet)
 
     def _judge(self, direction: str, packet: Packet) -> None:
         """Completion-time fate of a packet on a lossy or faulted
@@ -602,16 +554,12 @@ class Link:
         # have scheduled, built with the same float additions.  With no
         # propagation and no fold the hand-off is inline.
         st = self._dir[direction]
-        fold = st.fold
-        if fold is not None:
+        if self.propagation or st.fold:
             self.env.call_at(
-                self.env._now + self.propagation + fold,
-                self._sw_arrive, st.dst, packet,
+                self.env._now + self.propagation + st.fold, st.arrive, packet
             )
-        elif self.propagation:
-            self.env.call_later(self.propagation, self._arrive, st.dst, packet)
         else:
-            self._arrive(st.dst, packet)
+            st.arrive(packet)
 
     def _arm(self, direction: str, st: "_DirState") -> None:
         """Arm the next service decision at ``bu``, ordered right behind
@@ -741,7 +689,7 @@ class Node:
                 return
         link.send(self, packet)
 
-    def receive(self, packet: Packet, link: Link) -> None:  # pragma: no cover
+    def receive(self, packet: Packet) -> None:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -845,7 +793,8 @@ class Host(Node):
     zero-cost stack (``cpu_per_packet == 0``) or an infinite I/O bus is a
     pure pass-through.  A host with *no* costly stage bypasses the
     pipeline entirely — ``send`` forwards and ``receive`` delivers
-    inline, touching no queue at all.
+    inline, touching no queue at all.  A link's arrival entry calls
+    ``receive`` directly, bound when the link was built.
     """
 
     def __init__(
@@ -909,7 +858,7 @@ class Host(Node):
         """Deliver received packets of ``flow`` to ``sink(packet, time)``."""
         self._sinks[flow] = sink
 
-    def receive(self, packet: Packet, link: Link) -> None:
+    def receive(self, packet: Packet) -> None:
         if packet.dst == self.name:
             if self._bypass:
                 self._deliver(packet)
@@ -926,9 +875,15 @@ class Switch(Node):
     def __init__(self, env: Environment, name: str, latency: float = 10e-6):
         super().__init__(env, name)
         check_seconds("switch latency", latency)
-        self.latency = latency
+        self._latency = latency
 
-    def receive(self, packet: Packet, link: Link) -> None:
+    @property
+    def latency(self) -> float:
+        """Per-packet latency, fixed at construction: a link folds a
+        plain switch's latency into its arrival instants when built."""
+        return self._latency
+
+    def receive(self, packet: Packet) -> None:
         # Scheduled-callback forwarding; a zero-latency switch forwards
         # inline with no heap entry.
         if self.latency:
@@ -948,8 +903,9 @@ class Gateway(Node):
     :class:`~repro.netsim.sched.DrrScheduler` with unit cost — every
     packet pays the same forwarding CPU), so one flow flooding the
     gateway cannot starve the others; with a single flow the service
-    order is plain FIFO.  ``flow_forwarded`` tallies per-flow forwards;
-    ``dropped``, ``drop_reasons`` and ``flow_drops`` view ``drop_ledger``.
+    order is plain FIFO.  ``flow_forwarded`` tallies per-flow forwards
+    and ``forwarded`` sums it; ``dropped``, ``drop_reasons`` and
+    ``flow_drops`` view ``drop_ledger``.
     """
 
     def __init__(self, env: Environment, name: str, per_packet: float = 120e-6):
@@ -962,7 +918,6 @@ class Gateway(Node):
         self.background_share = 0.0
         self._eff_per_packet = per_packet
         self._queue = DrrScheduler()
-        self.forwarded = 0
         self.up = True
         self.flow_forwarded: dict[str, int] = {}
         #: (reason, flow) -> dropped packets, first-seen order
@@ -972,6 +927,11 @@ class Gateway(Node):
     def _drop(self, reason: str, flow: str) -> None:
         key = (reason, flow)
         self.drop_ledger[key] = self.drop_ledger.get(key, 0) + 1
+
+    @property
+    def forwarded(self) -> int:
+        """Packets forwarded, all flows (sum of ``flow_forwarded``)."""
+        return sum(self.flow_forwarded.values())
 
     @property
     def dropped(self) -> int:
@@ -1016,7 +976,7 @@ class Gateway(Node):
         """Bring a crashed gateway back into service."""
         self.up = True
 
-    def receive(self, packet: Packet, link: Link) -> None:
+    def receive(self, packet: Packet) -> None:
         if not self.up:
             self._drop("gateway_down", packet.flow)
             return
@@ -1039,7 +999,6 @@ class Gateway(Node):
         if not self.up:
             self._drop("gateway_down", flow)
         else:
-            self.forwarded += 1
             self.flow_forwarded[flow] = self.flow_forwarded.get(flow, 0) + 1
             self.forward(packet)
         waiting = self._queue

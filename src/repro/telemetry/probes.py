@@ -105,19 +105,20 @@ def instrument_network(net, registry: MetricsRegistry, flows=()) -> None:
             ],
         )
         for end in (link.a.name, link.b.name):
-            # The sampler reads these every tick; the counters they
-            # mirror are ints, which sample identically — skipping the
-            # float() wrap keeps the per-tick cost down (direct reads
-            # via Gauge.value still coerce in the property), and so does
-            # reading the direction's own record rather than building
-            # the link's {direction: value} view on every read.
+            # The sampler reads these every tick; the per-flow tallies
+            # they sum are ints, so the sums are exact and sample
+            # identically — skipping the float() wrap keeps the per-tick
+            # cost down (direct reads via Gauge.value still coerce in
+            # the property), and so does summing the direction's own
+            # record rather than building the link's {direction: value}
+            # view on every read.
             st = link._dir[end]
             registry.gauge(
                 "netsim.link.tx_bytes", link=link.name, direction=end
-            ).set_function(lambda st=st: st.txb)
+            ).set_function(lambda fb=st.fb: sum(fb.values()))
             registry.gauge(
                 "netsim.link.tx_packets", link=link.name, direction=end
-            ).set_function(lambda st=st: st.txp)
+            ).set_function(lambda fp=st.fp: sum(fp.values()))
             registry.gauge(
                 "netsim.link.utilization", link=link.name, direction=end
             ).set_function(partial(link.utilization, end))
@@ -154,7 +155,7 @@ def instrument_network(net, registry: MetricsRegistry, flows=()) -> None:
             )
             registry.gauge(
                 "netsim.gateway.forwarded", gateway=node.name
-            ).set_function(lambda g=node: g.forwarded)
+            ).set_function(lambda ff=node.flow_forwarded: sum(ff.values()))
             registry.gauge(
                 "netsim.gateway.queue_depth", gateway=node.name
             ).set_function(lambda g=node: len(g._queue))

@@ -363,7 +363,7 @@ class Recorder(Node):
         super().__init__(env, name)
         self.got = []
 
-    def receive(self, packet, link):
+    def receive(self, packet):
         self.got.append((packet.flow, packet.seq, self.env.now))
 
 

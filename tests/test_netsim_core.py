@@ -97,6 +97,15 @@ def test_switch_forwards_with_latency():
     assert times[0] == pytest.approx(2 * 8e-6 + 100e-6)
 
 
+def test_switch_latency_is_fixed():
+    """Links fold a plain switch's latency into arrivals when they are
+    built, so a later change could not take effect: it is refused."""
+    sw = Switch(Environment(), "sw", latency=0.0)
+    with pytest.raises(AttributeError):
+        sw.latency = 1e-3
+    assert sw.latency == 0.0
+
+
 def test_gateway_store_and_forward_serializes():
     env = Environment()
     net = Network(env)
@@ -145,6 +154,20 @@ def test_duplicate_node_rejected():
     net.add(Host(env, "a"))
     with pytest.raises(ValueError):
         net.add(Host(env, "a"))
+
+
+def test_self_link_rejected_before_attach():
+    """Both directions of a link from a node to itself would share one
+    transmitter record; the link is refused before it attaches."""
+    env = Environment()
+    net = Network(env)
+    a = net.add(Host(env, "a"))
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        net.link("a", "a", 1e6)
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        Link(env, a, a, 1e6)
+    assert net.links == {}
+    assert a.links == []
 
 
 def test_host_lookup_type_checked():
