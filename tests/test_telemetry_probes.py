@@ -2,6 +2,7 @@
 zero-overhead NullRegistry guarantee, and the fault → alert → recovery
 loop composing with :mod:`repro.netsim.faults`."""
 
+import hashlib
 import os
 
 import pytest
@@ -39,6 +40,7 @@ from repro.telemetry import (
     instrument_rt_client,
     instrument_runtime,
     link_down,
+    samples_to_jsonl,
     to_jsonl,
     weather_map,
 )
@@ -215,22 +217,36 @@ class TestNetworkProbes:
         assert max(buf.values()) > 0.0
 
 
+def sampled_wan_bulk():
+    """The instrumented 40 MByte ``wan-bulk`` run of
+    ``benchmarks/bench_telemetry_overhead.py``, sampled at the default
+    cadence."""
+    tb = build_testbed()
+    bt = BulkTransfer(
+        tb.net, "t3e-600", "sp2", 40 * MBYTE, ip=IP64K, name="wan-bulk"
+    )
+    reg = MetricsRegistry()
+    instrument_network(tb.net, reg)
+    instrument_flow(bt, reg)
+    sampler = Sampler(tb.net.env, reg).start()
+    bt.run()
+    sampler.stop()
+    return tb, reg, sampler
+
+
+#: sha256 of ``samples_to_jsonl`` for :func:`sampled_wan_bulk`: 13 ticks
+#: of 151 series, 1,963 lines.
+WAN_BULK_SAMPLES_SHA = (
+    "4cadbe2205a44d96f4f09f52dcffcc9ab8e254459a43e88a8c0b86d199a4ff24"
+)
+
+
 class TestExportPinned:
     def test_wan_bulk_export_matches_committed_artifact(self, tmp_path):
-        """The instrumented 40 MByte ``wan-bulk`` run of
-        ``benchmarks/bench_telemetry_overhead.py`` exports, byte for
-        byte, the committed ``telemetry_metrics.jsonl``: every series,
-        its creation order, labels and value."""
-        tb = build_testbed()
-        bt = BulkTransfer(
-            tb.net, "t3e-600", "sp2", 40 * MBYTE, ip=IP64K, name="wan-bulk"
-        )
-        reg = MetricsRegistry()
-        instrument_network(tb.net, reg)
-        instrument_flow(bt, reg)
-        sampler = Sampler(tb.net.env, reg).start()
-        bt.run()
-        sampler.stop()
+        """The ``wan-bulk`` run exports, byte for byte, the committed
+        ``telemetry_metrics.jsonl``: every series, its creation order,
+        labels and value."""
+        tb, reg, _ = sampled_wan_bulk()
         out = tmp_path / "telemetry_metrics.jsonl"
         to_jsonl(reg, str(out), now=tb.net.env.now)
         committed = os.path.join(
@@ -239,6 +255,15 @@ class TestExportPinned:
         )
         with open(committed, "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    def test_wan_bulk_samples_are_pinned(self, tmp_path):
+        """Every sample of the ``wan-bulk`` run, its series order, tick
+        times and values (int or float, as read), exports unchanged."""
+        _, _, sampler = sampled_wan_bulk()
+        out = tmp_path / "samples.jsonl"
+        assert samples_to_jsonl(sampler, str(out)) == 13 * 151
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == WAN_BULK_SAMPLES_SHA
 
 
 class TestGatewayDrops:
