@@ -6,7 +6,7 @@ suffers a mid-transfer outage, with the full telemetry stack attached:
 
 * link/gateway/flow series read from the simulator's own tallies
   (repro.telemetry.probes);
-* a sim-clock sampler feeding ring-buffer time series;
+* a sim-clock sampler keeping one row of every series per tick;
 * alert rules (WAN down, RTO spike) evaluated on the sampling cadence;
 * the console "testbed weather map" the testbed staff would have taped
   next to the operations phone, plus JSONL/CSV exports.
@@ -89,7 +89,7 @@ def main() -> None:
     buf = sampler.buffer(
         "netsim.link.utilization", link=tb.wan_link.name, direction="sw-juelich"
     )
-    peak = max(buf.values()) if buf is not None else 0.0
+    peak = max(v for _, v in buf) if buf else 0.0
     print(f"peak sampled WAN utilization: {peak:.0%} "
           f"({len(buf)} samples at {sampler.interval} s)")
 

@@ -11,7 +11,8 @@ testbed observable the same way:
   :class:`MetricsRegistry`; :class:`NullRegistry` is the zero-overhead
   default for uninstrumented runs.
 * :mod:`repro.telemetry.timeseries` — a sim-clock :class:`Sampler`
-  snapshotting gauges into ring buffers on a configurable interval.
+  appending one row of every counter and gauge per tick, on a
+  configurable interval.
 * :mod:`repro.telemetry.probes` — ``instrument_*`` installers exposing
   the tallies of netsim links/gateways/flows, the metampi transport and
   the fluid engine as series, and hooking the metampi runtime and the
@@ -33,7 +34,6 @@ from repro.telemetry.alerts import (
     counter_nonzero,
     counter_rate_above,
     link_down,
-    utilization_above,
 )
 from repro.telemetry.export import samples_to_jsonl, to_csv, to_jsonl, weather_map
 from repro.telemetry.log import enable_console, get_logger, set_level
@@ -51,7 +51,7 @@ from repro.telemetry.probes import (
     instrument_rt_client,
     instrument_runtime,
 )
-from repro.telemetry.timeseries import RingBuffer, Sampler
+from repro.telemetry.timeseries import Sampler
 
 __all__ = [
     "Alert",
@@ -60,7 +60,6 @@ __all__ = [
     "counter_nonzero",
     "counter_rate_above",
     "link_down",
-    "utilization_above",
     "samples_to_jsonl",
     "to_csv",
     "to_jsonl",
@@ -78,6 +77,5 @@ __all__ = [
     "instrument_pipeline",
     "instrument_rt_client",
     "instrument_runtime",
-    "RingBuffer",
     "Sampler",
 ]

@@ -153,28 +153,6 @@ def link_down(link) -> Predicate:
     return lambda now: not link.up
 
 
-def utilization_above(link, direction: str, threshold: float) -> Predicate:
-    """Breached while one direction's utilization exceeds ``threshold``.
-
-    Utilization is measured over the window between evaluations (not
-    cumulative since t=0), so the rule reacts to load *changes* — pair
-    with ``sustain`` for the paper-operations-style "red for N seconds"
-    semantics.
-    """
-    state = {"t": None, "busy": None}
-
-    def pred(now: float) -> bool:
-        busy = link.busy_seconds(direction)
-        prev_t, prev_busy = state["t"], state["busy"]
-        state["t"], state["busy"] = now, busy
-        if prev_t is None or now <= prev_t:
-            # First tick: fall back to cumulative utilization.
-            return link.utilization(direction) > threshold
-        return (busy - prev_busy) / (now - prev_t) > threshold
-
-    return pred
-
-
 def counter_rate_above(counter: Counter, threshold: float) -> Predicate:
     """Breached while ``counter`` grows faster than ``threshold``/second,
     measured between consecutive evaluations (retransmit-rate spikes,

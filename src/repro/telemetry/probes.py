@@ -223,7 +223,7 @@ class MetampiProbe:
     def __init__(self, registry: MetricsRegistry):
         self._registry = registry
         self._lock = threading.Lock()
-        self._pairs: dict = {}
+        self._rank_pairs: dict = {}
         self._coll: dict = {}
 
     def on_message(
@@ -236,10 +236,10 @@ class MetampiProbe:
     ) -> None:
         key = (src_rank, dst_rank, scope)
         with self._lock:
-            pair = self._pairs.get(key)
+            pair = self._rank_pairs.get(key)
             if pair is None:
                 labels = dict(src=str(src_rank), dst=str(dst_rank), scope=scope)
-                pair = self._pairs[key] = (
+                pair = self._rank_pairs[key] = (
                     self._registry.counter("metampi.messages", **labels),
                     self._registry.counter("metampi.bytes", **labels),
                 )

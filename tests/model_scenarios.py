@@ -154,7 +154,7 @@ def run_sampled_faults() -> dict:
     env.run(until=env.all_of([cbr.done, bulk.done]))
     sampler.stop()
     buffers = sorted(sampler.buffers().items())
-    ticks = max((buf.times() for _, buf in buffers), key=len)
+    ticks = max(([t for t, _ in buf] for _, buf in buffers), key=len)
     return {
         "samples": sampler.samples_taken,
         "ticks": _digest((t,) for t in ticks),

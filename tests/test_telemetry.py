@@ -12,7 +12,6 @@ from repro.telemetry import (
     AlertManager,
     MetricsRegistry,
     NullRegistry,
-    RingBuffer,
     Sampler,
     counter_rate_above,
     get_logger,
@@ -138,24 +137,59 @@ class TestNullRegistry:
         assert len(reg) == 0
 
 
-class TestRingBuffer:
-    def test_append_and_order(self):
-        rb = RingBuffer(capacity=8)
-        for i in range(5):
-            rb.append(float(i), float(i) * 10)
-        assert rb.times() == [0, 1, 2, 3, 4]
-        assert rb.last == (4.0, 40.0)
-
-    def test_eviction_keeps_newest(self):
-        rb = RingBuffer(capacity=3)
-        for i in range(7):
-            rb.append(float(i), float(i))
-        assert len(rb) == 3
-        assert rb.times() == [4.0, 5.0, 6.0]
-        assert rb.last == (6.0, 6.0)
-
-
 class TestSampler:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"interval": 0.0},
+            {"interval": -1.0},
+            {"interval": math.nan},
+            {"interval": math.inf},
+            {"capacity": 0},
+            {"capacity": -3},
+            {"capacity": 2.5},
+            {"capacity": 3.0},
+        ],
+    )
+    def test_bad_arguments_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            Sampler(Environment(), MetricsRegistry(), **kwargs)
+
+    def test_capacity_keeps_the_newest_ticks_of_every_series(self):
+        """Rows evict oldest first; a series created after eviction began
+        keeps only the ticks it was sampled on, and every series the
+        newest ``capacity``."""
+        env = Environment()
+        reg = MetricsRegistry()
+        early = reg.gauge("early")
+        env.call_at(4.5, lambda: reg.counter("late").inc(7))
+        sampler = Sampler(env, reg, interval=1.0, capacity=3).start()
+        env.run(until=5.5)
+        assert len(sampler.buffer("late")) == 1
+        assert sampler.buffer("late") == [(5.0, 7.0)]
+        assert [t for t, _ in sampler.buffer("early")] == [3.0, 4.0, 5.0]
+        early.set(42.0)
+        env.run(until=7.5)
+        sampler.stop()
+        assert [t for t, _ in sampler.buffer("late")] == [5.0, 6.0, 7.0]
+        assert [t for t, _ in sampler.buffer("early")] == [5.0, 6.0, 7.0]
+        # The newest sample is last.
+        assert sampler.buffer("early")[-1] == (7.0, 42.0)
+        assert list(sampler.buffers()) == [("early", ()), ("late", ())]
+
+    def test_histograms_and_unknown_series_are_not_sampled(self):
+        env = Environment()
+        reg = MetricsRegistry()
+        reg.histogram("latency", stage="recon").observe(3.0)
+        reg.gauge("level").set(1.0)
+        sampler = Sampler(env, reg, interval=1.0).start()
+        env.run(until=1.5)
+        sampler.stop()
+        assert sampler.buffer("latency", stage="recon") is None
+        assert sampler.buffer("missing") is None
+        assert sampler.buffer("level") == [(0.0, 1.0), (1.0, 1.0)]
+        assert list(sampler.buffers()) == [("level", ())]
+
     def test_periodic_sampling_on_sim_clock(self):
         env = Environment()
         reg = MetricsRegistry()
@@ -174,8 +208,7 @@ class TestSampler:
         buf = sampler.buffer("level")
         assert buf is not None
         # Ticks at t=0,1,..,5 read the value set at that instant.
-        assert buf.times() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert buf.values()[-1] == 5.0
+        assert buf == [(float(t), float(t)) for t in range(6)]
 
     def test_stop_lets_queue_drain(self):
         env = Environment()
@@ -237,7 +270,7 @@ class TestSampler:
         sampler.stop()
         env.run()
         buf = sampler.buffer("late")
-        assert buf.times()[0] >= 2.0
+        assert buf[0][0] >= 2.0
 
 
 class TestAlerts:
