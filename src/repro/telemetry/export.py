@@ -46,7 +46,8 @@ def to_csv(registry: MetricsRegistry, path: str, now: Optional[float] = None) ->
 
 
 def samples_to_jsonl(sampler: Sampler, path: str) -> int:
-    """Write every ring-buffer sample as one JSON line; returns count."""
+    """Write every kept sample as one JSON line, series by series in
+    first-seen order, oldest first; returns the count."""
     return write_jsonl(
         path,
         (

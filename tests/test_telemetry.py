@@ -165,7 +165,6 @@ class TestSampler:
         env.call_at(4.5, lambda: reg.counter("late").inc(7))
         sampler = Sampler(env, reg, interval=1.0, capacity=3).start()
         env.run(until=5.5)
-        assert len(sampler.buffer("late")) == 1
         assert sampler.buffer("late") == [(5.0, 7.0)]
         assert [t for t, _ in sampler.buffer("early")] == [3.0, 4.0, 5.0]
         early.set(42.0)
