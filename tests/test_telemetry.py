@@ -157,8 +157,8 @@ class TestSampler:
 
     def test_capacity_keeps_the_newest_ticks_of_every_series(self):
         """Rows evict oldest first; a series created after eviction began
-        keeps only the ticks it was sampled on, and every series the
-        newest ``capacity``."""
+        holds only the ticks it was sampled on, and every series at most
+        the newest ``capacity``."""
         env = Environment()
         reg = MetricsRegistry()
         early = reg.gauge("early")
