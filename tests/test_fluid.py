@@ -13,6 +13,7 @@ on the fluid path adds left to right, never through the builtin
 """
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -24,6 +25,7 @@ import pytest
 from repro.fluid import (
     BoundedPareto,
     CompletedFlow,
+    FlowArrival,
     FluidEngine,
     HybridSimulation,
     WorkloadGenerator,
@@ -981,6 +983,57 @@ _PATH_CORPUS_SHA = "5b6158ce951314ab4502d7f7b06d0827394c0402ed587715d6bf0f131f28
 _DAY_SHA = "448c8bc1267cc4a981d583d61a80e173145d12f25a0d94e87fe8a07cbe2a51a3"
 
 
+#: SHA-256 of the benchmark day's results (``_benchmark_day()``) as
+#: sorted-key JSON with every float at full precision: the digest the
+#: benchmark's ``fluid_day`` job reports for seed 0 with ``float_sig=0``.
+_BENCHMARK_DAY_SHA = "c1b5f11c1a8f10376a39f38239261b35b3b872b74fb76ec6c32fdad5aba41506"
+
+
+def _benchmark_day(seed=0):
+    """The perfbench ``fluid_day`` job: the fixed 500-session base day
+    (seed 1999) over all 30 directed cross-site pairs, each session
+    shifted by up to 50 us and grown by up to 1 KByte under ``seed``,
+    on CLIP at 9180 bytes with 8 MB windows; returns its results."""
+    tb = build_testbed()
+    pairs = [(a, b) for a in tb.juelich_hosts for b in tb.gmd_hosts]
+    pairs += [(b, a) for a, b in pairs]
+    base = WorkloadGenerator(
+        pairs,
+        n_sessions=500,
+        session_rate=50.0,
+        seed=1999,
+        sizes=BoundedPareto(shape=1.3, lo=256 * 1024, hi=64 * MB),
+        diurnal_amplitude=0.3,
+        diurnal_period=500 / 50.0,
+    ).schedule()
+    rng = random.Random(seed)
+    schedule = [
+        FlowArrival(
+            at=a.at + rng.randrange(50) * 1e-6,
+            name=a.name, src=a.src, dst=a.dst,
+            nbytes=a.nbytes + rng.randrange(1024),
+        )
+        for a in base
+    ]
+    eng = FluidEngine(tb.net, ip=ClassicalIP(9180), window_bytes=8 * MB)
+    eng.offer(schedule)
+    eng.run()
+    h = hashlib.sha256()
+    for a in schedule:
+        h.update(f"{round(a.at * 1e6)}|{a.name}|{a.src}|{a.dst}|{a.nbytes}\n".encode())
+    return {
+        "schedule_sha": h.hexdigest(),
+        "offered_bytes": sum(a.nbytes for a in schedule),
+        "completed": len(eng.completed),
+        "completed_bytes": sum(f.nbytes for f in eng.completed),
+        "resolves": eng.resolves,
+        "peak_active": eng.peak_active,
+        "mean_active": eng.mean_active(),
+        "sim_end_s": eng.now,
+        "fct_s": eng.fct_stats(),
+    }
+
+
 def _path_corpus_digest():
     from repro.netsim.tcp import max_min_rates
 
@@ -1022,6 +1075,17 @@ class TestExactnessGoldens:
         every resource's utilization over a day with a cut and a repair,
         pinned bit for bit."""
         assert _day_digest() == _DAY_SHA
+
+    def test_benchmark_day_digest(self):
+        """The benchmark's fluid day, pinned at full precision (the
+        benchmark itself compares it at 12 significant digits, which a
+        last-ulp drift would pass): 1,000 re-solves, every session done,
+        every float bit for bit."""
+        results = _benchmark_day()
+        assert results["resolves"] == 1000
+        assert results["completed"] == 500
+        text = json.dumps(results, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == _BENCHMARK_DAY_SHA
 
 
 def _outputs_under_hash_seeds(script):
