@@ -59,12 +59,6 @@ INF = float("inf")
 _DRAIN_EPS = 1e-6
 
 
-def _per_bit_costs(char) -> dict[str, float]:
-    """A path's resource costs in seconds per payload bit."""
-    bits = char.mss * 8.0
-    return {r: t / bits for r, t in char.resources.items()}
-
-
 def _dominated(demands: list[dict[str, float]]) -> set[str]:
     """Resources no max-min solve over any subset of ``demands`` needs.
 
@@ -140,13 +134,15 @@ class _PathClass:
     """All active flows sharing one (src, dst, cap) constraint set."""
 
     __slots__ = (
-        "key", "slot", "costs", "solve_costs", "cap", "rate", "drained", "heap", "seq"
+        "key", "slot", "costs", "cost_items", "solve_costs", "cap", "rate", "drained",
+        "heap", "seq",
     )
 
     def __init__(self, key, slot: int, costs: dict[str, float], cap: float):
         self.key = key
         self.slot = slot  # creation order: the class's place in the solve
         self.costs = costs  # resource -> seconds per payload bit
+        self.cost_items = tuple(costs.items())  # what the drain loop walks
         self.solve_costs = costs  # costs minus the dominated resources
         self.cap = cap
         self.rate = 0.0  # current per-flow rate, bit/s
@@ -252,7 +248,7 @@ class FluidEngine:
 
     def _static_costs(self, demand: _Static) -> None:
         char = self._characterize(demand.src, demand.dst)
-        demand.costs = None if char is None else _per_bit_costs(char)
+        demand.costs = None if char is None else char.per_bit_costs()
         self._prune_stale = True
 
     # -- path characterization --------------------------------------------
@@ -283,7 +279,7 @@ class FluidEngine:
         key = (src, dst, cap)
         cls = self._classes.get(key)
         if cls is None:
-            costs = _per_bit_costs(char)
+            costs = char.per_bit_costs()
             cls = self._classes[key] = _PathClass(key, len(self._classes), costs, cap)
             # Seeded so that advance_to() accumulates with a plain +=.
             for r in costs:
@@ -304,7 +300,7 @@ class FluidEngine:
         self._char_cache.clear()
         for flow, remaining_bits in carried:
             if remaining_bits <= _DRAIN_EPS:
-                self._finish(flow, None)
+                self._finish(flow)
             else:
                 self._class_for(flow.src, flow.dst).add(flow, remaining_bits)
         self._busy = [cls for cls in self._classes.values() if cls.heap]
@@ -387,18 +383,19 @@ class FluidEngine:
         """Advance the fluid clock to ``t``, harvesting completions and
         admitting due arrivals; re-solves (and fires the coupling hook)
         if the active flow set changed.  Returns True on a re-solve."""
-        if t < self.now:
-            raise ValueError(f"cannot advance backwards to {t} from {self.now}")
-        dt = t - self.now
+        now = self.now
+        if not now <= t < INF:
+            raise ValueError(f"t={t} is not finite or before now ({now})")
+        dt = t - now
         if dt > 0:
             util = self._util_integral
             for cls in self._busy:
-                if cls.rate <= 0:
-                    continue
-                cls.drained += cls.rate * dt
-                total = len(cls.heap) * cls.rate * dt
-                for r, c in cls.costs.items():
-                    util[r] += total * c
+                rate = cls.rate
+                if rate > 0:
+                    cls.drained += rate * dt
+                    total = len(cls.heap) * rate * dt
+                    for r, c in cls.cost_items:
+                        util[r] += total * c
             self._active_integral += self._active * dt
             self.now = t
         changed = self._harvest()
@@ -409,35 +406,33 @@ class FluidEngine:
 
     def _harvest(self) -> bool:
         changed = emptied = False
+        now = self.now
         for cls in self._busy:
-            if cls.rate == INF:
-                while cls.heap:
-                    self._finish(heapq.heappop(cls.heap)[2], cls)
+            rate = cls.rate
+            heap = cls.heap
+            if rate == INF:
+                while heap:
+                    self._finish(heapq.heappop(heap)[2])
                 changed = True
             else:
                 # A remainder the clock cannot traverse (finishing within
                 # one ulp of `now`) is done *now* — without the rate-scaled
                 # term a sub-ulp residue stalls the event loop forever.
-                eps = max(_DRAIN_EPS, cls.rate * self.now * 4e-16)
-                limit = cls.drained + eps
-                while cls.heap and cls.heap[0][0] <= limit:
-                    self._finish(heapq.heappop(cls.heap)[2], cls)
+                eps = rate * now * 4e-16
+                limit = cls.drained + (eps if eps > _DRAIN_EPS else _DRAIN_EPS)
+                while heap and heap[0][0] <= limit:
+                    self._finish(heapq.heappop(heap)[2])
                     changed = True
-            if not cls.heap:
+            if not heap:
                 cls.rate = 0.0
                 emptied = True
         if emptied:
             self._busy = [cls for cls in self._busy if cls.heap]
         return changed
 
-    def _finish(self, flow: _Flow, cls: Optional[_PathClass]) -> None:
+    def _finish(self, flow: _Flow) -> None:
         done = CompletedFlow(
-            name=flow.name,
-            src=flow.src,
-            dst=flow.dst,
-            nbytes=flow.nbytes,
-            arrived=flow.arrived,
-            completed=self.now,
+            flow.name, flow.src, flow.dst, flow.nbytes, flow.arrived, self.now
         )
         self.completed.append(done)
         self._active -= 1
@@ -448,14 +443,7 @@ class FluidEngine:
         changed = False
         while self._pending and self._pending[0][0] <= self.now:
             _, _, name, src, dst, nbytes = heapq.heappop(self._pending)
-            flow = _Flow(
-                name=name,
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                arrived=self.now,
-                finish_key=0.0,
-            )
+            flow = _Flow(name, src, dst, nbytes, self.now, 0.0)
             cls = self._class_for(src, dst)
             if not cls.heap:  # back into its creation slot
                 insort(self._busy, cls, key=attrgetter("slot"))
@@ -470,10 +458,9 @@ class FluidEngine:
         """Standalone drive: step event to event until nothing is
         pending (or the ``until`` horizon).  Flows stuck at rate zero on
         a partitioned path stay active; they are not events."""
-        while True:
-            t = self.next_event_time()
-            if t == INF or (until is not None and t > until):
-                break
+        if until is not None and not self.now <= until < INF:
+            raise ValueError(f"until={until} is not finite or before now ({self.now})")
+        while (t := self.next_event_time()) < INF and (until is None or t <= until):
             self.advance_to(t)
         if until is not None and until > self.now:
             self.advance_to(until)

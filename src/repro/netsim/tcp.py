@@ -57,6 +57,11 @@ class PathCharacterization:
         t = self.per_packet_time
         return self.mss * 8 / t if t > 0 else float("inf")
 
+    def per_bit_costs(self) -> dict[str, float]:
+        """The resource costs in seconds per payload bit."""
+        bits = self.mss * 8.0
+        return {r: t / bits for r, t in self.resources.items()}
+
 
 def characterize_path(
     net: Network, src: str, dst: str, ip: ClassicalIP
@@ -212,13 +217,13 @@ def max_min_rates(
     limit: list[float] = []
     mult: list[int] = []
     uses: list[Mapping[str, float]] = []
-    # Per resource, its users (index, count × cost, cost) in ``costs``
-    # order.  Every sum below adds the same terms, left to right in the
-    # same order, as a scan of ``costs`` would, so the rates equal that
-    # scan's bit for bit and depend neither on the string hash seed nor
-    # on the interpreter (the builtin ``sum`` of floats is compensated
-    # from Python 3.12 on).
-    users: dict[str, list[tuple[int, float, float]]] = {}
+    # Per resource, its users (index, cost) in ``costs`` order.  Every
+    # sum below adds the same terms, left to right in the same order, as
+    # a scan of ``costs`` would, so the rates equal that scan's bit for
+    # bit and depend neither on the string hash seed nor on the
+    # interpreter (the builtin ``sum`` of floats is compensated from
+    # Python 3.12 on).
+    users: dict[str, list[tuple[int, float]]] = {}
     counted = 0
     for i, (n, c) in enumerate(costs.items()):
         m = n_of.get(n, 1)
@@ -244,38 +249,49 @@ def max_min_rates(
                 raise ValueError(
                     f"demand {n!r}: cost {x!r} on {r!r} is negative, NaN or infinite"
                 )
-            users.setdefault(r, []).append((i, m * x, x))
+            users.setdefault(r, []).append((i, x))
     if counted != len(n_of):
         extra = next(n for n in n_of if n not in costs)
         raise ValueError(f"count given for {extra!r}, which has no costs")
     # Every live demand starts at 0.0 and gets the same deltas in the
     # same order, so its rate is exactly ``level``; a frozen one keeps
-    # the level it froze at.  ``ml`` is count × rate.
+    # the level it froze at.  ``ml`` is count × rate; ``live`` flags the
+    # demands not yet frozen, ``n_live`` counts them.
+    n = len(cap_of)
     level = 0.0
-    rates = [0.0] * len(costs)
-    ml = [0.0] * len(costs)
-    live = set(range(len(costs)))
+    rates = [0.0] * n
+    ml = [0.0] * n
+    live = [True] * n
+    n_live = n
     # Each resource's load at the current rates; all rates start at 0.0.
     load = dict.fromkeys(users, 0.0)
     # Each resource's live demand: the load that one bit/s more on every
     # live flow adds.  A zero demand never changes the load, so that
-    # resource never saturates and is left out.
-    demand = {}
-    for r, us in users.items():
-        d = 0.0
-        for _, mx, _ in us:
-            d += mx
-        # Every later live demand adds a subsequence of these terms, so
-        # none can overflow when this one does not.
-        if d == inf:
-            raise ValueError(f"resource {r!r}: count × cost overflows to inf")
-        if d > 0:
-            demand[r] = d
-    cap_min = min(cap_of, default=inf)
-    while live:
+    # resource never saturates and is left out.  Every resource starts
+    # out touched, then only those a newly frozen demand uses.
+    demand = dict.fromkeys(users, 0.0)
+    touched: Any = users
+    while n_live:
+        # A resource that no frozen demand uses keeps the same live terms
+        # in the same order, so its demand is unchanged.
+        for r in touched:
+            if r in demand:
+                d = 0.0
+                for i, x in users[r]:
+                    if live[i]:
+                        d += mult[i] * x
+                # Every later live demand adds a subsequence of the first
+                # one's terms, so none can overflow when that one does not.
+                if d == inf:
+                    raise ValueError(f"resource {r!r}: count × cost overflows to inf")
+                if d > 0:
+                    demand[r] = d
+                else:
+                    del demand[r]
         # Tightest constraint over live flows.  Float subtraction rounds
         # monotonically, so ``cap_min - level`` is the least per-demand
         # distance to a cap.
+        cap_min = min([c for c, a in zip(cap_of, live) if a])
         delta = cap_min - level
         for r, d in demand.items():
             slack = 1.0 - load[r]
@@ -287,40 +303,35 @@ def max_min_rates(
             level = inf
             break
         level += delta
-        for i in live:
-            ml[i] = mult[i] * level
-        frozen = {i for i in live if level >= limit[i]}
+        frozen = []
+        for i in range(n):
+            if live[i]:
+                ml[i] = mult[i] * level
+                if level >= limit[i]:
+                    live[i] = False
+                    frozen.append(i)
         for r in demand:
             # Each term is (count × rate) × cost, as in a per-demand scan.
             us = users[r]
             ld = 0.0
-            for i, _, x in us:
+            for i, x in us:
                 ld += ml[i] * x
             load[r] = ld
             if ld >= 1.0 - 1e-9:  # saturated: freeze every live user
-                frozen.update([i for i, _, _ in us if i in live])
+                for i, _ in us:
+                    if live[i]:
+                        live[i] = False
+                        frozen.append(i)
         if not frozen:  # numerical stall guard: never loop forever
             break
-        live -= frozen
+        n_live -= len(frozen)
+        touched = set()
         for i in frozen:
             rates[i] = level
-        if not live:  # nothing reads the demands or the cap minimum now
-            break
-        # A resource that no frozen demand uses keeps the same live terms
-        # in the same order, so its demand is unchanged.
-        for r in {r for i in frozen for r in uses[i]}:
-            if r in demand:
-                d = 0.0
-                for i, mx, _ in users[r]:
-                    if i in live:
-                        d += mx
-                if d > 0:
-                    demand[r] = d
-                else:
-                    del demand[r]
-        cap_min = min([cap_of[i] for i in live])
-    for i in live:
-        rates[i] = level
+            touched.update(uses[i])
+    for i in range(n):
+        if live[i]:
+            rates[i] = level
     return dict(zip(costs, rates))
 
 
@@ -371,8 +382,7 @@ def fair_share_throughputs(
             raise ValueError(f"duplicate flow name {name!r}")
         flow_ip = getattr(flow, "ip", None) or ip or ClassicalIP()
         char = characterize_path(net, flow.src, flow.dst, flow_ip)
-        bits = char.mss * 8
-        costs[name] = {r: t / bits for r, t in char.resources.items()}
+        costs[name] = char.per_bit_costs()
         caps[name] = demand_cap(flow, char)
     return max_min_rates(costs, caps)
 

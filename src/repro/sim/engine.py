@@ -167,9 +167,10 @@ class Environment:
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until the queue drains), a number
-        (run until that simulation time) or an :class:`Event` (run until it
-        fires, returning its value; raises if the queue drains first).
+        ``until`` may be ``None`` (run until the queue drains), a finite
+        number not before now (run until that simulation time) or an
+        :class:`Event` (run until it fires, returning its value; raises if
+        the queue drains first).
         """
         queue = self._queue
         pop = _heappop
@@ -196,8 +197,12 @@ class Environment:
             return sentinel._value
 
         horizon = float(until)
-        if not horizon >= self._now:
-            raise SimulationError(f"cannot run() backwards in time (until={until})")
+        # An infinite horizon would drain the queue and leave the clock
+        # at inf, where every later call_later() and rate is meaningless.
+        if not self._now <= horizon < float("inf"):
+            raise SimulationError(
+                f"run() horizon until={until} is not finite or before now ({self._now})"
+            )
         while queue and queue[0][0] <= horizon:
             entry = pop(queue)
             self._now = entry[0]

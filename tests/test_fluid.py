@@ -301,6 +301,38 @@ class TestFluidEngine:
             eng.advance_to(eng.now - 1.0)
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda eng: eng.advance_to(math.nan),
+            lambda eng: eng.advance_to(math.inf),
+            lambda eng: eng.advance_to(0.5),
+            lambda eng: eng.run(until=math.nan),
+            lambda eng: eng.run(until=math.inf),
+            lambda eng: eng.run(until=0.5),
+            lambda eng: eng.run(until=-1.0),
+        ],
+        ids=[
+            "advance-nan", "advance-inf", "advance-past",
+            "run-nan", "run-inf", "run-past", "run-negative",
+        ],
+    )
+    def test_rejects_times_not_finite_or_past(self, call):
+        """A NaN or infinite time, or one before ``now``, raises and
+        leaves the engine as it was: NaN used to do nothing (or run the
+        whole day), inf to finish every flow at ``now = inf``."""
+        tb = build_testbed()
+        eng = FluidEngine(tb.net)
+        eng.schedule_flow(0.0, "a", "t3e-600", "sp2", 64 * MB)
+        eng.schedule_flow(2.0, "b", "t3e-600", "sp2", 1024)
+        eng.advance_to(1.0)
+        with pytest.raises(ValueError, match="not finite or before now"):
+            call(eng)
+        assert (eng.now, eng.active, eng.completed) == (1.0, 1, [])
+        eng.run()
+        assert sorted(f.name for f in eng.completed) == ["a", "b"]
+        assert math.isfinite(eng.mean_active())
+
+    @pytest.mark.parametrize(
         "at, nbytes",
         [
             (math.nan, 1024),

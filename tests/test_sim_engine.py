@@ -278,6 +278,20 @@ def test_nan_time_rejected(call, error):
     assert env.now == 1.0
 
 
+@pytest.mark.parametrize("until", [float("inf"), -float("inf")])
+def test_infinite_horizon_rejected(until):
+    # An infinite horizon used to drain the queue and then leave the
+    # clock at inf, so a later call_later() was scheduled at inf too.
+    env = Environment(initial_time=1.0)
+    got = []
+    env.call_at(2.0, got.append, "a")
+    with pytest.raises(SimulationError, match="not finite"):
+        env.run(until=until)
+    assert env.now == 1.0 and got == []
+    env.run()
+    assert env.now == 2.0 and got == ["a"]
+
+
 def test_cancel_of_a_dispatched_entry_leaves_new_entries_alone():
     env = Environment()
     got = []
