@@ -9,7 +9,7 @@ advances time analytically in between.  A 10,000-session heavy-tailed
 day on the testbed is ~20,000 events instead of tens of millions of
 packets.
 
-Four tricks keep the event loop cheap at scale:
+Five tricks keep the event loop cheap at scale:
 
 * **Path classes** — concurrent flows between the same endpoints (and
   rate cap) face identical constraints, so they always share one rate.
@@ -32,6 +32,9 @@ Four tricks keep the event loop cheap at scale:
   again is put back in its creation slot, and ``invalidate_paths``
   rebuilds the list, so every rate stays bit for bit what a walk over
   all classes gives.
+* **Single-read walks** — each per-event walk reads a class's rate and
+  heap, and the clock, once into locals; the drain walks the tuple of
+  cost items each class keeps, not a fresh ``costs.items()`` view.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.netsim.core import Gateway, Network
 from repro.netsim.ip import ClassicalIP
@@ -270,7 +270,7 @@ def max_min_rates(
     # resource never saturates and is left out.  Every resource starts
     # out touched, then only those a newly frozen demand uses.
     demand = dict.fromkeys(users, 0.0)
-    touched: Any = users
+    touched: Iterable[str] = users
     while n_live:
         # A resource that no frozen demand uses keeps the same live terms
         # in the same order, so its demand is unchanged.

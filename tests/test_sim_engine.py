@@ -278,15 +278,14 @@ def test_nan_time_rejected(call, error):
     assert env.now == 1.0
 
 
-@pytest.mark.parametrize("until", [float("inf"), -float("inf")])
-def test_infinite_horizon_rejected(until):
+def test_infinite_horizon_rejected():
     # An infinite horizon used to drain the queue and then leave the
     # clock at inf, so a later call_later() was scheduled at inf too.
     env = Environment(initial_time=1.0)
     got = []
     env.call_at(2.0, got.append, "a")
     with pytest.raises(SimulationError, match="not finite"):
-        env.run(until=until)
+        env.run(until=float("inf"))
     assert env.now == 1.0 and got == []
     env.run()
     assert env.now == 2.0 and got == ["a"]
