@@ -4,12 +4,13 @@ A fluid flow is not a packet stream: it is a remaining-byte counter
 draining at the max-min fair rate the network currently grants it.
 Rates are piecewise constant — they only change at *flow events*
 (arrival, departure, fault/route change) — so the engine re-solves the
-:func:`repro.netsim.tcp.max_min_rates` water-filling at those events and
+max-min water-filling (:func:`repro.netsim.tcp.water_fill`, the fill
+behind :func:`~repro.netsim.tcp.max_min_rates`) at those events and
 advances time analytically in between.  A 10,000-session heavy-tailed
 day on the testbed is ~20,000 events instead of tens of millions of
 packets.
 
-Five tricks keep the event loop cheap at scale:
+Six tricks keep the event loop cheap at scale:
 
 * **Path classes** — concurrent flows between the same endpoints (and
   rate cap) face identical constraints, so they always share one rate.
@@ -33,8 +34,14 @@ Five tricks keep the event loop cheap at scale:
   rebuilds the list, so every rate stays bit for bit what a walk over
   all classes gives.
 * **Single-read walks** — each per-event walk reads a class's rate and
-  heap, and the clock, once into locals; the drain walks the tuple of
-  cost items each class keeps, not a fresh ``costs.items()`` view.
+  heap, and the clock, once into locals; the drain and
+  :meth:`~FluidEngine.resource_loads` walk the tuple of cost items each
+  class keeps, not a fresh ``costs.items()`` view.
+* **Kept index** — a class's costs and cap are checked once, when the
+  class is created, and the solver's index (each demand's cap, freeze
+  limit and costs, each resource's users) is kept over the busy classes
+  and the routable static demands.  It is rebuilt only when that set
+  changes; a re-solve builds just the counts and runs the fill.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -51,9 +58,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
-from repro.netsim.core import Network
+from repro.netsim.core import Host, Network
 from repro.netsim.ip import ClassicalIP
-from repro.netsim.tcp import characterize_path, max_min_rates
+from repro.netsim.tcp import characterize_path, check_demand
+
+# The fill, under the name perfbench's tracer wraps (ROADMAP item 7.1 ends this).
+from repro.netsim.tcp import water_fill as max_min_rates
 
 INF = float("inf")
 
@@ -121,6 +131,7 @@ class _Static:
     cap: float
     costs: Optional[dict[str, float]] = None  # None while unroutable
     solve_costs: Optional[dict[str, float]] = None
+    limit: float = 0.0  # the fill's freeze limit for ``cap``
 
 
 @dataclass(slots=True)
@@ -137,11 +148,12 @@ class _PathClass:
     """All active flows sharing one (src, dst, cap) constraint set."""
 
     __slots__ = (
-        "key", "slot", "costs", "cost_items", "solve_costs", "cap", "rate", "drained",
-        "heap", "seq",
+        "key", "slot", "costs", "cost_items", "solve_costs", "cap", "limit", "rate",
+        "drained", "heap", "seq",
     )
 
     def __init__(self, key, slot: int, costs: dict[str, float], cap: float):
+        self.limit = check_demand(key, costs, cap)  # the fill's freeze limit
         self.key = key
         self.slot = slot  # creation order: the class's place in the solve
         self.costs = costs  # resource -> seconds per payload bit
@@ -198,6 +210,9 @@ class FluidEngine:
         # The non-empty classes in ``_classes`` (creation) order, which is
         # the solver's summation order: the only classes any event reads.
         self._busy: list[_PathClass] = []
+        # The fill's index over ``_busy`` then the routable static
+        # demands (see _build_index); None while that set has changed.
+        self._index: Optional[tuple] = None
         self._char_cache: dict[tuple[str, str], Any] = {}
         self._static: dict[str, _Static] = {}
         self._prune_stale = False  # the drop set predates a new demand
@@ -246,18 +261,34 @@ class FluidEngine:
             raise ValueError(f"static demand {name!r}: cap {cap!r} is negative or NaN")
         if self._characterize(src, dst) is None:
             raise ValueError(f"no route from {src} to {dst}")
-        self._static[name] = demand = _Static(src, dst, cap)
-        self._static_costs(demand)
+        demand = _Static(src, dst, cap)
+        self._static_costs(name, demand)
+        self._static[name] = demand
 
-    def _static_costs(self, demand: _Static) -> None:
+    def _static_costs(self, name: str, demand: _Static) -> None:
         char = self._characterize(demand.src, demand.dst)
-        demand.costs = None if char is None else char.per_bit_costs()
+        if char is None:
+            demand.costs = None
+        else:
+            costs = char.per_bit_costs()
+            demand.limit = check_demand(name, costs, demand.cap)
+            demand.costs = costs
         self._prune_stale = True
 
     # -- path characterization --------------------------------------------
     def _characterize(self, src: str, dst: str):
+        """The path's characterization, or None while it has no route.
+
+        Raises :class:`ValueError` for an endpoint that is not a host of
+        the network or for ``src == dst``: no repair can route those, so
+        parking them would leave their flows active forever."""
         key = (src, dst)
         if key not in self._char_cache:
+            for name in key:
+                if not isinstance(self.net.nodes.get(name), Host):
+                    raise ValueError(f"fluid endpoint {name!r} is not a host")
+            if src == dst:
+                raise ValueError(f"fluid path from {src!r} to itself")
             try:
                 self._char_cache[key] = characterize_path(
                     self.net, src, dst, self.ip
@@ -307,8 +338,9 @@ class FluidEngine:
             else:
                 self._class_for(flow.src, flow.dst).add(flow, remaining_bits)
         self._busy = [cls for cls in self._classes.values() if cls.heap]
-        for demand in self._static.values():
-            self._static_costs(demand)
+        self._index = None
+        for name, demand in self._static.items():
+            self._static_costs(name, demand)
         self._resolve()
 
     # -- solving -----------------------------------------------------------
@@ -322,27 +354,42 @@ class FluidEngine:
         for d in demands:
             d.solve_costs = {r: c for r, c in d.costs.items() if r not in drop}
         self._prune_stale = False
+        self._index = None
+
+    def _build_index(self) -> tuple:
+        """The fill's index over the busy classes (slot order), then the
+        routable static demands (registration order; one without a route
+        is silent): each demand's cap, freeze limit and solve costs, each
+        resource's users ``(demand, cost)`` in that order, and a count of
+        1 per static demand.  Both parts were checked when they were
+        characterized, and every busy class's count is its heap size."""
+        demands: list[Any] = list(self._busy)
+        demands += [d for d in self._static.values() if d.costs is not None]
+        users: dict[str, list[tuple[int, float]]] = {}
+        for i, d in enumerate(demands):
+            for r, x in d.solve_costs.items():
+                users.setdefault(r, []).append((i, x))
+        return (
+            [d.cap for d in demands],
+            [d.limit for d in demands],
+            [d.solve_costs for d in demands],
+            users,
+            [1] * (len(demands) - len(self._busy)),
+        )
 
     def _resolve(self) -> None:
         if self._prune_stale:
             self._prune()
-        # Keyed by the class object: its hash is its identity, where a
-        # (src, dst, cap) tuple would be re-hashed at every lookup.
-        costs: dict[Any, dict[str, float]] = {}
-        caps: dict[Any, float] = {}
-        counts: dict[Any, int] = {}
-        for cls in self._busy:
-            costs[cls] = cls.solve_costs
-            caps[cls] = cls.cap
-            counts[cls] = len(cls.heap)
-        for name, demand in self._static.items():
-            if demand.costs is not None:  # else no route now: silent
-                costs[name] = demand.solve_costs
-                caps[name] = demand.cap
-                counts[name] = 1
-        rates = max_min_rates(costs, caps, counts) if costs else {}
-        for cls in self._busy:
-            cls.rate = rates[cls]
+        if self._index is None:
+            self._index = self._build_index()
+        cap_of, limit, uses, users, static_counts = self._index
+        if cap_of:
+            busy = self._busy
+            mult = [len(cls.heap) for cls in busy]
+            mult += static_counts
+            rates = max_min_rates(cap_of, limit, mult, uses, users)
+            for cls, rate in zip(busy, rates):
+                cls.rate = rate
         self.resolves += 1
         if self.on_rates_changed is not None:
             self.on_rates_changed(self)
@@ -357,7 +404,7 @@ class FluidEngine:
             if cls.rate <= 0:
                 continue
             total = len(cls.heap) * cls.rate
-            for r, c in cls.costs.items():
+            for r, c in cls.cost_items:
                 loads[r] = loads.get(r, 0.0) + total * c
         return loads
 
@@ -431,6 +478,7 @@ class FluidEngine:
                 emptied = True
         if emptied:
             self._busy = [cls for cls in self._busy if cls.heap]
+            self._index = None
         return changed
 
     def _finish(self, flow: _Flow) -> None:
@@ -450,6 +498,7 @@ class FluidEngine:
             cls = self._class_for(src, dst)
             if not cls.heap:  # back into its creation slot
                 insort(self._busy, cls, key=attrgetter("slot"))
+                self._index = None
             cls.add(flow)
             self._active += 1
             self.arrived += 1

@@ -197,9 +197,13 @@ def max_min_rates(
     the fluid engine (:mod:`repro.fluid`) re-solve thousands of
     concurrent flows as a handful of path classes.
 
-    This is the solver core of :func:`fair_share_throughputs`, exposed
-    separately so event-driven callers can cache the expensive
-    path-characterization step and re-solve on every flow event.
+    This is the solver core of :func:`fair_share_throughputs`.  It
+    checks every demand (:func:`check_demand`), builds the index —
+    each demand's cap, freeze limit and costs, and each resource's
+    users in ``costs`` order — and hands it to :func:`water_fill`.  The
+    fluid engine builds the same index itself, keeps it while its set
+    of demands is unchanged, and calls :func:`water_fill` alone on each
+    re-solve.
 
     Raises :class:`ValueError` naming the demand for a negative, NaN or
     infinite cost, a negative or NaN cap, a count below 1, not finite
@@ -211,18 +215,11 @@ def max_min_rates(
     inf = float("inf")
     n_of = counts or {}
     # Demands are indexed by position: names may be tuples, which would
-    # be re-hashed at every lookup.  ``limit`` is the rate at which a
-    # capped demand freezes.
+    # be re-hashed at every lookup.
     cap_of: list[float] = []
     limit: list[float] = []
     mult: list[int] = []
     uses: list[Mapping[str, float]] = []
-    # Per resource, its users (index, cost) in ``costs`` order.  Every
-    # sum below adds the same terms, left to right in the same order, as
-    # a scan of ``costs`` would, so the rates equal that scan's bit for
-    # bit and depend neither on the string hash seed nor on the
-    # interpreter (the builtin ``sum`` of floats is compensated from
-    # Python 3.12 on).
     users: dict[str, list[tuple[int, float]]] = {}
     counted = 0
     for i, (n, c) in enumerate(costs.items()):
@@ -237,22 +234,57 @@ def max_min_rates(
             cap = caps[n]
         except KeyError:
             raise ValueError(f"demand {n!r} has no cap") from None
-        if not cap >= 0.0:
-            raise ValueError(f"demand {n!r}: cap {cap!r} is negative or NaN")
         cap_of.append(cap)
-        limit.append(cap - 1e-9 * max(1.0, cap) if cap != inf else cap)
+        limit.append(check_demand(n, c, cap))
         mult.append(m)
         uses.append(c)
         for r, x in c.items():
-            # An infinite cost would make a ``0 × inf`` NaN load.
-            if not 0.0 <= x < inf:
-                raise ValueError(
-                    f"demand {n!r}: cost {x!r} on {r!r} is negative, NaN or infinite"
-                )
             users.setdefault(r, []).append((i, x))
     if counted != len(n_of):
         extra = next(n for n in n_of if n not in costs)
         raise ValueError(f"count given for {extra!r}, which has no costs")
+    return dict(zip(costs, water_fill(cap_of, limit, mult, uses, users)))
+
+
+def check_demand(name: Any, costs: Mapping[str, float], cap: float) -> float:
+    """Check one demand for :func:`water_fill` and return its freeze limit.
+
+    Raises :class:`ValueError` naming ``name`` for a negative or NaN
+    ``cap`` or a negative, NaN or infinite cost (an infinite cost would
+    make a ``0 × inf`` NaN load).  The limit is the rate at which the
+    fill freezes the demand at its cap: a hair below a finite cap."""
+    inf = float("inf")
+    if not cap >= 0.0:
+        raise ValueError(f"demand {name!r}: cap {cap!r} is negative or NaN")
+    for r, x in costs.items():
+        if not 0.0 <= x < inf:
+            raise ValueError(
+                f"demand {name!r}: cost {x!r} on {r!r} is negative, NaN or infinite"
+            )
+    return cap - 1e-9 * max(1.0, cap) if cap != inf else cap
+
+
+def water_fill(
+    cap_of: list[float],
+    limit: list[float],
+    mult: list[int],
+    uses: list[Mapping[str, float]],
+    users: Mapping[str, list[tuple[int, float]]],
+) -> list[float]:
+    """The max-min fill over a checked index; returns the rate per demand.
+
+    Demand ``i`` has cap ``cap_of[i]``, freeze limit ``limit[i]`` (from
+    :func:`check_demand`), count ``mult[i]`` (a whole number, at least
+    1) and costs ``uses[i]``; ``users`` maps each resource to its users
+    ``(i, cost)`` in demand order.  Every sum below adds the same terms,
+    left to right in the same order, as a scan of the demands would, so
+    the rates equal that scan's bit for bit and depend neither on the
+    string hash seed nor on the interpreter (the builtin ``sum`` of
+    floats is compensated from Python 3.12 on).  The inputs are only
+    read, so a caller may keep them across calls.  Raises
+    :class:`ValueError` naming the resource when its users' count ×
+    cost terms add up to ``inf``."""
+    inf = float("inf")
     # Every live demand starts at 0.0 and gets the same deltas in the
     # same order, so its rate is exactly ``level``; a frozen one keeps
     # the level it froze at.  ``ml`` is count × rate; ``live`` flags the
@@ -332,7 +364,7 @@ def max_min_rates(
     for i in range(n):
         if live[i]:
             rates[i] = level
-    return dict(zip(costs, rates))
+    return rates
 
 
 def demand_cap(flow: Any, char: PathCharacterization) -> float:

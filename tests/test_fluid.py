@@ -347,6 +347,77 @@ class TestFluidEngine:
         assert eng.next_event_time() == math.inf
 
     @pytest.mark.parametrize(
+        "src, dst, match",
+        [
+            ("sp2", "sp2", "'sp2' to itself"),
+            ("t3e-600", "no-such-host", "'no-such-host' is not a host"),
+            ("gw-o200", "sp2", "'gw-o200' is not a host"),
+        ],
+        ids=["self-path", "unknown-host", "gateway"],
+    )
+    def test_flow_with_bad_endpoint_is_rejected(self, src, dst, match):
+        """No repair can route a flow from a host to itself, or to a name
+        that is not a host of the network: such a flow used to be parked
+        at rate 0 and stay active forever."""
+        eng = FluidEngine(build_testbed().net)
+        eng.schedule_flow(0.0, "bad", src, dst, MB)
+        with pytest.raises(ValueError, match=match):
+            eng.run()
+
+    def test_static_demand_with_bad_endpoint_is_rejected(self):
+        """A self-path static demand is named as one, not as a missing
+        route, and is not registered."""
+        eng = FluidEngine(build_testbed().net)
+        with pytest.raises(ValueError, match="'sp2' to itself"):
+            eng.add_static_demand("loop", "sp2", "sp2", 1e6)
+        assert not eng._static
+
+    def test_partitioned_flow_waits_for_the_repair(self):
+        """A flow that arrives while its valid endpoints have no route is
+        parked at rate 0, and finishes once a repair routes it."""
+        tb = build_testbed()
+        ip = ClassicalIP(TESTBED_MTU)
+        solo = tcp_steady_throughput(tb.net, "t3e-600", "sp2", ip)
+        eng = FluidEngine(tb.net, ip=ip)
+        tb.wan_link.set_up(False)
+        eng.schedule_flow(0.0, "cut", "t3e-600", "sp2", MB)
+        eng.run(until=1.0)
+        assert (eng.active, eng.completed) == (1, [])
+        tb.wan_link.set_up(True)
+        eng.invalidate_paths()
+        eng.run()
+        (done,) = eng.completed
+        assert done.completed == pytest.approx(1.0 + MB * 8 / solo, rel=1e-9)
+
+    def test_every_solve_calls_the_traced_name(self, monkeypatch):
+        """perfbench's tracer counts solver calls by wrapping
+        ``repro.fluid.engine.max_min_rates``: the engine fills through
+        that name once per re-solve that has a demand, and on the
+        benchmark day that is 999 calls over its 1,000 re-solves."""
+        import repro.fluid.engine as fluid_engine
+
+        fill = fluid_engine.max_min_rates
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(fluid_engine, "max_min_rates", counted)
+        solves = []
+
+        def check(eng):
+            routable = [d for d in eng._static.values() if d.costs is not None]
+            solves.append(bool(eng._busy or routable))
+            assert len(calls) == sum(solves)
+
+        eng = _cut_and_repair_day(check)
+        assert len(solves) == eng.resolves
+        calls.clear()  # the benchmark day's last re-solve has no demand
+        assert _benchmark_day()["resolves"] == 1000
+        assert len(calls) == 999
+
+    @pytest.mark.parametrize(
         "window", [0, -1, math.nan], ids=["zero", "negative", "nan"]
     )
     def test_rejects_bad_window(self, window):
@@ -946,12 +1017,14 @@ class TestDominatedResources:
 
 def assert_rates_equal_full_solve(eng):
     """The engine's busy list is its non-empty classes in creation order,
-    their rates (solved without dominated resources) equal a solve over
-    every busy class's and routable demand's full costs, and every empty
-    class reads rate 0.0."""
+    its kept index is fresh (:func:`assert_index_fresh`), the busy
+    classes' rates (solved without dominated resources) equal a solve
+    over every busy class's and routable demand's full costs, and every
+    empty class reads rate 0.0."""
     from repro.netsim.tcp import max_min_rates
 
     assert eng._busy == [cls for cls in eng._classes.values() if cls.heap]
+    assert_index_fresh(eng)
     costs, caps, counts = {}, {}, {}
     for key, cls in eng._classes.items():
         if cls.heap:
@@ -963,6 +1036,37 @@ def assert_rates_equal_full_solve(eng):
     for key, cls in eng._classes.items():
         want = full[key] if cls.heap else 0.0
         assert repr(cls.rate) == repr(want), key
+
+
+def assert_index_fresh(eng):
+    """Right after a re-solve, the engine's kept solver index equals one
+    built from scratch over its busy classes and routable static demands
+    (same values in the same order), and its rates equal
+    ``max_min_rates`` over the same demands, bit for bit."""
+    from repro.netsim.tcp import check_demand, max_min_rates
+
+    costs, caps, counts = {}, {}, {}
+    for cls in eng._busy:
+        costs[cls.key], caps[cls.key] = cls.solve_costs, cls.cap
+        counts[cls.key] = len(cls.heap)
+    for name, demand in eng._static.items():
+        if demand.costs is not None:
+            costs[name], caps[name], counts[name] = demand.solve_costs, demand.cap, 1
+    users = {}
+    for i, c in enumerate(costs.values()):
+        for r, x in c.items():
+            users.setdefault(r, []).append((i, x))
+    fresh = (
+        list(caps.values()),
+        [check_demand(n, costs[n], caps[n]) for n in costs],
+        list(costs.values()),
+        users,
+        [1] * (len(costs) - len(eng._busy)),
+    )
+    assert repr(eng._index) == repr(fresh)
+    rates = max_min_rates(costs, caps, counts) if costs else {}
+    for cls in eng._busy:
+        assert repr(cls.rate) == repr(rates[cls.key]), cls.key
 
 
 def _cut_and_repair_day(on_rates_changed=None):
