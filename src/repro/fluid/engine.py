@@ -12,11 +12,12 @@ packets.
 
 Six tricks keep the event loop cheap at scale:
 
-* **Path classes** — concurrent flows between the same endpoints (and
-  rate cap) face identical constraints, so they always share one rate.
-  The solver runs over classes with multiplicities (exact for max-min
-  fairness), not individual flows: thousands of flows solve as a
-  handful of classes.
+* **Path classes** — concurrent flows between the same endpoints face
+  identical constraints (the window cap is fixed for a pair until
+  ``invalidate_paths``), so they always share one rate.  The solver runs
+  over classes with multiplicities (exact for max-min fairness), not
+  individual flows: thousands of flows solve as a handful of classes.
+  A pair's path is characterized once, when its class is created.
 * **Drain accounting** — within a class every member drains at the same
   rate, so each flow's completion is a fixed *drain key* (cumulative
   bits the class will have served): a min-heap per class finds the next
@@ -27,12 +28,11 @@ Six tricks keep the event loop cheap at scale:
   The drop set is rebuilt only when a class or static demand appears.
 * **Busy list** — a class stays in ``_classes`` after its last flow
   leaves, so the per-event walks (next event, drain, harvest, re-solve,
-  loads) go over ``_busy``, the non-empty classes only.  It keeps
-  creation order, because that is the order the solver sums in: a class
-  that empties drops out with its rate reset to 0.0, one that fills
-  again is put back in its creation slot, and ``invalidate_paths``
-  rebuilds the list, so every rate stays bit for bit what a walk over
-  all classes gives.
+  loads) go over ``_busy``, the non-empty classes only.  It is rebuilt
+  from ``_classes`` with the kept index, so it keeps creation order,
+  the order the solver sums in, and every rate stays bit for bit what a
+  walk over all classes gives; a class that empties has its rate reset
+  to 0.0 and drops out at the next rebuild.
 * **Single-read walks** — each per-event walk reads a class's rate and
   heap, and the clock, once into locals; the drain and
   :meth:`~FluidEngine.resource_loads` walk the tuple of cost items each
@@ -40,8 +40,10 @@ Six tricks keep the event loop cheap at scale:
 * **Kept index** — a class's costs and cap are checked once, when the
   class is created, and the solver's index (each demand's cap, freeze
   limit and costs, each resource's users) is kept over the busy classes
-  and the routable static demands.  It is rebuilt only when that set
-  changes; a re-solve builds just the counts and runs the fill.
+  and the routable static demands.  A class going busy or idle, a new
+  demand or a topology change drops it, and the next re-solve rebuilds
+  the busy list and then the index; any other re-solve builds just the
+  counts and runs the fill.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -53,9 +55,7 @@ background load.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from repro.netsim.core import Host, Network
@@ -145,17 +145,16 @@ class _Flow:
 
 
 class _PathClass:
-    """All active flows sharing one (src, dst, cap) constraint set."""
+    """All active flows between one (src, dst) pair of endpoints."""
 
     __slots__ = (
-        "key", "slot", "costs", "cost_items", "solve_costs", "cap", "limit", "rate",
+        "key", "costs", "cost_items", "solve_costs", "cap", "limit", "rate",
         "drained", "heap", "seq",
     )
 
-    def __init__(self, key, slot: int, costs: dict[str, float], cap: float):
+    def __init__(self, key, costs: dict[str, float], cap: float):
         self.limit = check_demand(key, costs, cap)  # the fill's freeze limit
         self.key = key
-        self.slot = slot  # creation order: the class's place in the solve
         self.costs = costs  # resource -> seconds per payload bit
         self.cost_items = tuple(costs.items())  # what the drain loop walks
         self.solve_costs = costs  # costs minus the dominated resources
@@ -179,7 +178,7 @@ class FluidEngine:
     :func:`~repro.netsim.tcp.characterize_path`); no packets ever touch
     it.  ``window_bytes`` imposes the TCP window cap ``W·8/RTT`` on
     every fluid flow (match it to the packet-level transfers when
-    cross-validating); per-flow ``rate_cap`` models application pacing.
+    cross-validating).
 
     ``arrived``, ``completed``, ``resolves`` and ``active`` are the
     engine's own tallies, which telemetry reads
@@ -206,14 +205,14 @@ class FluidEngine:
         self.arrived = 0
         self.on_complete: Optional[Callable[[CompletedFlow], None]] = None
         self.on_rates_changed: Optional[Any] = None
-        self._classes: dict[tuple, _PathClass] = {}
+        self._classes: dict[tuple[str, str], _PathClass] = {}
         # The non-empty classes in ``_classes`` (creation) order, which is
         # the solver's summation order: the only classes any event reads.
+        # Rebuilt with the index, so stale while ``_index`` is None.
         self._busy: list[_PathClass] = []
         # The fill's index over ``_busy`` then the routable static
         # demands (see _build_index); None while that set has changed.
         self._index: Optional[tuple] = None
-        self._char_cache: dict[tuple[str, str], Any] = {}
         self._static: dict[str, _Static] = {}
         self._prune_stale = False  # the drop set predates a new demand
         self._pending: list[Any] = []  # (at, seq, name, src, dst, nbytes)
@@ -259,10 +258,10 @@ class FluidEngine:
             raise ValueError(f"static demand {name!r} is already registered")
         if not cap >= 0.0:
             raise ValueError(f"static demand {name!r}: cap {cap!r} is negative or NaN")
-        if self._characterize(src, dst) is None:
-            raise ValueError(f"no route from {src} to {dst}")
         demand = _Static(src, dst, cap)
         self._static_costs(name, demand)
+        if demand.costs is None:
+            raise ValueError(f"no route from {src} to {dst}")
         self._static[name] = demand
 
     def _static_costs(self, name: str, demand: _Static) -> None:
@@ -282,43 +281,36 @@ class FluidEngine:
         Raises :class:`ValueError` for an endpoint that is not a host of
         the network or for ``src == dst``: no repair can route those, so
         parking them would leave their flows active forever."""
-        key = (src, dst)
-        if key not in self._char_cache:
-            for name in key:
-                if not isinstance(self.net.nodes.get(name), Host):
-                    raise ValueError(f"fluid endpoint {name!r} is not a host")
-            if src == dst:
-                raise ValueError(f"fluid path from {src!r} to itself")
-            try:
-                self._char_cache[key] = characterize_path(
-                    self.net, src, dst, self.ip
-                )
-            except ValueError:
-                self._char_cache[key] = None  # no route right now
-        return self._char_cache[key]
+        for name in (src, dst):
+            if not isinstance(self.net.nodes.get(name), Host):
+                raise ValueError(f"fluid endpoint {name!r} is not a host")
+        if src == dst:
+            raise ValueError(f"fluid path from {src!r} to itself")
+        try:
+            return characterize_path(self.net, src, dst, self.ip)
+        except ValueError:
+            return None  # no route right now
 
     def _class_for(self, src: str, dst: str) -> _PathClass:
+        key = (src, dst)
+        cls = self._classes.get(key)
+        if cls is not None:
+            return cls
         char = self._characterize(src, dst)
         if char is None:
             # Unroutable (partitioned) path: a zero-cap class parks the
             # flow at rate 0 until invalidate_paths() finds a route.
-            key = (src, dst, 0.0)
-            cls = self._classes.get(key)
-            if cls is None:
-                cls = self._classes[key] = _PathClass(key, len(self._classes), {}, 0.0)
-            return cls
-        cap = INF
-        if self.window_bytes != INF and char.rtt > 0:
-            cap = self.window_bytes * 8.0 / char.rtt
-        key = (src, dst, cap)
-        cls = self._classes.get(key)
-        if cls is None:
-            costs = char.per_bit_costs()
-            cls = self._classes[key] = _PathClass(key, len(self._classes), costs, cap)
+            cls = _PathClass(key, {}, 0.0)
+        else:
+            cap = INF
+            if self.window_bytes != INF and char.rtt > 0:
+                cap = self.window_bytes * 8.0 / char.rtt
+            cls = _PathClass(key, char.per_bit_costs(), cap)
             # Seeded so that advance_to() accumulates with a plain +=.
-            for r in costs:
+            for r in cls.costs:
                 self._util_integral.setdefault(r, 0.0)
-            self._prune_stale = True
+        self._classes[key] = cls
+        self._prune_stale = True
         return cls
 
     def invalidate_paths(self) -> None:
@@ -327,17 +319,15 @@ class FluidEngine:
         over; rates change from *now* on (piecewise-constant coupling).
         """
         carried: list[tuple[_Flow, float]] = []
-        for cls in self._busy:
+        for cls in self._classes.values():  # _busy may be stale here
             for key, _, flow in cls.heap:
                 carried.append((flow, max(0.0, key - cls.drained)))
         self._classes.clear()
-        self._char_cache.clear()
         for flow, remaining_bits in carried:
             if remaining_bits <= _DRAIN_EPS:
                 self._finish(flow)
             else:
                 self._class_for(flow.src, flow.dst).add(flow, remaining_bits)
-        self._busy = [cls for cls in self._classes.values() if cls.heap]
         self._index = None
         for name, demand in self._static.items():
             self._static_costs(name, demand)
@@ -357,7 +347,7 @@ class FluidEngine:
         self._index = None
 
     def _build_index(self) -> tuple:
-        """The fill's index over the busy classes (slot order), then the
+        """The fill's index over the busy classes (creation order), then the
         routable static demands (registration order; one without a route
         is silent): each demand's cap, freeze limit and solve costs, each
         resource's users ``(demand, cost)`` in that order, and a count of
@@ -381,6 +371,7 @@ class FluidEngine:
         if self._prune_stale:
             self._prune()
         if self._index is None:
+            self._busy = [cls for cls in self._classes.values() if cls.heap]
             self._index = self._build_index()
         cap_of, limit, uses, users, static_counts = self._index
         if cap_of:
@@ -455,7 +446,7 @@ class FluidEngine:
         return changed
 
     def _harvest(self) -> bool:
-        changed = emptied = False
+        changed = False
         now = self.now
         for cls in self._busy:
             rate = cls.rate
@@ -475,10 +466,7 @@ class FluidEngine:
                     changed = True
             if not heap:
                 cls.rate = 0.0
-                emptied = True
-        if emptied:
-            self._busy = [cls for cls in self._busy if cls.heap]
-            self._index = None
+                self._index = None
         return changed
 
     def _finish(self, flow: _Flow) -> None:
@@ -492,14 +480,14 @@ class FluidEngine:
 
     def _admit_due(self) -> bool:
         changed = False
-        while self._pending and self._pending[0][0] <= self.now:
-            _, _, name, src, dst, nbytes = heapq.heappop(self._pending)
-            flow = _Flow(name, src, dst, nbytes, self.now, 0.0)
-            cls = self._class_for(src, dst)
-            if not cls.heap:  # back into its creation slot
-                insort(self._busy, cls, key=attrgetter("slot"))
+        pending = self._pending
+        while pending and pending[0][0] <= self.now:
+            _, _, name, src, dst, nbytes = pending[0]
+            cls = self._class_for(src, dst)  # may raise: the flow stays queued
+            heapq.heappop(pending)
+            if not cls.heap:
                 self._index = None
-            cls.add(flow)
+            cls.add(_Flow(name, src, dst, nbytes, self.now, 0.0))
             self._active += 1
             self.arrived += 1
             self.peak_active = max(self.peak_active, self._active)

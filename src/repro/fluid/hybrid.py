@@ -33,15 +33,17 @@ from repro.netsim.ip import ClassicalIP
 from repro.netsim.tcp import characterize_path, demand_cap
 from repro.fluid.engine import INF, FluidEngine
 
+#: The largest share any one resource hands to fluid traffic: even a
+#: saturating fluid load must leave the packet world a sliver of capacity
+#: so serialization times stay finite.  In normal operation the cap never
+#: binds — packet demands in the solve already reserve their share.
+MAX_BACKGROUND = 0.98
+
 
 class HybridSimulation:
     """Drive a :class:`FluidEngine` from a packet ``Environment``.
 
-    ``max_background`` caps the share any one resource hands to fluid
-    traffic (default 0.98): even a saturating fluid load must leave the
-    packet world a sliver of capacity so serialization times stay
-    finite.  In normal operation the cap never binds — packet demands in
-    the solve already reserve their share.
+    Each resource's background share is capped at :data:`MAX_BACKGROUND`.
     """
 
     def __init__(
@@ -49,21 +51,15 @@ class HybridSimulation:
         net: Network,
         ip: Optional[ClassicalIP] = None,
         window_bytes: float = INF,
-        max_background: float = 0.98,
     ):
-        if not 0.0 < max_background < 1.0:
-            raise ValueError(
-                f"max_background must be in (0, 1), got {max_background}"
-            )
         self.net = net
         self.env = net.env
         self.ip = ip or ClassicalIP()
-        self.max_background = max_background
         self.engine = FluidEngine(net, ip=self.ip, window_bytes=window_bytes)
         self.engine.on_rates_changed = self._push_background
         self.peak_background = 0.0
         self._loaded: set[str] = set()  # resources currently backgrounded
-        self._epoch = 0
+        self._next_tick: Optional[list] = None  # the live _tick entry
         self._invalidating = False
         net.add_invalidation_listener(self._on_topology_change)
 
@@ -94,12 +90,11 @@ class HybridSimulation:
         t = self.engine.next_event_time()
         if t == INF:
             return
-        self._epoch += 1
-        self.env.call_at(max(t, self.env.now), self._tick, self._epoch)
+        if self._next_tick is not None:
+            self.env.cancel(self._next_tick)  # a re-solve moved the event
+        self._next_tick = self.env.call_at(max(t, self.env.now), self._tick)
 
-    def _tick(self, epoch: int) -> None:
-        if epoch != self._epoch:
-            return  # superseded by a newer arm (re-solve moved the event)
+    def _tick(self) -> None:
         self.engine.advance_to(self.env.now)
         self._arm()
 
@@ -125,7 +120,7 @@ class HybridSimulation:
         for resource in self._loaded - set(loads):
             self._apply(resource, 0.0)  # fluid load fell to zero
         for resource, share in loads.items():
-            self._apply(resource, min(share, self.max_background))
+            self._apply(resource, min(share, MAX_BACKGROUND))
         self._loaded = set(loads)
 
     def _apply(self, resource: str, share: float) -> None:

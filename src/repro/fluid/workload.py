@@ -92,6 +92,10 @@ def diurnal_factor(t: float, period: float, amplitude: float) -> float:
     return 1.0 + amplitude * math.sin(2.0 * math.pi * t / period)
 
 
+#: Flow names are this prefix plus the six-digit session index.
+NAME_PREFIX = "f"
+
+
 class WorkloadGenerator:
     """Seeded Poisson-session / Pareto-size / diurnal-curve generator.
 
@@ -112,7 +116,6 @@ class WorkloadGenerator:
         sizes: Optional[BoundedPareto] = None,
         diurnal_amplitude: float = 0.0,
         diurnal_period: float = 86400.0,
-        name_prefix: str = "f",
     ):
         if not pairs:
             raise ValueError("need at least one (src, dst) pair")
@@ -133,7 +136,6 @@ class WorkloadGenerator:
         self.sizes = sizes or BoundedPareto()
         self.diurnal_amplitude = diurnal_amplitude
         self.diurnal_period = diurnal_period
-        self.name_prefix = name_prefix
         self._schedule: Optional[list[FlowArrival]] = None
 
     @property
@@ -172,7 +174,7 @@ class WorkloadGenerator:
             at = round(t * 1e6) / 1e6
             yield FlowArrival(
                 at=at,
-                name=f"{self.name_prefix}{i:06d}",
+                name=f"{NAME_PREFIX}{i:06d}",
                 src=src,
                 dst=dst,
                 nbytes=nbytes,

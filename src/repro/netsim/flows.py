@@ -12,6 +12,11 @@ from repro.util.stats import RunningStats
 
 _ACK_BYTES = IP_HEADER + TCP_HEADER
 
+#: Ceiling of the retransmission timeout (s), backoff included.
+MAX_RTO = 60.0
+#: Duplicate ACKs that trigger a fast retransmit.
+DUPACK_THRESHOLD = 3
+
 
 class TransferStalled(RuntimeError):
     """A reliable transfer gave up after repeated retransmission timeouts
@@ -31,7 +36,7 @@ class BulkTransfer:
     * a retransmission timer on the oldest unacknowledged segment, with
       RTO adapted from measured RTT (Jacobson srtt/rttvar, Karn's rule)
       and exponential backoff on repeated expiry;
-    * duplicate-ACK fast retransmit (``dupack_threshold`` duplicates);
+    * duplicate-ACK fast retransmit (:data:`DUPACK_THRESHOLD` duplicates);
     * multiplicative congestion-window reduction on loss (halved on fast
       retransmit, collapsed to one segment on timeout);
     * ``retransmits`` / ``timeouts`` / ``fast_retransmits`` counters for
@@ -68,8 +73,6 @@ class BulkTransfer:
         name: str = "",
         min_rto: float = 0.2,
         initial_rto: float = 1.0,
-        max_rto: float = 60.0,
-        dupack_threshold: int = 3,
         max_consecutive_timeouts: Optional[int] = 12,
     ):
         if nbytes <= 0:
@@ -85,8 +88,6 @@ class BulkTransfer:
         self.slow_start = slow_start
         self.name = name or f"bulk{BulkTransfer._ids}"
         self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.dupack_threshold = dupack_threshold
         self.max_consecutive_timeouts = max_consecutive_timeouts
         self.done: Event = self.env.event()
         self.start_time: Optional[float] = None
@@ -264,7 +265,7 @@ class BulkTransfer:
             # Exponential backoff; collapse the window to one segment and
             # arm go-back-N: all in-flight data is presumed lost, so the
             # ack-driven recovery in ``_on_ack`` re-streams it.
-            self._rto = min(self._rto * 2.0, self.max_rto)
+            self._rto = min(self._rto * 2.0, MAX_RTO)
             self._cwnd = self.ip.max_segment
             self._dup_acks = 0
             self._recover_until = max(self._recover_until, self._sent_bytes)
@@ -336,7 +337,7 @@ class BulkTransfer:
                 self.done.succeed(self.throughput)
         elif acked == self._acked and acked < self.nbytes:
             self._dup_acks += 1
-            if self._dup_acks == self.dupack_threshold:
+            if self._dup_acks == DUPACK_THRESHOLD:
                 first = self._first_unacked()
                 if first < len(self._payloads) and first in self._sent_at:
                     self._cwnd = max(self.ip.max_segment, self._cwnd // 2)
@@ -363,7 +364,7 @@ class BulkTransfer:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self._rto = min(
-            self.max_rto, max(self.min_rto, self._srtt + 4.0 * self._rttvar)
+            MAX_RTO, max(self.min_rto, self._srtt + 4.0 * self._rttvar)
         )
 
     @property

@@ -243,7 +243,6 @@ class TestFluidEngine:
         assert a.rate == 0.0
         eng.run(until=0.5)
         assert eng._busy == [a, b, c]
-        assert [cls.slot for cls in eng._busy] == [0, 1, 2]
         assert a.rate > 0.0
         eng.run()
         assert sorted(f.name for f in eng.completed) == ["a1", "a2", "b", "c"]
@@ -371,6 +370,23 @@ class TestFluidEngine:
         with pytest.raises(ValueError, match="'sp2' to itself"):
             eng.add_static_demand("loop", "sp2", "sp2", 1e6)
         assert not eng._static
+
+    def test_bad_endpoint_loses_no_flow(self):
+        """A flow that raises at admission stays pending, and the flow
+        admitted before it in the same step stays held in its class,
+        across invalidate_paths() too."""
+        eng = FluidEngine(build_testbed().net)
+        eng.schedule_flow(0.0, "good", "t3e-600", "sp2", MB)
+        eng.schedule_flow(0.0, "bad", "sp2", "sp2", MB)
+        with pytest.raises(ValueError, match="'sp2' to itself"):
+            eng.run()
+        eng.invalidate_paths()
+        assert [p[2] for p in eng._pending] == ["bad"]
+        with pytest.raises(ValueError, match="'sp2' to itself"):
+            eng.run()
+        assert eng.arrived == eng.active == 1
+        held = [f.name for cls in eng._classes.values() for _, _, f in cls.heap]
+        assert held == ["good"]
 
     def test_partitioned_flow_waits_for_the_repair(self):
         """A flow that arrives while its valid endpoints have no route is
@@ -541,6 +557,20 @@ class TestHybridCoupling:
         assert ping.rtt.mean > ref.rtt.mean
         assert hyb.peak_background > 0.0
 
+    def test_one_live_tick_entry(self):
+        """Re-arming the fluid clock cancels the tick it supersedes, so
+        the packet heap holds at most one live tick entry."""
+        tb = build_testbed()
+        hyb = HybridSimulation(tb.net)
+        hyb.offer([FlowArrival(0.5, "fluid", "t3e-600", "sp2", MB)])
+        hyb.add_packet_flow(
+            PingFlow(tb.net, "t3e-600", "sp2", count=3, interval=0.01)
+        )
+        live = [e for e in tb.net.env._queue if e[2] == hyb._tick]
+        assert len(live) == 1
+        tb.net.env.run()
+        assert [f.name for f in hyb.engine.completed] == ["fluid"]
+
     def test_packet_demand_reserves_fluid_share(self):
         """With a packet flow declared, fluid flows on the same path get
         less than the full capacity — the solve leaves the packet share."""
@@ -605,8 +635,6 @@ class TestHybridCoupling:
             link.set_background_load("sw-juelich", -0.1)
         with pytest.raises(KeyError):
             link.set_background_load("not-an-endpoint", 0.5)
-        with pytest.raises(ValueError):
-            HybridSimulation(build_testbed().net, max_background=1.0)
 
     def test_background_load_stretches_serialization(self):
         """share s on a link direction scales packet goodput by (1-s)."""
