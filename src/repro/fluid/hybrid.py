@@ -88,10 +88,11 @@ class HybridSimulation:
     def _arm(self) -> None:
         """(Re-)schedule the next fluid event on the packet clock."""
         t = self.engine.next_event_time()
-        if t == INF:
-            return
         if self._next_tick is not None:
             self.env.cancel(self._next_tick)  # a re-solve moved the event
+            self._next_tick = None
+        if t == INF:
+            return
         self._next_tick = self.env.call_at(max(t, self.env.now), self._tick)
 
     def _tick(self) -> None:

@@ -20,6 +20,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.netsim.atm import aal5_wire_bytes
@@ -153,15 +154,11 @@ class PlainFraming(Framing):
 class _DirState:
     """Hot per-direction transmitter state: one dict lookup, then slots.
 
-    The transmit path used to consult a dozen separate per-direction
-    dicts keyed by the sending node's name; at hundreds of kilopackets
-    per second those string-keyed lookups dominated the per-packet
-    budget.  Everything private to one direction of the transmitter now
-    lives on this slotted record, fetched once per operation.  A sent
-    packet is counted once, per flow (``fb``/``fp``); the Link exposes
-    the tallies through read-time dict views (``tx_bytes`` sums them,
-    ``busy_time``, …) so tests and telemetry keep their
-    per-direction-dict surface.
+    Everything private to one direction of the transmitter lives on this
+    slotted record, fetched once per operation.  A sent packet is counted
+    once, per flow (``fb``/``fp``); the Link exposes the tallies through
+    read-time dict views (``tx_bytes`` sums them, ``busy_time``, …) so
+    tests and telemetry keep their per-direction-dict surface.
 
     The fold rule lives here alone: the arrival entry calls a plain
     :class:`Switch`'s ``forward``, with its latency as ``fold``, or any
@@ -176,7 +173,7 @@ class _DirState:
         "eff",        # effective serialization rate (background load)
         "ws",         # ip_bytes -> (wire_bytes, serialization_s) memo
         "bu",         # busy_until: end of the last committed serialization
-        "inflight",   # (t_done, packet, heap entry) of the last start
+        "inflight",   # the last start's live heap entry (packet: [3][-1])
         "armed",      # a resume entry is armed at bu
         "resume",     # the armed resume heap entry (for cancellation)
         "lossy",      # wire loss on: packets get a completion judgement
@@ -196,7 +193,7 @@ class _DirState:
         self.eff = rate
         self.ws: dict[int, tuple] = {}
         self.bu = 0.0
-        self.inflight: Optional[tuple] = None
+        self.inflight: Optional[list] = None
         self.armed = False
         self.resume: Optional[list] = None
         self.lossy = False
@@ -292,13 +289,7 @@ class Link:
         #: consumed by analytically-simulated flows; see repro.fluid).
         #: Zero keeps the transmitter bit-identical to the seamless link.
         self.background_share = {a.name: 0.0, b.name: 0.0}
-        # -- per-direction transmitter state -------------------------------
-        # One slotted record per direction holds everything private to
-        # the transmitter.  It schedules ONE heap entry per packet at
-        # serialization start: the arrival at the far node, or on a
-        # lossy direction a completion-time judgement (_judge).
-        # Faults invalidate a pre-scheduled arrival by cancelling its
-        # heap entry in place (Environment.cancel).
+        # -- per-direction transmitter state (see _lazy_start) -------------
         self._dir: dict[str, _DirState] = {}
         for me, far in ((a, b), (b, a)):
             self._dir[me.name] = _DirState(
@@ -515,11 +506,8 @@ class Link:
         ws = st.ws.get(ip)
         if ws is None:
             wire = self.framing.wire(ip)
-            s = wire * 8 / st.eff
-            st.ws[ip] = (wire, s)
-        else:
-            wire = ws[0]
-            s = ws[1]
+            ws = st.ws[ip] = (wire, wire * 8 / st.eff)
+        wire, s = ws
         flow = packet.flow
         per = st.fb
         per[flow] = per.get(flow, 0) + wire
@@ -530,13 +518,16 @@ class Link:
         st.bu = t_done
         # No staleness check at arrival: an arrival invalidated by a
         # fault has its heap entry cancelled in place (Environment.cancel).
+        # call_at's entry without its past check: s, propagation and fold
+        # are checked >= 0 (not NaN) when set, so it cannot precede now.
+        env = self.env
+        env._eid = eid = env._eid + 1
         if st.lossy:
-            entry = self.env.call_at(t_done, self._judge, direction, packet)
+            entry = [t_done, eid, self._judge, (direction, packet)]
         else:
-            entry = self.env.call_at(
-                t_done + self.propagation + st.fold, st.arrive, packet
-            )
-        st.inflight = (t_done, packet, entry)
+            entry = [t_done + self.propagation + st.fold, eid, st.arrive, (packet,)]
+        heappush(env._queue, entry)
+        st.inflight = entry
 
     def _judge(self, direction: str, packet: Packet) -> None:
         """Completion-time fate of a packet on a lossy or faulted
@@ -569,7 +560,7 @@ class Link:
         reaches the queue only after the decision."""
         st.armed = True
         st.resume = self.env.call_at_after(
-            st.bu, st.inflight[2], self._lazy_resume_cb, direction, st
+            st.bu, st.inflight, self._lazy_resume_cb, direction, st
         )
 
     def _lazy_resume_cb(self, direction: str, st: "_DirState") -> None:
@@ -592,14 +583,13 @@ class Link:
         instead (:meth:`_judge` evaluates link state and wire loss
         there), moving any armed resume behind the judgement.  A no-op
         when nothing is serializing or the packet is judged already."""
-        rec = st.inflight
-        if rec is None or rec[0] <= self.env._now or rec[2][2] == self._judge:
-            return
-        t_done, packet, entry = rec
+        entry = st.inflight
         env = self.env
+        if entry is None or st.bu <= env._now or entry[2] == self._judge:
+            return
+        packet = entry[3][-1]
         env.cancel(entry)
-        entry = env.call_at(t_done, self._judge, direction, packet)
-        st.inflight = (t_done, packet, entry)
+        st.inflight = env.call_at(st.bu, self._judge, direction, packet)
         if st.armed:
             env.cancel(st.resume)
             self._arm(direction, st)
@@ -696,37 +686,43 @@ class Node:
 class _SerialStage:
     """A single-server FIFO pipeline stage driven by scheduled callbacks.
 
-    ``cost`` maps a packet to its service time, ``emit`` receives the
-    packet when service completes.  One heap entry per packet, no
-    get-events, no generator resumes.
+    The stage is a host's stack CPU (``cpu`` seconds per packet) or, with
+    ``cpu`` zero, its I/O bus (``ip_bytes * 8 / rate`` seconds); ``emit``
+    receives the packet when service completes.  One heap entry per
+    packet, no get-events, no generator resumes.
     """
 
-    __slots__ = ("env", "cost", "emit", "queue", "busy")
+    __slots__ = ("env", "cpu", "rate", "emit", "queue", "busy")
 
     def __init__(
         self,
         env: Environment,
-        cost: Callable[["Packet"], float],
+        cpu: float,
+        rate: float,
         emit: Callable[["Packet"], None],
     ):
         self.env = env
-        self.cost = cost
+        self.cpu = cpu
+        self.rate = rate
         self.emit = emit
         self.queue: deque[Packet] = deque()
         self.busy = False
 
     # Shared entry-point name with _TandemStage, so Host.send/receive
     # are oblivious to which stage form the host was built with.
-    def put_nowait(self, packet: "Packet") -> bool:
+    def put_nowait(self, packet: "Packet") -> None:
         if self.busy:
             self.queue.append(packet)
         else:
             self._start(packet)
-        return True
 
     def _start(self, packet: "Packet") -> None:
+        # call_later's entry without its past check (costs checked >= 0).
         self.busy = True
-        self.env.call_later(self.cost(packet), self._done, packet)
+        env = self.env
+        env._eid = eid = env._eid + 1
+        d = self.cpu or packet.ip_bytes * 8 / self.rate
+        heappush(env._queue, [env._now + d, eid, self._done, (packet,)])
 
     def _done(self, packet: "Packet") -> None:
         self.emit(packet)
@@ -749,33 +745,38 @@ class _TandemStage:
     times — each completion is one float add from its max base, exactly
     the chained machines' ``call_later`` arithmetic.  ``b_k`` strictly
     increases, so the completions wait on a FIFO :class:`~repro.sim.Lane`.
+    The stages are the stack CPU (``cpu`` seconds) and the I/O bus
+    (``ip_bytes * 8 / rate``), the bus first on the receive side (``rx``).
     """
 
-    __slots__ = ("env", "cost1", "cost2", "emit", "_c_prev", "_b_prev", "_lane")
+    __slots__ = ("env", "cpu", "rate", "emit", "rx", "_c_prev", "_b_prev", "_lane")
 
     def __init__(
         self,
         env: Environment,
-        cost1: Callable[["Packet"], float],
-        cost2: Callable[["Packet"], float],
+        cpu: float,
+        rate: float,
         emit: Callable[["Packet"], None],
+        rx: bool = False,
     ):
         self.env = env
-        self.cost1 = cost1
-        self.cost2 = cost2
+        self.cpu = cpu
+        self.rate = rate
         self.emit = emit
+        self.rx = rx
         self._c_prev = 0.0
         self._b_prev = 0.0
         self._lane = Lane(env)
 
-    def put_nowait(self, packet: "Packet") -> bool:
+    def put_nowait(self, packet: "Packet") -> None:
         now = self.env._now
-        c = (now if now > self._c_prev else self._c_prev) + self.cost1(packet)
-        b = (c if c > self._b_prev else self._b_prev) + self.cost2(packet)
+        bus = packet.ip_bytes * 8 / self.rate
+        cost1, cost2 = (bus, self.cpu) if self.rx else (self.cpu, bus)
+        c = (now if now > self._c_prev else self._c_prev) + cost1
+        b = (c if c > self._b_prev else self._b_prev) + cost2
         self._c_prev = c
         self._b_prev = b
         self._lane.call_at(b, self.emit, packet)
-        return True
 
 
 class Host(Node):
@@ -807,52 +808,43 @@ class Host(Node):
         super().__init__(env, name)
         check_seconds("host cpu_per_packet", cpu_per_packet)
         check_rate("host io_bus_rate", io_bus_rate)
-        self.cpu_per_packet = cpu_per_packet
-        self.io_bus_rate = io_bus_rate
+        self._cpu_per_packet = cpu = cpu_per_packet
+        self._io_bus_rate = rate = io_bus_rate
         self._sinks: dict[str, Callable[[Packet, float], None]] = {}
-        has_cpu = cpu_per_packet > 0.0
-        has_bus = io_bus_rate != float("inf")
+        has_cpu = cpu > 0.0
+        has_bus = rate != float("inf")
         self._bypass = not has_cpu and not has_bus
+        # Each direction's entry: its stage's put_nowait, or with no
+        # costly stage the next step itself (no queues at all).
         if self._bypass:
-            # No stage can consume time: no queues at all.
-            self._tx_entry = self._rx_entry = None
+            self._tx, self._rx = self.forward, self._deliver
         elif has_cpu and has_bus:
-            self._tx_entry = _TandemStage(
-                env, self._cpu_cost, self._bus_cost, self._nic_out
-            )
-            self._rx_entry = _TandemStage(
-                env, self._bus_cost, self._cpu_cost, self._deliver
-            )
-        elif has_cpu:
-            self._tx_entry = _SerialStage(env, self._cpu_cost, self._nic_out)
-            self._rx_entry = _SerialStage(env, self._cpu_cost, self._deliver)
+            self._tx = _TandemStage(env, cpu, rate, self.forward).put_nowait
+            self._rx = _TandemStage(env, cpu, rate, self._deliver, rx=True).put_nowait
         else:
-            self._tx_entry = _SerialStage(env, self._bus_cost, self._nic_out)
-            self._rx_entry = _SerialStage(env, self._bus_cost, self._deliver)
+            self._tx = _SerialStage(env, cpu, rate, self.forward).put_nowait
+            self._rx = _SerialStage(env, cpu, rate, self._deliver).put_nowait
 
-    # -- stage service costs -----------------------------------------------
-    def _cpu_cost(self, packet: Packet) -> float:
-        return self.cpu_per_packet
+    @property
+    def cpu_per_packet(self) -> float:
+        """Stack seconds per packet, read-only: the stages take it when built."""
+        return self._cpu_per_packet
 
-    def _bus_cost(self, packet: Packet) -> float:
-        return packet.ip_bytes * 8 / self.io_bus_rate
-
-    def _nic_out(self, packet: Packet) -> None:
-        self.forward(packet)
+    @property
+    def io_bus_rate(self) -> float:
+        """I/O bus bit/s, read-only: the stages take it when built."""
+        return self._io_bus_rate
 
     def _deliver(self, packet: Packet) -> None:
         sink = self._sinks.get(packet.flow)
         if sink is not None:
-            sink(packet, self.env.now)
+            sink(packet, self.env._now)
 
     # -- API for flows -------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Inject a packet into the outbound stack."""
-        packet.created = self.env.now
-        if self._bypass:
-            self.forward(packet)
-        else:
-            self._tx_entry.put_nowait(packet)
+        packet.created = self.env._now
+        self._tx(packet)
 
     def register_sink(self, flow: str, sink: Callable[[Packet, float], None]) -> None:
         """Deliver received packets of ``flow`` to ``sink(packet, time)``."""
@@ -860,10 +852,7 @@ class Host(Node):
 
     def receive(self, packet: Packet) -> None:
         if packet.dst == self.name:
-            if self._bypass:
-                self._deliver(packet)
-            else:
-                self._rx_entry.put_nowait(packet)
+            self._rx(packet)
         else:
             self.forward(packet)
 
@@ -911,7 +900,7 @@ class Gateway(Node):
     def __init__(self, env: Environment, name: str, per_packet: float = 120e-6):
         super().__init__(env, name)
         check_seconds("gateway per_packet", per_packet)
-        self.per_packet = per_packet
+        self._per_packet = per_packet
         #: Fluid background share of the forwarding worker (repro.fluid):
         #: the fraction of this serial CPU occupied by analytically-
         #: simulated flows.  Zero keeps forwarding bit-identical.
@@ -923,6 +912,12 @@ class Gateway(Node):
         #: (reason, flow) -> dropped packets, first-seen order
         self.drop_ledger: dict[tuple[str, str], int] = {}
         self._busy = False
+
+    @property
+    def per_packet(self) -> float:
+        """Forwarding seconds per packet, read-only: the loaded cost is
+        derived from it (:meth:`set_background_load`)."""
+        return self._per_packet
 
     def _drop(self, reason: str, flow: str) -> None:
         key = (reason, flow)
@@ -962,7 +957,7 @@ class Gateway(Node):
                 f"background share must be in [0, 1), got {share}"
             )
         self.background_share = share
-        self._eff_per_packet = self.per_packet / (1.0 - share)
+        self._eff_per_packet = self._per_packet / (1.0 - share)
 
     def crash(self) -> None:
         """Take the gateway down: flush and black-hole traffic until restart."""
@@ -987,9 +982,13 @@ class Gateway(Node):
 
     # -- callback-driven serial forwarding ---------------------------------
     def _start_service(self, packet: Packet) -> None:
+        # call_later's entry without its past check (cost and share checked).
         self._busy = True
-        if self.per_packet:
-            self.env.call_later(self._eff_per_packet, self._service_done, packet)
+        d = self._eff_per_packet  # zero exactly when per_packet is
+        if d:
+            env = self.env
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, [env._now + d, eid, self._service_done, (packet,)])
         else:
             self._service_done(packet)
 

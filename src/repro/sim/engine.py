@@ -9,6 +9,12 @@ Every entry takes the next value of one monotonically increasing
 serial, so entries scheduled for the same simulated time fire in
 scheduling (FIFO) order.  :meth:`Environment.call_at_after` is the one
 exception: it slots an entry in right behind a given pending one.
+Like :class:`Lane`, netsim's three per-packet steps (a link's
+serialization start, a gateway's service start, a serial host stage's
+start) build their entries themselves under the same rule: a fresh
+list, the next serial, one push.  Their times are ``now`` plus a
+non-negative cost validated when it was set, so they skip
+:meth:`Environment.call_at`'s past check and nothing else.
 
 Every pending entry sits in the heap, except those held behind the
 head of a :class:`Lane` (a FIFO of entries due in non-decreasing time

@@ -571,6 +571,28 @@ class TestHybridCoupling:
         tb.net.env.run()
         assert [f.name for f in hyb.engine.completed] == ["fluid"]
 
+    def test_cut_cancels_the_superseded_tick(self):
+        """A cut that parks every fluid flow leaves no next event: the
+        tick armed for the old completion is cancelled, not left live to
+        advance the engine at that time for nothing."""
+        tb = build_testbed()
+        hyb = HybridSimulation(tb.net)
+        hyb.offer([FlowArrival(0.0, "fluid", "t3e-600", "sp2", 64 * MB)])
+        tb.net.env.run(until=0.005)
+        (armed,) = [e for e in tb.net.env._queue if e[2] == hyb._tick]
+        old_done = armed[0]
+        tb.net.env.call_at(0.01, tb.wan_link.set_up, False)
+        tb.net.env.run(until=0.02)
+        assert hyb.engine.next_event_time() == float("inf")
+        assert hyb._next_tick is None
+        assert not [e for e in tb.net.env._queue if e[2] == hyb._tick]
+        advanced = []
+        advance = hyb.engine.advance_to
+        hyb.engine.advance_to = lambda t: advanced.append(t) or advance(t)
+        tb.net.env.run(until=old_done + 1.0)
+        assert advanced == []
+        assert hyb.engine.active == 1 and not hyb.engine.completed
+
     def test_packet_demand_reserves_fluid_share(self):
         """With a packet flow declared, fluid flows on the same path get
         less than the full capacity — the solve leaves the packet share."""

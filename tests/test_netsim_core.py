@@ -106,6 +106,25 @@ def test_switch_latency_is_fixed():
     assert sw.latency == 0.0
 
 
+@pytest.mark.parametrize(
+    "node, attr, value",
+    [
+        (Host, "cpu_per_packet", 1e-4),
+        (Host, "io_bus_rate", 100e6),
+        (Gateway, "per_packet", 1e-4),
+    ],
+)
+def test_stage_costs_are_fixed(node, attr, value):
+    """A host's stages take its costs, and elide free ones, when built,
+    and a gateway derives its loaded cost from ``per_packet``: a later
+    write could not take effect, so it is refused."""
+    n = node(Environment(), "n")
+    before = getattr(n, attr)
+    with pytest.raises(AttributeError):
+        setattr(n, attr, value)
+    assert getattr(n, attr) == before
+
+
 def test_gateway_store_and_forward_serializes():
     env = Environment()
     net = Network(env)
@@ -322,10 +341,11 @@ INF = float("inf")
         (Switch, {"latency": -1e-6}, "switch latency .*-1e-06"),
         (Gateway, {"per_packet": -1}, "gateway per_packet .*-1"),
         (Gateway, {"per_packet": NAN}, "gateway per_packet .*nan"),
+        (Gateway, {"per_packet": INF}, "gateway per_packet .*inf"),
     ],
     ids=["cpu_negative", "cpu_nan", "cpu_inf", "bus_zero", "bus_negative",
          "bus_nan", "switch_nan", "switch_negative", "gateway_negative",
-         "gateway_nan"],
+         "gateway_nan", "gateway_inf"],
 )
 def test_node_rejects_bad_costs(node, kw, bad):
     """A bad per-packet cost is a ValueError naming it at construction,
