@@ -25,25 +25,30 @@ Six tricks keep the event loop cheap at scale:
 * **Dominated resources** — a resource whose every user also crosses
   another resource at a per-bit cost at least as large can never be the
   first to bind, so the solver never sees it (see :func:`_dominated`).
-  The drop set is rebuilt only when a class or static demand appears.
+  The drop set is rebuilt only with the whole index (below).
 * **Busy list** — a class stays in ``_classes`` after its last flow
   leaves, so the per-event walks (next event, drain, harvest, re-solve,
-  loads) go over ``_busy``, the non-empty classes only.  It is rebuilt
-  from ``_classes`` with the kept index, so it keeps creation order,
-  the order the solver sums in, and every rate stays bit for bit what a
-  walk over all classes gives; a class that empties has its rate reset
-  to 0.0 and drops out at the next rebuild.
+  loads) go over ``_busy``, the non-empty classes only.  It is kept in
+  slot (creation) order, the order the solver sums in, so every rate
+  stays bit for bit what a walk over all classes gives; a class that
+  empties has its rate reset to 0.0 and leaves the list.
 * **Single-read walks** — each per-event walk reads a class's rate and
   heap, and the clock, once into locals; the drain and
   :meth:`~FluidEngine.resource_loads` walk the tuple of cost items each
   class keeps, not a fresh ``costs.items()`` view.
 * **Kept index** — a class's costs and cap are checked once, when the
-  class is created, and the solver's index (each demand's cap, freeze
-  limit and costs, each resource's users) is kept over the busy classes
-  and the routable static demands.  A class going busy or idle, a new
-  demand or a topology change drops it, and the next re-solve rebuilds
-  the busy list and then the index; any other re-solve builds just the
-  counts and runs the fill.
+  class is created, and the solver's index is kept across re-solves.
+  Its positions are stable: each class sits at its creation slot in
+  ``_classes``, the routable static demands after every class, and each
+  position's cap, freeze limit, costs and count are kept.  Each
+  resource's users list only the busy classes and the static demands,
+  in position order.  A class going busy inserts its entries (and
+  itself into the busy list) by slot; one going idle removes them after
+  the harvest walk.  Only a new class, a static demand's change or a
+  topology change drops the index, and the next re-solve rebuilds the
+  drop set, the slots, the busy list and the index together; every
+  re-solve refreshes the busy classes' counts and fills only the
+  positions in play.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -55,7 +60,9 @@ background load.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 from repro.netsim.core import Host, Network
@@ -70,6 +77,8 @@ INF = float("inf")
 #: Completion tolerance in *bits*: far below one byte, far above the
 #: accumulated ulp error of a drain integral.
 _DRAIN_EPS = 1e-6
+
+_slot = attrgetter("slot")
 
 
 def _dominated(demands: list[dict[str, float]]) -> set[str]:
@@ -149,7 +158,7 @@ class _PathClass:
 
     __slots__ = (
         "key", "costs", "cost_items", "solve_costs", "cap", "limit", "rate",
-        "drained", "heap", "seq",
+        "drained", "heap", "seq", "slot",
     )
 
     def __init__(self, key, costs: dict[str, float], cap: float):
@@ -163,6 +172,7 @@ class _PathClass:
         self.drained = 0.0  # cumulative bits served per member
         self.heap: list[tuple[float, int, _Flow]] = []
         self.seq = 0  # FIFO tiebreak for equal finish keys
+        self.slot = 0  # creation slot: the solver position (set by the index)
 
     def add(self, flow: _Flow, remaining_bits: Optional[float] = None) -> None:
         bits = flow.nbytes * 8.0 if remaining_bits is None else remaining_bits
@@ -206,15 +216,15 @@ class FluidEngine:
         self.on_complete: Optional[Callable[[CompletedFlow], None]] = None
         self.on_rates_changed: Optional[Any] = None
         self._classes: dict[tuple[str, str], _PathClass] = {}
-        # The non-empty classes in ``_classes`` (creation) order, which is
-        # the solver's summation order: the only classes any event reads.
-        # Rebuilt with the index, so stale while ``_index`` is None.
+        # The non-empty classes in slot (creation) order, which is the
+        # solver's summation order: the only classes any event reads.
+        # Kept with the index, so stale while ``_index`` is None.
         self._busy: list[_PathClass] = []
-        # The fill's index over ``_busy`` then the routable static
-        # demands (see _build_index); None while that set has changed.
+        # The fill's index over every class, then the routable static
+        # demands (see _build_index); None while a class, a static demand
+        # or the topology has changed.
         self._index: Optional[tuple] = None
         self._static: dict[str, _Static] = {}
-        self._prune_stale = False  # the drop set predates a new demand
         self._pending: list[Any] = []  # (at, seq, name, src, dst, nbytes)
         self._pending_seq = 0
         self._active = 0
@@ -272,7 +282,7 @@ class FluidEngine:
             costs = char.per_bit_costs()
             demand.limit = check_demand(name, costs, demand.cap)
             demand.costs = costs
-        self._prune_stale = True
+        self._index = None
 
     # -- path characterization --------------------------------------------
     def _characterize(self, src: str, dst: str):
@@ -310,7 +320,7 @@ class FluidEngine:
             for r in cls.costs:
                 self._util_integral.setdefault(r, 0.0)
         self._classes[key] = cls
-        self._prune_stale = True
+        self._index = None  # before _admit_due: the class has no slot yet
         return cls
 
     def invalidate_paths(self) -> None:
@@ -334,53 +344,76 @@ class FluidEngine:
         self._resolve()
 
     # -- solving -----------------------------------------------------------
-    def _prune(self) -> None:
-        """Rebuild ``solve_costs`` from one drop set over every class (empty
-        ones too) and routable static demand: dominance over a superset of
-        demands holds for each subset, so the set serves every re-solve."""
+    def _build_index(self) -> tuple:
+        """Rebuild the drop set, the slots, the busy list and the fill's index.
+
+        One drop set over every class (empty ones too) and routable static
+        demand rebuilds every ``solve_costs``: dominance over a superset of
+        demands holds for each subset, so the set serves every re-solve.
+        Position ``i`` is class slot ``i`` in creation order, then the
+        routable static demands in registration order (one without a route
+        is silent): each position's cap, freeze limit, solve costs and
+        count (1 until a re-solve counts a busy class), each resource's
+        users ``(position, cost)`` over the busy classes and the static
+        demands, and the static demands' positions.  Both parts were
+        checked when they were characterized."""
         demands: list[Any] = list(self._classes.values())
+        n_classes = len(demands)
         demands += [d for d in self._static.values() if d.costs is not None]
         drop = _dominated([d.costs for d in demands])
-        for d in demands:
-            d.solve_costs = {r: c for r, c in d.costs.items() if r not in drop}
-        self._prune_stale = False
-        self._index = None
-
-    def _build_index(self) -> tuple:
-        """The fill's index over the busy classes (creation order), then the
-        routable static demands (registration order; one without a route
-        is silent): each demand's cap, freeze limit and solve costs, each
-        resource's users ``(demand, cost)`` in that order, and a count of
-        1 per static demand.  Both parts were checked when they were
-        characterized, and every busy class's count is its heap size."""
-        demands: list[Any] = list(self._busy)
-        demands += [d for d in self._static.values() if d.costs is not None]
+        busy = []
         users: dict[str, list[tuple[int, float]]] = {}
         for i, d in enumerate(demands):
+            d.solve_costs = {r: c for r, c in d.costs.items() if r not in drop}
+            if i < n_classes:
+                d.slot = i
+                if not d.heap:
+                    continue
+                busy.append(d)
             for r, x in d.solve_costs.items():
                 users.setdefault(r, []).append((i, x))
+        self._busy = busy
         return (
             [d.cap for d in demands],
             [d.limit for d in demands],
+            [1] * len(demands),
             [d.solve_costs for d in demands],
             users,
-            [1] * (len(demands) - len(self._busy)),
+            range(n_classes, len(demands)),
         )
 
+    def _went_busy(self, cls: _PathClass) -> None:
+        """Add a class that just got its first flow to the kept index."""
+        users = self._index[4]
+        for r, x in cls.solve_costs.items():
+            insort(users.setdefault(r, []), (cls.slot, x))
+        insort(self._busy, cls, key=_slot)
+
+    def _went_idle(self, cls: _PathClass) -> None:
+        """Take a class whose last flow left out of the kept index."""
+        users = self._index[4]
+        for r in cls.solve_costs:
+            us = users[r]
+            del us[bisect_left(us, (cls.slot,))]
+            if not us:
+                del users[r]
+        self._busy.remove(cls)
+
     def _resolve(self) -> None:
-        if self._prune_stale:
-            self._prune()
         if self._index is None:
-            self._busy = [cls for cls in self._classes.values() if cls.heap]
             self._index = self._build_index()
-        cap_of, limit, uses, users, static_counts = self._index
-        if cap_of:
-            busy = self._busy
-            mult = [len(cls.heap) for cls in busy]
-            mult += static_counts
-            rates = max_min_rates(cap_of, limit, mult, uses, users)
-            for cls, rate in zip(busy, rates):
-                cls.rate = rate
+        cap_of, limit, mult, uses, users, statics = self._index
+        busy = self._busy
+        play = []
+        for cls in busy:
+            slot = cls.slot
+            mult[slot] = len(cls.heap)
+            play.append(slot)
+        play += statics
+        if play:
+            rates = max_min_rates(cap_of, limit, mult, uses, users, play)
+            for cls in busy:
+                cls.rate = rates[cls.slot]
         self.resolves += 1
         if self.on_rates_changed is not None:
             self.on_rates_changed(self)
@@ -448,6 +481,7 @@ class FluidEngine:
     def _harvest(self) -> bool:
         changed = False
         now = self.now
+        idle = []
         for cls in self._busy:
             rate = cls.rate
             heap = cls.heap
@@ -466,7 +500,10 @@ class FluidEngine:
                     changed = True
             if not heap:
                 cls.rate = 0.0
-                self._index = None
+                idle.append(cls)
+        if self._index is not None:
+            for cls in idle:  # after the walk over ``_busy``
+                self._went_idle(cls)
         return changed
 
     def _finish(self, flow: _Flow) -> None:
@@ -485,8 +522,8 @@ class FluidEngine:
             _, _, name, src, dst, nbytes = pending[0]
             cls = self._class_for(src, dst)  # may raise: the flow stays queued
             heapq.heappop(pending)
-            if not cls.heap:
-                self._index = None
+            if not cls.heap and self._index is not None:
+                self._went_busy(cls)
             cls.add(_Flow(name, src, dst, nbytes, self.now, 0.0))
             self._active += 1
             self.arrived += 1

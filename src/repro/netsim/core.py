@@ -264,7 +264,7 @@ class Link:
         self.env = env
         self.a = a
         self.b = b
-        self.rate = rate
+        self._rate = rate
         self.propagation = propagation
         self.framing = framing or PlainFraming()
         self.name = name or f"{a.name}--{b.name}"
@@ -272,8 +272,8 @@ class Link:
         self.up = True
         self.network: Optional["Network"] = None
         self.state_changes = 0
-        #: memoized :func:`route_cost` (rate/framing/propagation are fixed
-        #: for the link's lifetime)
+        #: memoized :func:`route_cost` (framing and propagation are fixed
+        #: for the link's lifetime; setting ``rate`` clears it)
         self._route_cost: Optional[float] = None
         #: (direction, reason, flow) -> dead packets, first-seen order
         self.drop_ledger: dict[tuple[str, str, str], int] = {}
@@ -297,6 +297,25 @@ class Link:
             )
         a.attach(self)
         b.attach(self)
+
+    @property
+    def rate(self) -> float:
+        """Line rate in bit/s.  Setting it reprices the link everywhere:
+        each direction's serialization rate (under its background share)
+        and its memo, the memoized :func:`route_cost`, and the network's
+        routes.  A packet already in service keeps its serialization."""
+        return self._rate
+
+    @rate.setter
+    def rate(self, rate: float) -> None:
+        check_rate("link rate", rate)
+        self._rate = rate
+        for d, st in self._dir.items():
+            st.eff = rate * (1.0 - self.background_share[d])
+            st.ws.clear()
+        self._route_cost = None
+        if self.network is not None:
+            self.network.invalidate_routes()
 
     def other(self, node: "Node") -> "Node":
         """The peer of ``node`` on this link."""
@@ -393,7 +412,7 @@ class Link:
         if st is None:
             raise KeyError(f"{direction} is not an endpoint of {self.name}")
         self.background_share[direction] = share
-        st.eff = self.rate * (1.0 - share)
+        st.eff = self._rate * (1.0 - share)
         st.ws.clear()  # serialization memo was computed at the old rate
 
     def _drop(self, direction: str, reason: str, flow: str) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.netsim.core import Gateway, Network
 from repro.netsim.ip import ClassicalIP
@@ -200,10 +200,11 @@ def max_min_rates(
     This is the solver core of :func:`fair_share_throughputs`.  It
     checks every demand (:func:`check_demand`), builds the index —
     each demand's cap, freeze limit and costs, and each resource's
-    users in ``costs`` order — and hands it to :func:`water_fill`.  The
-    fluid engine builds the same index itself, keeps it while its set
-    of demands is unchanged, and calls :func:`water_fill` alone on each
-    re-solve.
+    users in ``costs`` order — and hands it to :func:`water_fill` with
+    every position in play.  The fluid engine keeps its own index over
+    every path class and static demand, updates each resource's users
+    as classes go busy and idle, and calls :func:`water_fill` alone on
+    each re-solve, with the busy classes and the static demands in play.
 
     Raises :class:`ValueError` naming the demand for a negative, NaN or
     infinite cost, a negative or NaN cap, a count below 1, not finite
@@ -243,7 +244,8 @@ def max_min_rates(
     if counted != len(n_of):
         extra = next(n for n in n_of if n not in costs)
         raise ValueError(f"count given for {extra!r}, which has no costs")
-    return dict(zip(costs, water_fill(cap_of, limit, mult, uses, users)))
+    rates = water_fill(cap_of, limit, mult, uses, users, range(len(cap_of)))
+    return dict(zip(costs, rates))
 
 
 def check_demand(name: Any, costs: Mapping[str, float], cap: float) -> float:
@@ -270,20 +272,24 @@ def water_fill(
     mult: list[int],
     uses: list[Mapping[str, float]],
     users: Mapping[str, list[tuple[int, float]]],
+    play: Sequence[int],
 ) -> list[float]:
-    """The max-min fill over a checked index; returns the rate per demand.
+    """The max-min fill over a checked index; returns the rate per position.
 
-    Demand ``i`` has cap ``cap_of[i]``, freeze limit ``limit[i]`` (from
+    Position ``i`` has cap ``cap_of[i]``, freeze limit ``limit[i]`` (from
     :func:`check_demand`), count ``mult[i]`` (a whole number, at least
     1) and costs ``uses[i]``; ``users`` maps each resource to its users
-    ``(i, cost)`` in demand order.  Every sum below adds the same terms,
-    left to right in the same order, as a scan of the demands would, so
-    the rates equal that scan's bit for bit and depend neither on the
-    string hash seed nor on the interpreter (the builtin ``sum`` of
-    floats is compensated from Python 3.12 on).  The inputs are only
-    read, so a caller may keep them across calls.  Raises
-    :class:`ValueError` naming the resource when its users' count ×
-    cost terms add up to ``inf``."""
+    ``(i, cost)`` in position order.  Only the positions in ``play`` are
+    solved: every other position reads 0.0, its count is never read, and
+    a ``users`` entry for it adds nothing.  Every sum below adds the same
+    terms, left to right in the same order, as a scan of the demands in
+    play would, so the rates equal that scan's bit for bit and depend
+    neither on the string hash seed nor on the interpreter (the builtin
+    ``sum`` of floats is compensated from Python 3.12 on), nor on the
+    order of ``users``' keys: a step is a minimum, and freezing order
+    does not matter.  The inputs are only read, so a caller may keep
+    them across calls.  Raises :class:`ValueError` naming a resource
+    when its in-play users' count × cost terms add up to ``inf``."""
     inf = float("inf")
     # Every live demand starts at 0.0 and gets the same deltas in the
     # same order, so its rate is exactly ``level``; a frozen one keeps
@@ -293,8 +299,10 @@ def water_fill(
     level = 0.0
     rates = [0.0] * n
     ml = [0.0] * n
-    live = [True] * n
-    n_live = n
+    live = [False] * n
+    for i in play:
+        live[i] = True
+    n_live = len(play)
     # Each resource's load at the current rates; all rates start at 0.0.
     load = dict.fromkeys(users, 0.0)
     # Each resource's live demand: the load that one bit/s more on every
@@ -323,7 +331,7 @@ def water_fill(
         # Tightest constraint over live flows.  Float subtraction rounds
         # monotonically, so ``cap_min - level`` is the least per-demand
         # distance to a cap.
-        cap_min = min([c for c, a in zip(cap_of, live) if a])
+        cap_min = min([cap_of[i] for i in play if live[i]])
         delta = cap_min - level
         for r, d in demand.items():
             slack = 1.0 - load[r]
@@ -336,7 +344,7 @@ def water_fill(
             break
         level += delta
         frozen = []
-        for i in range(n):
+        for i in play:
             if live[i]:
                 ml[i] = mult[i] * level
                 if level >= limit[i]:
@@ -361,7 +369,7 @@ def water_fill(
         for i in frozen:
             rates[i] = level
             touched.update(uses[i])
-    for i in range(n):
+    for i in play:
         if live[i]:
             rates[i] = level
     return rates

@@ -243,6 +243,7 @@ class TestFluidEngine:
         assert a.rate == 0.0
         eng.run(until=0.5)
         assert eng._busy == [a, b, c]
+        assert [cls.slot for cls in eng._busy] == [0, 1, 2]
         assert a.rate > 0.0
         eng.run()
         assert sorted(f.name for f in eng.completed) == ["a1", "a2", "b", "c"]
@@ -1090,30 +1091,37 @@ def assert_rates_equal_full_solve(eng):
 
 def assert_index_fresh(eng):
     """Right after a re-solve, the engine's kept solver index equals one
-    built from scratch over its busy classes and routable static demands
-    (same values in the same order), and its rates equal
+    built from scratch, compared by demand key and position: every class
+    sits at its creation slot and the routable static demands follow;
+    each position holds its demand's cap, freeze limit and solve costs,
+    and a busy class's or static demand's count; each resource's users
+    are the busy classes' and static demands' ``(position, cost)``
+    entries in position order; and the busy list is the non-empty
+    classes in slot order.  The busy classes' rates equal
     ``max_min_rates`` over the same demands, bit for bit."""
     from repro.netsim.tcp import check_demand, max_min_rates
 
-    costs, caps, counts = {}, {}, {}
-    for cls in eng._busy:
-        costs[cls.key], caps[cls.key] = cls.solve_costs, cls.cap
-        counts[cls.key] = len(cls.heap)
+    classes = list(eng._classes.values())
+    assert [cls.slot for cls in classes] == list(range(len(classes)))
+    assert eng._busy == [cls for cls in classes if cls.heap]
+    demands = {cls.key: cls for cls in classes}
     for name, demand in eng._static.items():
         if demand.costs is not None:
-            costs[name], caps[name], counts[name] = demand.solve_costs, demand.cap, 1
-    users = {}
-    for i, c in enumerate(costs.values()):
-        for r, x in c.items():
-            users.setdefault(r, []).append((i, x))
-    fresh = (
-        list(caps.values()),
-        [check_demand(n, costs[n], caps[n]) for n in costs],
-        list(costs.values()),
-        users,
-        [1] * (len(costs) - len(eng._busy)),
-    )
-    assert repr(eng._index) == repr(fresh)
+            demands[name] = demand
+    cap_of, limit, mult, uses, users, statics = eng._index
+    assert len(cap_of) == len(limit) == len(mult) == len(uses) == len(demands)
+    assert list(statics) == list(range(len(classes), len(demands)))
+    costs, caps, counts, fresh_users = {}, {}, {}, {}
+    for i, (key, d) in enumerate(demands.items()):
+        want = (d.cap, check_demand(key, d.solve_costs, d.cap), d.solve_costs)
+        assert repr((cap_of[i], limit[i], uses[i])) == repr(want), key
+        count = len(d.heap) if i < len(classes) else 1
+        if count:
+            assert mult[i] == count, key
+            costs[key], caps[key], counts[key] = d.solve_costs, d.cap, count
+            for r, x in d.solve_costs.items():
+                fresh_users.setdefault(r, []).append((i, x))
+    assert repr(sorted(users.items())) == repr(sorted(fresh_users.items()))
     rates = max_min_rates(costs, caps, counts) if costs else {}
     for cls in eng._busy:
         assert repr(cls.rate) == repr(rates[cls.key]), cls.key
@@ -1256,6 +1264,32 @@ class TestExactnessGoldens:
         every resource's utilization over a day with a cut and a repair,
         pinned bit for bit."""
         assert _day_digest() == _DAY_SHA
+
+    def test_benchmark_day_work_counters(self, monkeypatch):
+        """The benchmark day's work, pinned exactly: 1,000 re-solves, 999
+        fills (its last re-solve has no demand left) and 30 full index
+        builds, one per class created.  The other 610 times a class goes
+        busy (290) or idle (320) update the kept index in place."""
+        import repro.fluid.engine as fluid_engine
+
+        counts = {}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+
+            return call
+
+        fill = fluid_engine.max_min_rates
+        monkeypatch.setattr(fluid_engine, "max_min_rates", counted("fill", fill))
+        for name in ("_build_index", "_went_busy", "_went_idle"):
+            method = counted(name, getattr(FluidEngine, name))
+            monkeypatch.setattr(FluidEngine, name, method)
+        assert _benchmark_day()["resolves"] == 1000
+        assert counts == {
+            "fill": 999, "_build_index": 30, "_went_busy": 290, "_went_idle": 320,
+        }
 
     def test_benchmark_day_digest(self):
         """The benchmark's fluid day, pinned at full precision (the

@@ -13,6 +13,7 @@ from repro.netsim.core import (
     Packet,
     PlainFraming,
     Switch,
+    route_cost,
 )
 from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment
@@ -312,6 +313,42 @@ def test_link_rejects_bad_parameters(kw, bad):
 def test_link_accepts_infinite_rate():
     env, a, b = _two_nodes()
     Link(env, a, b, float("inf"))
+
+
+def test_rate_write_reprices_the_link():
+    """Setting ``rate`` reaches the transmitter, the route cost and the
+    network's routes: a 1,000-byte packet (1,018 wire bytes) sent after
+    a 1 Mbit/s link drops to 10 kbit/s serializes at the new rate, and a
+    direction's background share still applies on top of it."""
+    env, a, b = _two_nodes()
+    net = Network(env)
+    net.add(a)
+    net.add(b)
+    link = net.link("a", "b", 1e6)
+    assert route_cost(link) == 1518 * 8 / 1e6  # 0.012144 s
+    assert net.route_link("a", "b") is link and a._fwd  # a cached route
+    link.rate = 1e4
+    assert link.rate == 1e4
+    assert a._fwd == {}  # routes invalidated
+    assert route_cost(link) == 1518 * 8 / 1e4
+    link.send(a, mkpkt())
+    env.run()
+    assert b.got == [("f", 0, 1018 * 8 / 1e4)]  # 0.8144 s
+    link.set_background_load("a", 0.5)
+    link.rate = 2e4
+    link.send(a, mkpkt())
+    env.run()
+    assert b.got[1][2] == 0.8144 + 1018 * 8 / (2e4 * 0.5)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e6], ids=["nan", "zero", "negative"])
+def test_rate_write_rejects_bad_rates(rate):
+    env, a, b = _two_nodes()
+    link = Link(env, a, b, 1e6)
+    with pytest.raises(ValueError, match="link rate"):
+        link.rate = rate
+    assert link.rate == 1e6
+    assert route_cost(link) == 1518 * 8 / 1e6
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
